@@ -455,11 +455,10 @@ def cmd_select(args) -> int:
         if not cand.terms:
             raise InputError("candidate statistic list is empty")
         features = np.column_stack([t.unit_values(d) for t in cand.terms])
-    labels = [d.cluster_labels[i] for i in d.cluster_index]
     with _stage("select"):
         res = multinomial_group_lasso(
             features,
-            labels,
+            d.cluster_index,
             lam=cfg["lam"],
             lambda_grid=cfg["lambda_grid"],
             tol=cfg["tol"],
@@ -564,7 +563,8 @@ def cmd_mixture(args) -> int:
 
     with _stage("mixture"):
         model = em_fit(d, p=cfg["p"], **em_kwargs)
-        post = posterior_suffstat(model, d).cluster_posterior
+        posterior = posterior_suffstat(model, d)
+    post = posterior.cluster_posterior
     body["model"] = model.to_dict()
     body["posterior"] = [[float(v) for v in row] for row in post]
 
@@ -579,7 +579,7 @@ def cmd_mixture(args) -> int:
     meta = {"posterior_csv": str(post_path)}
     if cfg["estimate"]:
         with _stage("estimate"):
-            ad = augment_with_posterior(d, model)
+            ad = augment_with_posterior(d, model, posterior)
             folds = cross_fit_folds(d.c, cfg["L"], cfg["seed"])
             nu = fit_nuisances(ad, d, folds, NuisanceConfig(**cfg["nuisance"]))
             a = _overlap_mask(nu.e, cfg["eta"])

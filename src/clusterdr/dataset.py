@@ -12,6 +12,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -28,6 +30,9 @@ __all__ = [
     "validate",
     "group_by_size",
 ]
+
+# Rows parsed per chunk by load_csv; bounds the memory held as row lists.
+_CHUNK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -104,16 +109,10 @@ class Dataset:
             )
 
         # Dense ids in order of first appearance.
-        label_to_id: dict = {}
-        idx = np.empty(n, dtype=np.int64)
-        labels_in_order: list = []
-        for i, lab in enumerate(cluster_labels):
-            j = label_to_id.get(lab)
-            if j is None:
-                j = len(labels_in_order)
-                label_to_id[lab] = j
-                labels_in_order.append(lab)
-            idx[i] = j
+        labels_in_order = list(dict.fromkeys(cluster_labels))
+        id_of = {lab: j for j, lab in enumerate(labels_in_order)}
+        idx = np.fromiter(map(id_of.__getitem__, cluster_labels),
+                          dtype=np.int64, count=n)
         c = len(labels_in_order)
 
         self._y = y
@@ -259,19 +258,81 @@ def _parse_float(text: str, row: int, column: str) -> float:
         ) from None
 
 
+def _parse_columns(rows: list, take, n_cov: int):
+    """Parse one chunk of rows column by column.
+
+    Returns (y, w, labels, x with one row per covariate), or None when
+    any cell is bad or missing; the caller then finds which one.
+    """
+    m = len(rows)
+    try:
+        cols = list(zip(*map(take, rows)))
+        y = np.fromiter(map(float, cols[0]), dtype=float, count=m)
+        w = np.fromiter(map(float, cols[1]), dtype=float, count=m)
+        x = np.empty((n_cov, m))
+        for j, col in enumerate(cols[3:]):
+            x[j] = np.fromiter(map(float, col), dtype=float, count=m)
+    except (IndexError, ValueError):
+        return None
+    if ("" in cols[2] or not np.all((w == 0.0) | (w == 1.0))
+            or not np.all(np.isfinite(x))):
+        return None
+    return y, w, cols[2], x
+
+
+def _raise_first_bad_cell(rows: list, first_row: int, schema: CsvSchema,
+                          covariates: list, pos: dict) -> None:
+    """Raise the error of the first bad cell in ``rows``, in row-major
+    order and, within a row, outcome, treatment, label, covariates.
+
+    Only called on a chunk that :func:`_parse_columns` rejected, so it
+    always raises. A cell past the end of a short row reads as missing.
+    """
+    for row_num, row in enumerate(rows, start=first_row):
+        cell = {col: row[i] if i < len(row) else None
+                for col, i in pos.items()}
+        _parse_float(cell[schema.outcome], row_num, schema.outcome)
+        w_val = _parse_float(cell[schema.treatment], row_num,
+                             schema.treatment)
+        if w_val not in (0.0, 1.0):
+            raise InputError(
+                f"row {row_num}: treatment must be 0 or 1, got {w_val}"
+            )
+        lab = cell[schema.cluster]
+        if lab is None or lab == "":
+            raise InputError(f"row {row_num}: empty cluster label")
+        for col in covariates:
+            text = cell[col]
+            if text is None or text == "":
+                raise InputError(
+                    f"row {row_num}: missing covariate {col!r}"
+                )
+            val = _parse_float(text, row_num, col)
+            if math.isnan(val) or math.isinf(val):
+                raise InputError(
+                    f"row {row_num}: covariate {col!r} is not finite"
+                )
+
+
 def load_csv(path, schema: Optional[CsvSchema] = None) -> Dataset:
     """Read a clustered cross-section from a CSV file.
 
+    The file is streamed in chunks of ``_CHUNK_ROWS`` rows, each parsed
+    column by column. Blank lines are skipped and not counted in row
+    numbers; extra fields are ignored; of duplicate header names the
+    last column wins.
+
     Raises :class:`InputError` on a missing column, a non-numeric cell,
-    a treatment value other than 0/1, or a missing covariate value.
+    a treatment value other than 0/1, or a missing covariate value,
+    naming the first bad cell's 1-based row (the header is row 1).
     NaN outcomes load successfully and are reported by :func:`validate`.
     """
     schema = schema or CsvSchema()
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise InputError(f"{path}: empty file")
-        header = list(reader.fieldnames)
         for col in (schema.outcome, schema.treatment, schema.cluster):
             if col not in header:
                 raise InputError(f"{path}: missing column {col!r}")
@@ -284,40 +345,31 @@ def load_csv(path, schema: Optional[CsvSchema] = None) -> Dataset:
                 if col not in header:
                     raise InputError(f"{path}: missing column {col!r}")
 
-        ys, ws, labels = [], [], []
-        xs = []
-        for row_num, row in enumerate(reader, start=2):
-            ys.append(_parse_float(row[schema.outcome], row_num, schema.outcome))
-            w_val = _parse_float(row[schema.treatment], row_num, schema.treatment)
-            if w_val not in (0.0, 1.0):
-                raise InputError(
-                    f"row {row_num}: treatment must be 0 or 1, got {w_val}"
-                )
-            ws.append(int(w_val))
-            lab = row[schema.cluster]
-            if lab is None or lab == "":
-                raise InputError(f"row {row_num}: empty cluster label")
-            labels.append(lab)
-            x_row = []
-            for col in covariates:
-                cell = row.get(col)
-                if cell is None or cell == "":
-                    raise InputError(
-                        f"row {row_num}: missing covariate {col!r}"
-                    )
-                val = _parse_float(cell, row_num, col)
-                if math.isnan(val) or math.isinf(val):
-                    raise InputError(
-                        f"row {row_num}: covariate {col!r} is not finite"
-                    )
-                x_row.append(val)
-            xs.append(x_row)
+        pos = {name: i for i, name in enumerate(header)}
+        roles = [schema.outcome, schema.treatment, schema.cluster]
+        take = itemgetter(*(pos[col] for col in roles + covariates))
+        ys, ws, labels, xs = [], [], [], []
+        row_num = 2
+        while True:
+            chunk = list(islice(reader, _CHUNK_ROWS))
+            if not chunk:
+                break
+            rows = [row for row in chunk if row]
+            if not rows:
+                continue
+            parsed = _parse_columns(rows, take, len(covariates))
+            if parsed is None:
+                _raise_first_bad_cell(rows, row_num, schema, covariates, pos)
+            y, w, lab, x = parsed
+            ys.append(y)
+            ws.append(w)
+            labels.extend(lab)
+            xs.append(x)
+            row_num += len(rows)
     if not ys:
         raise InputError(f"{path}: no data rows")
-    x = np.asarray(xs, dtype=float)
-    if x.size == 0:
-        x = np.empty((len(ys), 0))
-    return Dataset(np.asarray(ys), np.asarray(ws), x, labels)
+    x = np.ascontiguousarray(np.concatenate(xs, axis=1).T)
+    return Dataset(np.concatenate(ys), np.concatenate(ws), x, labels)
 
 
 def write_csv(d: Dataset, path, schema: Optional[CsvSchema] = None) -> None:
@@ -358,23 +410,24 @@ def validate(d: Dataset) -> ValidationReport:
         report.errors.append(
             f"{nan_rows.size} NaN outcome(s), first at row {int(nan_rows[0])}"
         )
-    treated_per_cluster = np.bincount(
+    treated = np.bincount(
         d.cluster_index, weights=d.w.astype(float), minlength=d.c
     )
-    for cid in range(d.c):
-        size = int(d.n_c[cid])
-        t = treated_per_cluster[cid]
-        label = d.cluster_labels[cid]
+    degenerate = np.flatnonzero((treated == 0) | (treated == d.n_c))
+    report.degenerate_clusters = degenerate.tolist()
+    # A single-unit cluster is always single-arm, so the degenerate
+    # clusters are the only ones that draw warnings.
+    labels = d.cluster_labels
+    for cid, size, t in zip(report.degenerate_clusters,
+                            d.n_c[degenerate].tolist(),
+                            treated[degenerate].tolist()):
+        label = labels[cid]
         if size == 1:
-            report.warnings.append(
-                f"cluster {label!r} has a single unit"
-            )
-        if t == 0 or t == size:
-            report.degenerate_clusters.append(cid)
-            arm = "treated" if t == size else "control"
-            report.warnings.append(
-                f"cluster {label!r} is all-{arm} ({size} units)"
-            )
+            report.warnings.append(f"cluster {label!r} has a single unit")
+        arm = "treated" if t == size else "control"
+        report.warnings.append(
+            f"cluster {label!r} is all-{arm} ({size} units)"
+        )
     return report
 
 

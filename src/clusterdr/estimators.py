@@ -268,16 +268,19 @@ def _size_dummies(ad: AugmentedDesign) -> np.ndarray:
 
 
 def _outcome_design(ad: AugmentedDesign, w: np.ndarray, cfg: NuisanceConfig,
-                    size_cols: np.ndarray) -> np.ndarray:
-    parts = [np.ones(ad.n), w, ad.x]
+                    size_cols: np.ndarray, rows=slice(None)) -> np.ndarray:
+    """Outcome design at treatment ``w`` for the units selected by
+    ``rows`` (all of them by default)."""
+    x, s_bar = ad.x[rows], ad.s_bar[rows]
+    parts = [np.ones(w.shape[0]), w, x]
     if cfg.outcome_use_summaries:
-        parts.append(ad.s_bar)
+        parts.append(s_bar)
     if cfg.outcome_interactions:
-        parts.append(ad.x * w[:, None])
+        parts.append(x * w[:, None])
         if cfg.outcome_use_summaries:
-            parts.append(ad.s_bar * w[:, None])
+            parts.append(s_bar * w[:, None])
     if cfg.size_indicators and size_cols.shape[1]:
-        parts.append(size_cols)
+        parts.append(size_cols[rows])
     return np.column_stack(parts)
 
 
@@ -314,8 +317,6 @@ def fit_nuisances(
     w = d.w.astype(float)
     size_cols = _size_dummies(ad)
     design_w = _outcome_design(ad, w, cfg, size_cols)
-    design_1 = _outcome_design(ad, np.ones(d.n), cfg, size_cols)
-    design_0 = _outcome_design(ad, np.zeros(d.n), cfg, size_cols)
     design_e = _propensity_design(ad, cfg, size_cols)
 
     fold_of_unit = folds.fold_of_cluster[d.cluster_index]
@@ -332,8 +333,11 @@ def fit_nuisances(
             )
         ofit = wls_fit(design_w[train], d.y[train])
         coef = ofit.coefficients
-        mu1[test] = design_1[test] @ coef
-        mu0[test] = design_0[test] @ coef
+        n_test = int(np.count_nonzero(test))
+        design_1 = _outcome_design(ad, np.ones(n_test), cfg, size_cols, test)
+        design_0 = _outcome_design(ad, np.zeros(n_test), cfg, size_cols, test)
+        mu1[test] = design_1 @ coef
+        mu0[test] = design_0 @ coef
         pfit = logistic_fit(design_e[train], w_train, ridge=cfg.ridge)
         e[test] = predict_proba(pfit, design_e[test])
 

@@ -1,10 +1,11 @@
 """Weighted least squares, logistic regression, fold assignment, and a
 group-penalized multinomial classifier used for statistic selection.
 
-All fits are plain numpy. Rank deficiency in least squares is resolved
-deterministically: columns are examined left to right and a column that
-adds nothing to the span of those already kept is dropped, so of two
-duplicated columns the later one goes.
+All fits are plain numpy. Least squares has one kernel, an unpivoted
+Householder QR of the weighted system, which also resolves rank
+deficiency deterministically: columns are examined left to right and a
+column that adds nothing to the span of those already kept is dropped,
+so of two duplicated columns the later one goes.
 """
 
 from __future__ import annotations
@@ -79,41 +80,19 @@ def _as_design(design) -> np.ndarray:
     return design
 
 
-def _select_columns(a: np.ndarray) -> tuple:
-    """Greedy left-to-right independent-column selection.
-
-    Returns (kept indices, dropped indices). Uses modified Gram-Schmidt
-    with one re-orthogonalization pass; a column whose residual against
-    the kept span is below a relative tolerance is dropped.
-    """
-    n, p = a.shape
-    norms = np.linalg.norm(a, axis=0)
-    scale = norms.max() if p else 0.0
-    tol = 1e-9 * max(scale, 1.0)
-    q_cols: list = []
-    kept: list = []
-    dropped: list = []
-    for j in range(p):
-        v = a[:, j].copy()
-        for q in q_cols:
-            v -= q @ v * q
-        for q in q_cols:
-            v -= q @ v * q
-        nv = np.linalg.norm(v)
-        if nv <= tol:
-            dropped.append(j)
-        else:
-            q_cols.append(v / nv)
-            kept.append(j)
-    return kept, dropped
-
-
 def wls_fit(design, response, weights=None) -> WlsFit:
     """Solve weighted least squares with deterministic rank handling.
 
     Weights are non-negative per-row multipliers on squared residuals;
-    ``None`` means ordinary least squares. On the retained columns the
-    weighted residuals are orthogonal to the design up to
+    ``None`` means ordinary least squares. The weighted system
+    ``[A | b]`` gets one unpivoted Householder QR. Its diagonal entry
+    |R_jj| is the norm of column j's residual against the columns before
+    it, so the first column with |R_jj| at or below
+    ``1e-9 * max(largest column norm, 1)`` is dropped and the kept
+    columns are factored again; with fewer rows than columns, every
+    column past the rank is dropped. The kept triangle then gives the
+    coefficients. On the retained columns the weighted residuals are
+    orthogonal to the design up to
     ``1e-8 * (1 + ||response||)``.
     """
     a = _as_design(design)
@@ -124,7 +103,6 @@ def wls_fit(design, response, weights=None) -> WlsFit:
     if not np.all(np.isfinite(b)):
         raise InputError("response contains non-finite values")
     if weights is None:
-        root = None
         a_s, b_s = a, b
     else:
         wt = np.asarray(weights, dtype=float)
@@ -137,16 +115,35 @@ def wls_fit(design, response, weights=None) -> WlsFit:
         root = np.sqrt(wt)
         a_s = a * root[:, None]
         b_s = b * root
-    kept, dropped = _select_columns(a_s)
+    sq_norms = np.einsum("ij,ij->j", a_s, a_s)
+    tol = 1e-9 * max(math.sqrt(sq_norms.max(initial=0.0)), 1.0)
+    kept = list(range(p))
+    dropped: list = []
+    while True:
+        # LAPACK factors column-major storage; building it so saves a copy.
+        ab = np.empty((n, len(kept) + 1), order="F")
+        ab[:, :-1] = a_s[:, kept]
+        ab[:, -1] = b_s
+        r = np.linalg.qr(ab, mode="r")
+        diag = np.abs(np.diagonal(r))[: len(kept)]
+        small = np.flatnonzero(diag <= tol)
+        if not small.size:
+            break
+        # Later columns were measured against this one's residual
+        # direction, so only the first small pivot is final.
+        dropped.append(kept.pop(int(small[0])))
+    # With n rows, R has no pivot past column n - 1: those columns lie in
+    # the span of the n kept before them.
+    rank = diag.size
+    dropped.extend(kept[rank:])
+    kept = kept[:rank]
     coef = np.zeros(p)
     if kept:
-        sol, *_ = np.linalg.lstsq(a_s[:, kept], b_s, rcond=None)
-        coef[kept] = sol
-    fitted = a @ coef
+        coef[kept] = np.linalg.solve(r[:rank, :rank], r[:rank, -1])
     return WlsFit(
         coefficients=coef,
-        fitted=fitted,
-        rank=len(kept),
+        fitted=a @ coef,
+        rank=rank,
         columns_dropped=tuple(dropped),
     )
 

@@ -31,8 +31,15 @@ _PMF_FLOOR = 1e-9
 _DEFAULT_SUPPORT_CAP = 512
 
 
-def _cell_key(x_row: np.ndarray, w: int) -> tuple:
-    return tuple(float(v) for v in x_row) + (int(w),)
+def _unit_cells(d: Dataset):
+    """Distinct (x, w) cells in sorted order, as tuples of float
+    covariates and an int treatment, plus the cell index per unit."""
+    rows, unit_cell = np.unique(
+        np.column_stack([d.x, d.w]), axis=0, return_inverse=True
+    )
+    cells = [tuple(row[:-1]) + (int(row[-1]),) for row in rows.tolist()]
+    # numpy 2.0.0 returns the inverse of an axis-0 unique as a column.
+    return cells, unit_cell.reshape(-1)
 
 
 def _enumerate_cells(d: Dataset, support_cap: int):
@@ -42,23 +49,12 @@ def _enumerate_cells(d: Dataset, support_cap: int):
     support exceeds ``support_cap``, which is the signal that the
     covariates are not discrete.
     """
-    keys = {}
-    for i in range(d.n):
-        key = _cell_key(d.x[i], int(d.w[i]))
-        if key not in keys:
-            keys[key] = None
-            if len(keys) > support_cap:
-                raise InputError(
-                    f"more than {support_cap} distinct (x, w) cells; "
-                    "mixture fitting needs discrete covariates"
-                )
-    cells = sorted(keys)
-    cell_id = {key: idx for idx, key in enumerate(cells)}
-    unit_cell = np.fromiter(
-        (cell_id[_cell_key(d.x[i], int(d.w[i]))] for i in range(d.n)),
-        dtype=np.int64,
-        count=d.n,
-    )
+    cells, unit_cell = _unit_cells(d)
+    if len(cells) > support_cap:
+        raise InputError(
+            f"more than {support_cap} distinct (x, w) cells; "
+            "mixture fitting needs discrete covariates"
+        )
     return cells, unit_cell
 
 
@@ -209,14 +205,16 @@ def posterior_suffstat(model: MixtureModel, d: Dataset) -> PosteriorStat:
     unit's (x, w) cell is outside the model's support.
     """
     cell_id = {cell: idx for idx, cell in enumerate(model.support)}
-    unit_cell = np.empty(d.n, dtype=np.int64)
-    for i in range(d.n):
-        key = _cell_key(d.x[i], int(d.w[i]))
-        if key not in cell_id:
-            raise EstimationError(
-                f"unit {i} falls in cell {key} outside the fitted support"
-            )
-        unit_cell[i] = cell_id[key]
+    cells, unit_cell = _unit_cells(d)
+    outside = [j for j, cell in enumerate(cells) if cell not in cell_id]
+    if outside:
+        i = int(np.flatnonzero(np.isin(unit_cell, outside))[0])
+        raise EstimationError(
+            f"unit {i} falls in cell {cells[unit_cell[i]]} outside the "
+            "fitted support"
+        )
+    unit_cell = np.array([cell_id[cell] for cell in cells],
+                         dtype=np.int64)[unit_cell]
     counts = _counts_matrix(d, unit_cell, len(model.support))
     _, resp = _loglik_and_resp(
         counts, np.log(model.pi), np.log(model.component_pmfs)
@@ -224,15 +222,20 @@ def posterior_suffstat(model: MixtureModel, d: Dataset) -> PosteriorStat:
     return PosteriorStat(cluster_posterior=resp)
 
 
-def augment_with_posterior(d: Dataset, model: MixtureModel) -> AugmentedDesign:
+def augment_with_posterior(
+    d: Dataset, model: MixtureModel, posterior: Optional[PosteriorStat] = None
+) -> AugmentedDesign:
     """Use mixture posteriors as the cluster summary columns.
 
     The summary for every unit of cluster c is the posterior over
     components given that cluster's data. Rows sum to one, so the last
     component's column is redundant given an intercept and is omitted
-    from the design.
+    from the design. ``posterior`` is ``posterior_suffstat(model, d)``,
+    computed here when not given.
     """
-    post = posterior_suffstat(model, d).cluster_posterior
+    if posterior is None:
+        posterior = posterior_suffstat(model, d)
+    post = posterior.cluster_posterior
     cols = post[:, : max(model.p - 1, 1)]
     s_bar = cols[d.cluster_index, :]
     names = tuple(f"posterior{k}" for k in range(cols.shape[1]))

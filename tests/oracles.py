@@ -184,3 +184,29 @@ def naive_mixture_posterior(pi, pmfs, cluster_cells):
             prod *= pmfs[k][cell]
         joint[k] = prod
     return joint / joint.sum()
+
+
+def cluster_warnings(w, labels):
+    """Per-cluster loop over the single-unit and all-one-arm advisories.
+
+    Clusters are visited in order of first appearance of their label.
+    Returns (warnings, ids of the all-one-arm clusters).
+    """
+    order, size, treated = [], {}, {}
+    for wi, lab in zip(w, labels):
+        if lab not in size:
+            order.append(lab)
+            size[lab] = 0
+            treated[lab] = 0
+        size[lab] += 1
+        treated[lab] += int(wi)
+    warnings, degenerate = [], []
+    for cid, label in enumerate(order):
+        n, t = size[label], treated[label]
+        if n == 1:
+            warnings.append(f"cluster {label!r} has a single unit")
+        if t == 0 or t == n:
+            degenerate.append(cid)
+            arm = "treated" if t == n else "control"
+            warnings.append(f"cluster {label!r} is all-{arm} ({n} units)")
+    return warnings, degenerate

@@ -1,9 +1,12 @@
 """Container, CSV round-trip, and validation behavior."""
 
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusterdr import (
     CsvSchema,
@@ -14,6 +17,7 @@ from clusterdr import (
     validate,
     write_csv,
 )
+from clusterdr.dataset import _CHUNK_ROWS
 
 import oracles
 
@@ -179,3 +183,108 @@ def test_degenerate_clusters_are_retained():
     report = validate(d)
     assert report.degenerate_clusters == [0]
     assert d.c == 2  # nothing was silently removed
+
+
+_LABELS = st.one_of(
+    st.text(max_size=3),
+    st.integers(min_value=-3, max_value=3),
+    st.floats(allow_nan=False, allow_infinity=False, width=16),
+    st.tuples(st.integers(min_value=0, max_value=2), st.text(max_size=1)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pool=st.lists(_LABELS, min_size=8, max_size=8),
+       units=st.lists(st.tuples(st.integers(min_value=0, max_value=7),
+                                st.integers(min_value=0, max_value=1)),
+                      min_size=1, max_size=40))
+def test_validate_matches_loop_oracle(pool, units):
+    # Interleaved clusters of random sizes and arms: singletons,
+    # all-treated and all-control clusters, labels of mixed types.
+    labels = [pool[j] for j, _ in units]
+    w = np.array([wi for _, wi in units])
+    n = len(units)
+    report = validate(Dataset(np.arange(float(n)), w, np.zeros((n, 1)),
+                              labels))
+    warnings, degenerate = oracles.cluster_warnings(w.tolist(), labels)
+    assert report.warnings == warnings
+    assert report.degenerate_clusters == degenerate
+
+
+def test_validate_scales_to_many_clusters():
+    # One unit per cluster: every cluster draws two warnings.
+    n = 200_000
+    start = time.perf_counter()
+    d = Dataset(np.zeros(n), np.arange(n) % 2, np.zeros((n, 1)),
+                [f"c{i}" for i in range(n)])
+    report = validate(d)
+    elapsed = time.perf_counter() - start
+    assert d.c == n
+    assert len(report.warnings) == 2 * n
+    assert report.degenerate_clusters[-1] == n - 1
+    assert elapsed < 30.0
+
+
+@pytest.mark.parametrize("text, message", [
+    # blank lines are skipped and not counted
+    ("y,w,cluster,x1\n\n1,1,a,0\n\n\n2,0,a,oops\n",
+     "row 3: column 'x1' value 'oops' is not numeric"),
+    # a short row reads as missing fields
+    ("y,w,cluster,x1\n1,1,a\n", "row 2: missing covariate 'x1'"),
+    ("y,w,cluster,x1\n1\n", "row 2: column 'w' value None is not numeric"),
+    ("y,w,cluster,x1\n1,1\n", "row 2: empty cluster label"),
+    # within a row: outcome, treatment, label, covariates
+    ("y,w,cluster,x1\nz,2,,q\n", "row 2: column 'y' value 'z'"),
+    ("y,w,cluster,x1\n1,2,,q\n", "row 2: treatment must be 0 or 1, got 2.0"),
+    ("y,w,cluster,x1\n1,1,,q\n", "row 2: empty cluster label"),
+    ("y,w,cluster,x1\n1,1,a,inf\n", "row 2: covariate 'x1' is not finite"),
+    ("y,w,cluster,x1\n1,1,a,-inf\n", "row 2: covariate 'x1' is not finite"),
+    ("y,w,cluster,x1\n1,nan,a,0\n", "row 2: treatment must be 0 or 1, got nan"),
+    # of duplicate header names the last column wins, missing included
+    ("y,w,cluster,x1,x1\n1,1,a,0.5\n", "row 2: missing covariate 'x1'"),
+])
+def test_load_csv_error_cells(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(InputError, match="^" + message):
+        load_csv(path)
+
+
+def test_load_csv_bad_cell_past_first_chunk(tmp_path):
+    n = 2 * _CHUNK_ROWS + 100
+    lines = [f"{i}.5,{i % 2},c{i % 7},{i}" for i in range(n)]
+    lines[_CHUNK_ROWS + 50] = "1.0,1,a,"
+    lines[_CHUNK_ROWS + 60] = "oops,1,a,1.0"
+    path = tmp_path / "big.csv"
+    path.write_text("y,w,cluster,x1\n" + "\n".join(lines) + "\n")
+    with pytest.raises(InputError,
+                       match=f"^row {_CHUNK_ROWS + 52}: missing covariate"):
+        load_csv(path)
+    del lines[_CHUNK_ROWS + 50]
+    path.write_text("y,w,cluster,x1\n" + "\n".join(lines) + "\n")
+    with pytest.raises(InputError,
+                       match=f"^row {_CHUNK_ROWS + 61}: column 'y'"):
+        load_csv(path)
+    del lines[_CHUNK_ROWS + 59]
+    path.write_text("y,w,cluster,x1\n" + "\n".join(lines) + "\n")
+    d = load_csv(path)
+    assert d.n == n - 2 and d.c == 7
+    assert d.x[-1, 0] == n - 1 and d.y[0] == 0.5
+
+
+def test_load_csv_accepted_variants(tmp_path):
+    path = tmp_path / "ok.csv"
+    path.write_text(
+        "y,w,cluster,x1,x2,x2\n"
+        "nan,1.0,\"a,b\",0.5,9,7,extra,fields\n"
+        "\n"
+        "2, 0 ,a,1e3,9,-0.0\n"
+    )
+    d = load_csv(path)
+    assert d.n == 2 and d.k == 3
+    assert math.isnan(d.y[0]) and d.y[1] == 2.0
+    assert d.w.tolist() == [1, 0]
+    assert d.cluster_labels == ["a,b", "a"]
+    # covariates x1, x2, x2 with the last x2 column read twice
+    assert d.x.tolist() == [[0.5, 7.0, 7.0], [1000.0, -0.0, -0.0]]
+    assert d.x.flags.c_contiguous

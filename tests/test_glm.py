@@ -83,6 +83,74 @@ def test_weighted_residuals_orthogonal_to_design(seed, p):
     assert np.max(np.abs(grad[kept])) <= bound
 
 
+def test_fewer_rows_than_columns_drops_past_rank():
+    rng = np.random.default_rng(6)
+    a = rng.standard_normal((3, 5))
+    b = rng.standard_normal(3)
+    fit = wls_fit(a, b)
+    assert fit.rank == 3
+    assert fit.columns_dropped == (3, 4)
+    assert np.all(fit.coefficients[3:] == 0.0)
+    assert np.max(np.abs(fit.fitted - b)) < 1e-10
+
+
+def test_near_duplicate_within_tolerance_is_dropped():
+    rng = np.random.default_rng(7)
+    base = rng.standard_normal((40, 2))
+    near = base[:, 0] + 1e-12 * rng.standard_normal(40)
+    far = base[:, 0] + 1e-6 * rng.standard_normal(40)
+    b = rng.standard_normal(40)
+    assert wls_fit(np.column_stack([base, near]), b).columns_dropped == (2,)
+    assert wls_fit(np.column_stack([base, far]), b).columns_dropped == ()
+
+
+def test_duplicate_of_dropped_column_is_dropped():
+    rng = np.random.default_rng(8)
+    u, v = rng.standard_normal((2, 30))
+    a = np.column_stack([u, 2.0 * u, v, 2.0 * u, u + v])
+    b = rng.standard_normal(30)
+    fit = wls_fit(a, b)
+    assert fit.columns_dropped == (1, 3, 4)
+    assert fit.rank == 2
+    reduced = wls_fit(np.column_stack([u, v]), b)
+    assert np.allclose(fit.coefficients[[0, 2]], reduced.coefficients,
+                       atol=1e-12)
+
+
+def test_zero_weight_rows_are_ignored():
+    rng = np.random.default_rng(9)
+    a = rng.standard_normal((25, 3))
+    a[20:, 2] += 5.0  # column 2 differs from a copy only on rows 20+
+    a = np.column_stack([a, a[:, 2] - np.where(np.arange(25) >= 20, 5.0, 0)])
+    b = rng.standard_normal(25)
+    wt = rng.random(25) + 0.1
+    wt[20:] = 0.0
+    fit = wls_fit(a, b, weights=wt)
+    # with rows 20+ weighted out, column 3 duplicates column 2
+    assert fit.columns_dropped == (3,)
+    sub = wls_fit(a[:20, :3], b[:20], weights=wt[:20])
+    assert np.max(np.abs(fit.coefficients[:3] - sub.coefficients)) < 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       p=st.integers(min_value=3, max_value=7))
+def test_orthogonality_with_dropped_columns_and_zero_weights(seed, p):
+    rng = np.random.default_rng(seed)
+    n = 12 + p
+    a = rng.standard_normal((n, p))
+    a[:, p - 1] = a[:, 0] - 3.0 * a[:, 1]
+    b = 3.0 * rng.standard_normal(n)
+    wt = rng.random(n)
+    wt[: n // 4] = 0.0
+    fit = wls_fit(a, b, weights=wt)
+    assert p - 1 in fit.columns_dropped
+    grad = a.T @ (wt * (b - fit.fitted))
+    kept = [j for j in range(p) if j not in fit.columns_dropped]
+    bound = 1e-8 * (1.0 + float(np.linalg.norm(b)))
+    assert np.max(np.abs(grad[kept])) <= bound
+
+
 def test_wls_input_errors():
     with pytest.raises(InputError):
         wls_fit(np.array([[1.0], [np.nan]]), np.zeros(2))
