@@ -12,9 +12,7 @@ uncertainty at the cluster level.
 from .dataset import (
     CsvSchema,
     Dataset,
-    UnitRecord,
     ValidationReport,
-    group_by_size,
     load_csv,
     validate,
     write_csv,

@@ -9,10 +9,13 @@ JSON, so two runs with identical config and seed produce byte-identical
 canonical bodies even though their report files differ in ``meta``.
 
 Options resolve as: explicit command-line flag, then config file, then
-built-in default. Config files are schema-checked before and after the
-merge, with unknown keys rejected. The effective config is embedded in
-the body and hashed (output path and thread cap excluded, since neither
-changes any computed number).
+the ``"default"`` in the command's config schema
+(``schemas/<command>.config.json`` and the shared ``schemas/defs.json``),
+which is the one place CLI defaults are written. Config files are
+schema-checked before and after the merge, with unknown keys rejected.
+The effective config is embedded in the body and hashed, without the
+output path and ``threads``: the thread count is accepted so that old
+configs stay valid, and ignored.
 
 Exit codes: 0 success, 1 input or configuration problem, 2 estimation
 or numerical failure.
@@ -57,7 +60,6 @@ from .suffstats import StatSpec, build_suffstats, mundlak_spec, overlap_set
 
 __all__ = ["main", "canonical_body_bytes", "config_hash"]
 
-_UNSET = object()
 _EQUIV_RTOL = 1e-8
 
 
@@ -149,42 +151,56 @@ def _write_report(body: dict, output: str, extra_meta: dict = None) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def _read_config_file(path, command: str) -> dict:
-    if path is None:
-        return {}
+def _read_json(path, what: str):
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise InputError(f"config: cannot read {path}: {exc}") from exc
+        raise InputError(f"{what}: cannot read {path}: {exc}") from exc
     try:
-        cfg = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise InputError(f"config: {path} is not valid JSON: {exc}") from exc
+        raise InputError(f"{what}: {path} is not valid JSON: {exc}") from exc
+
+
+def _read_config_file(path, command: str) -> dict:
+    if path is None:
+        return {}
+    cfg = _read_json(path, "config")
     if not isinstance(cfg, dict):
         raise InputError(f"config: {path} must hold a JSON object")
     _validate_config(cfg, command, partial=True)
     return cfg
 
 
-def _opt(flag_value, cfg: dict, key: str, default):
-    """Flag > config > default; an absent flag carries the _UNSET mark."""
-    if flag_value is not _UNSET:
-        return flag_value
-    if key in cfg:
-        return cfg[key]
-    return default
+def _resolve(props: dict, cfg: dict, flags: dict, defs: dict) -> dict:
+    """Give each property the flag, else the config value, else the
+    schema's ``"default"``; a property none of them supplies is left out.
+
+    Nested objects are resolved property by property, and a flag fills
+    every property of its name at any depth (``--outcome-col`` sets both
+    ``schema.outcome`` and ``panel_schema.outcome``).
+    """
+    out = {}
+    for key, prop in props.items():
+        if "$ref" in prop:
+            prop = defs[prop["$ref"].rsplit("/", 1)[1]]
+        if "properties" in prop:
+            out[key] = _resolve(prop["properties"], cfg.get(key, {}), flags,
+                                defs)
+        elif key in flags:
+            out[key] = flags[key]
+        elif key in cfg:
+            out[key] = cfg[key]
+        elif "default" in prop:
+            out[key] = prop["default"]
+    return out
 
 
-def _read_statspec_flag(path) -> dict:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise InputError(f"statspec: cannot read {path}: {exc}") from exc
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"statspec: {path} is not valid JSON: {exc}") from exc
-    return obj
+def _merge(args, command: str) -> dict:
+    """The effective config: flag > config file > schema default."""
+    doc = _schema(f"{command}.config")
+    cfg = _read_config_file(args.config, command)
+    return _resolve(doc["properties"], cfg, vars(args), doc["$defs"])
 
 
 def _spec_from_config(obj, k: int) -> StatSpec:
@@ -192,41 +208,6 @@ def _spec_from_config(obj, k: int) -> StatSpec:
     if obj is None:
         return mundlak_spec(k)
     return StatSpec.from_json(json.dumps(obj))
-
-
-def _csv_schema_config(args, cfg: dict) -> dict:
-    sub = dict(cfg.get("schema", {}))
-    for flag, key in (("outcome_col", "outcome"), ("treatment_col", "treatment"),
-                      ("cluster_col", "cluster")):
-        v = getattr(args, flag)
-        if v is not _UNSET:
-            sub[key] = v
-    if args.covariate_cols is not _UNSET:
-        sub["covariates"] = [c for c in args.covariate_cols.split(",") if c]
-    sub.setdefault("outcome", "y")
-    sub.setdefault("treatment", "w")
-    sub.setdefault("cluster", "cluster")
-    sub.setdefault("covariates", None)
-    return sub
-
-
-def _csv_schema(sub: dict) -> CsvSchema:
-    return CsvSchema(
-        outcome=sub["outcome"],
-        treatment=sub["treatment"],
-        cluster=sub["cluster"],
-        covariates=sub["covariates"],
-    )
-
-
-def _nuisance_config(cfg: dict) -> dict:
-    sub = dict(cfg.get("nuisance", {}))
-    sub.setdefault("outcome_use_summaries", True)
-    sub.setdefault("outcome_interactions", True)
-    sub.setdefault("propensity_use_summaries", True)
-    sub.setdefault("size_indicators", True)
-    sub.setdefault("ridge", 0.0)
-    return sub
 
 
 @contextmanager
@@ -240,46 +221,18 @@ def _stage(name: str):
         raise InputError(f"{name}: {exc}") from exc
 
 
-def _overlap_mask(e_hat: np.ndarray, eta) -> np.ndarray:
-    if eta is None:
-        return np.ones(e_hat.shape[0], dtype=np.int8)
-    return overlap_set(e_hat, eta)
-
-
 # ---------------------------------------------------------------------------
 # estimate
 # ---------------------------------------------------------------------------
 
 
-def _merge_estimate(args) -> dict:
-    cfg = _read_config_file(args.config, "estimate")
-    statspec = _opt(
-        _read_statspec_flag(args.statspec) if args.statspec is not _UNSET
-        else _UNSET,
-        cfg, "statspec", None,
-    )
-    merged = {
-        "data": _opt(args.data, cfg, "data", None),
-        "schema": _csv_schema_config(args, cfg),
-        "statspec": statspec,
-        "L": _opt(args.L, cfg, "L", 5),
-        "eta": _opt(args.eta, cfg, "eta", 0.05),
-        "baselines": _opt(args.baselines, cfg, "baselines", False),
-        "nuisance": _nuisance_config(cfg),
-        "seed": _opt(args.seed, cfg, "seed", 0),
-        "threads": _opt(args.threads, cfg, "threads", 1),
-        "output": _opt(args.output, cfg, "output", "estimate_report.json"),
-    }
-    if merged["data"] is None:
-        raise InputError("estimate: no data file given (--data or config)")
-    _validate_config(merged, "estimate", partial=False)
-    return merged
-
-
 def cmd_estimate(args) -> int:
-    cfg = _merge_estimate(args)
+    cfg = _merge(args, "estimate")
+    if "data" not in cfg:
+        raise InputError("estimate: no data file given (--data or config)")
+    _validate_config(cfg, "estimate", partial=False)
     with _stage("load"):
-        d = load_csv(cfg["data"], _csv_schema(cfg["schema"]))
+        d = load_csv(cfg["data"], CsvSchema(**cfg["schema"]))
     with _stage("validate"):
         report = validate(d)
         if not report.ok:
@@ -291,7 +244,7 @@ def cmd_estimate(args) -> int:
     with _stage("nuisance"):
         nu = fit_nuisances(ad, d, folds, NuisanceConfig(**cfg["nuisance"]))
     with _stage("estimate"):
-        a = _overlap_mask(nu.e, cfg["eta"])
+        a = overlap_set(nu.e, cfg["eta"])
         res = dr_estimate(d, ad.with_mask(a), nu, eta=cfg["eta"])
 
     body = _new_body("estimate", cfg)
@@ -321,54 +274,11 @@ def cmd_estimate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _merge_simulate(args) -> dict:
-    cfg = _read_config_file(args.config, "simulate")
-    est_cfg = dict(cfg.get("estimator", {}))
-    statspec = _opt(
-        _read_statspec_flag(args.statspec) if args.statspec is not _UNSET
-        else _UNSET,
-        est_cfg, "statspec", None,
-    )
-    for flag, key in (("method", "method"), ("L", "L"), ("eta", "eta"),
-                      ("q", "q"),
-                      ("use_true_propensity", "use_true_propensity")):
-        v = getattr(args, flag)
-        if v is not _UNSET:
-            est_cfg[key] = v
-    est_cfg.setdefault("method", "dr")
-    est_cfg["statspec"] = statspec
-    est_cfg.setdefault("L", 5)
-    est_cfg.setdefault("eta", 0.05)
-    est_cfg.setdefault("q", 0.5)
-    est_cfg.setdefault("use_true_propensity", False)
-    est_cfg["nuisance"] = _nuisance_config(est_cfg)
-
-    merged = {
-        "preset": _opt(args.preset, cfg, "preset", None),
-        "c": _opt(args.c, cfg, "c", None),
-        "n_c": _opt(args.n_c, cfg, "n_c", None),
-        "k": _opt(_UNSET, cfg, "k", None),
-        "u_dim": _opt(_UNSET, cfg, "u_dim", None),
-        "sigma": _opt(_UNSET, cfg, "sigma", None),
-        "params": dict(cfg.get("params", {})),
-        "reps": _opt(args.reps, cfg, "reps", 100),
-        "estimator": est_cfg,
-        "seed": _opt(args.seed, cfg, "seed", 0),
-        "threads": _opt(args.threads, cfg, "threads", 1),
-        "output": _opt(args.output, cfg, "output", "simulate_report.json"),
-    }
-    if merged["preset"] is None:
-        raise InputError("simulate: no preset given (--preset or config)")
-    drop = [key for key in ("c", "n_c", "k", "u_dim", "sigma")
-            if merged[key] is None]
-    for key in drop:
-        del merged[key]
-    _validate_config(merged, "simulate", partial=False)
-    return merged
-
-
 def cmd_simulate(args) -> int:
-    cfg = _merge_simulate(args)
+    cfg = _merge(args, "simulate")
+    if "preset" not in cfg:
+        raise InputError("simulate: no preset given (--preset or config)")
+    _validate_config(cfg, "simulate", partial=False)
     overrides = dict(cfg["params"])
     for key in ("c", "n_c", "k", "u_dim", "sigma"):
         if key in cfg:
@@ -376,20 +286,14 @@ def cmd_simulate(args) -> int:
     with _stage("configure"):
         dgp = dgp_preset(cfg["preset"], **overrides)
     est_cfg = cfg["estimator"]
-    spec = (None if est_cfg["statspec"] is None
-            else StatSpec.from_json(json.dumps(est_cfg["statspec"])))
-    est = EstimatorConfig(
-        method=est_cfg["method"],
-        statspec=spec,
-        L=est_cfg["L"],
-        eta=est_cfg["eta"],
-        q=est_cfg["q"],
-        use_true_propensity=est_cfg["use_true_propensity"],
-        nuisance=NuisanceConfig(**est_cfg["nuisance"]),
-    )
+    est = EstimatorConfig(**{
+        **est_cfg,
+        "statspec": (None if est_cfg["statspec"] is None
+                     else StatSpec.from_json(json.dumps(est_cfg["statspec"]))),
+        "nuisance": NuisanceConfig(**est_cfg["nuisance"]),
+    })
     with _stage("simulate"):
-        rep = monte_carlo(dgp, est, reps=cfg["reps"], seed=cfg["seed"],
-                          threads=cfg["threads"])
+        rep = monte_carlo(dgp, est, reps=cfg["reps"], seed=cfg["seed"])
 
     body = _new_body("simulate", cfg)
     body["dgp"] = dgp.to_dict()
@@ -414,42 +318,13 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _merge_select(args) -> dict:
-    cfg = _read_config_file(args.config, "select")
-    candidates = _opt(
-        _read_statspec_flag(args.candidates) if args.candidates is not _UNSET
-        else _UNSET,
-        cfg, "candidates", None,
-    )
-    lambda_grid = args.lambda_grid
-    if lambda_grid is not _UNSET and lambda_grid is not None:
-        lambda_grid = [float(v) for v in lambda_grid.split(",") if v]
-    merged = {
-        "data": _opt(args.data, cfg, "data", None),
-        "schema": _csv_schema_config(args, cfg),
-        "candidates": candidates,
-        "lam": _opt(args.lam, cfg, "lam", None),
-        "lambda_grid": _opt(lambda_grid, cfg, "lambda_grid", None),
-        "n_lambdas": _opt(args.n_lambdas, cfg, "n_lambdas", 25),
-        "lambda_min_ratio": _opt(args.lambda_min_ratio, cfg,
-                                 "lambda_min_ratio", 1e-3),
-        "stop_after_k": _opt(args.stop_after_k, cfg, "stop_after_k", None),
-        "tol": _opt(args.tol, cfg, "tol", 1e-6),
-        "max_sweeps": _opt(_UNSET, cfg, "max_sweeps", 1000),
-        "seed": _opt(args.seed, cfg, "seed", 0),
-        "threads": _opt(args.threads, cfg, "threads", 1),
-        "output": _opt(args.output, cfg, "output", "select_report.json"),
-    }
-    if merged["data"] is None:
-        raise InputError("select: no data file given (--data or config)")
-    _validate_config(merged, "select", partial=False)
-    return merged
-
-
 def cmd_select(args) -> int:
-    cfg = _merge_select(args)
+    cfg = _merge(args, "select")
+    if "data" not in cfg:
+        raise InputError("select: no data file given (--data or config)")
+    _validate_config(cfg, "select", partial=False)
     with _stage("load"):
-        d = load_csv(cfg["data"], _csv_schema(cfg["schema"]))
+        d = load_csv(cfg["data"], CsvSchema(**cfg["schema"]))
     with _stage("design"):
         cand = _spec_from_config(cfg["candidates"], d.k)
         if not cand.terms:
@@ -499,46 +374,19 @@ def cmd_select(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _merge_mixture(args) -> dict:
-    cfg = _read_config_file(args.config, "mixture")
-    p_grid = args.p_grid
-    if p_grid is not _UNSET and p_grid is not None:
-        p_grid = [int(v) for v in p_grid.split(",") if v]
-    merged = {
-        "data": _opt(args.data, cfg, "data", None),
-        "schema": _csv_schema_config(args, cfg),
-        "p": _opt(args.p, cfg, "p", None),
-        "p_grid": _opt(p_grid, cfg, "p_grid", None),
-        "restarts": _opt(args.restarts, cfg, "restarts", 5),
-        "tol": _opt(args.tol, cfg, "tol", 1e-8),
-        "max_iter": _opt(_UNSET, cfg, "max_iter", 500),
-        "support_cap": _opt(_UNSET, cfg, "support_cap", 512),
-        "estimate": _opt(args.estimate, cfg, "estimate", False),
-        "L": _opt(args.L, cfg, "L", 5),
-        "eta": _opt(args.eta, cfg, "eta", 0.05),
-        "nuisance": _nuisance_config(cfg),
-        "seed": _opt(args.seed, cfg, "seed", 0),
-        "threads": _opt(args.threads, cfg, "threads", 1),
-        "output": _opt(args.output, cfg, "output", "mixture_report.json"),
-    }
-    if merged["data"] is None:
-        raise InputError("mixture: no data file given (--data or config)")
-    if merged["p"] is None and merged["p_grid"] is None:
-        raise InputError("mixture: provide --p or --p-grid")
-    if merged["p"] is not None and merged["p_grid"] is not None:
-        raise InputError("mixture: --p and --p-grid are mutually exclusive")
-    _validate_config(merged, "mixture", partial=False)
-    return merged
-
-
 def cmd_mixture(args) -> int:
-    cfg = _merge_mixture(args)
+    cfg = _merge(args, "mixture")
+    if "data" not in cfg:
+        raise InputError("mixture: no data file given (--data or config)")
+    if cfg["p"] is None and cfg["p_grid"] is None:
+        raise InputError("mixture: provide --p or --p-grid")
+    if cfg["p"] is not None and cfg["p_grid"] is not None:
+        raise InputError("mixture: --p and --p-grid are mutually exclusive")
+    _validate_config(cfg, "mixture", partial=False)
     with _stage("load"):
-        d = load_csv(cfg["data"], _csv_schema(cfg["schema"]))
-    em_kwargs = dict(
-        seed=cfg["seed"], tol=cfg["tol"], max_iter=cfg["max_iter"],
-        restarts=cfg["restarts"], support_cap=cfg["support_cap"],
-    )
+        d = load_csv(cfg["data"], CsvSchema(**cfg["schema"]))
+    em_kwargs = {key: cfg[key] for key in ("seed", "tol", "max_iter",
+                                           "restarts", "support_cap")}
     body = _new_body("mixture", cfg)
     body["data"] = {"n": d.n, "c": d.c, "k": d.k}
 
@@ -582,7 +430,7 @@ def cmd_mixture(args) -> int:
             ad = augment_with_posterior(d, model, posterior)
             folds = cross_fit_folds(d.c, cfg["L"], cfg["seed"])
             nu = fit_nuisances(ad, d, folds, NuisanceConfig(**cfg["nuisance"]))
-            a = _overlap_mask(nu.e, cfg["eta"])
+            a = overlap_set(nu.e, cfg["eta"])
             res = dr_estimate(d, ad.with_mask(a), nu, eta=cfg["eta"])
         body["estimate"] = res.to_dict()
 
@@ -600,64 +448,26 @@ def cmd_mixture(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _merge_check(args) -> dict:
-    cfg = _read_config_file(args.config, "check-equivalence")
-    panel_schema = dict(cfg.get("panel_schema", {}))
-    if args.unit_col is not _UNSET:
-        panel_schema["unit"] = args.unit_col
-    if args.time_col is not _UNSET:
-        panel_schema["time"] = args.time_col
-    if args.outcome_col is not _UNSET:
-        panel_schema["outcome"] = args.outcome_col
-    if args.treatment_col is not _UNSET:
-        panel_schema["treatment"] = args.treatment_col
-    if args.covariate_cols is not _UNSET:
-        panel_schema["covariates"] = [
-            c for c in args.covariate_cols.split(",") if c
-        ]
-    panel_schema.setdefault("unit", "unit")
-    panel_schema.setdefault("time", "time")
-    panel_schema.setdefault("outcome", "y")
-    panel_schema.setdefault("treatment", "w")
-    panel_schema.setdefault("covariates", None)
-    merged = {
-        "data": _opt(args.data, cfg, "data", None),
-        "panel": _opt(args.panel, cfg, "panel", None),
-        "schema": _csv_schema_config(args, cfg),
-        "panel_schema": panel_schema,
-        "seed": _opt(args.seed, cfg, "seed", 0),
-        "threads": _opt(args.threads, cfg, "threads", 1),
-        "output": _opt(args.output, cfg, "output",
-                       "check_equivalence_report.json"),
-    }
-    if (merged["data"] is None) == (merged["panel"] is None):
+def cmd_check_equivalence(args) -> int:
+    cfg = _merge(args, "check-equivalence")
+    if (cfg["data"] is None) == (cfg["panel"] is None):
         raise InputError(
             "check-equivalence: provide exactly one of --data "
             "(cross-section) or --panel (balanced panel)"
         )
-    _validate_config(merged, "check-equivalence", partial=False)
-    return merged
-
-
-def cmd_check_equivalence(args) -> int:
-    cfg = _merge_check(args)
+    _validate_config(cfg, "check-equivalence", partial=False)
     if cfg["data"] is not None:
         mode = "cross-section"
         with _stage("load"):
-            d = load_csv(cfg["data"], _csv_schema(cfg["schema"]))
+            d = load_csv(cfg["data"], CsvSchema(**cfg["schema"]))
         with _stage("estimate"):
             tau_fe = fe_ols(d).tau
             tau_mundlak = mundlak_ols(d).tau
         diff = abs(tau_fe - tau_mundlak)
     else:
         mode = "panel"
-        ps = cfg["panel_schema"]
         with _stage("load"):
-            panel = load_panel_csv(
-                cfg["panel"], unit=ps["unit"], time=ps["time"],
-                outcome=ps["outcome"], treatment=ps["treatment"],
-                covariates=ps["covariates"],
-            )
+            panel = load_panel_csv(cfg["panel"], **cfg["panel_schema"])
         with _stage("estimate"):
             chk = twoway_mundlak_check(panel)
         tau_fe, tau_mundlak, diff = (chk.tau_fe, chk.tau_mundlak,
@@ -687,7 +497,15 @@ def cmd_check_equivalence(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """Argparse variant whose usage errors exit with code 1, keeping
-    exit code 2 reserved for estimation failures."""
+    exit code 2 reserved for estimation failures.
+
+    A flag left off the command line is absent from the namespace, so
+    the config file or the schema default can fill it. Each ``dest`` is
+    the name of the config property the flag sets.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, argument_default=argparse.SUPPRESS, **kwargs)
 
     def error(self, message):
         raise InputError(message)
@@ -706,23 +524,33 @@ def _eta_arg(text: str):
     return float(text)
 
 
+def _listed(item):
+    """Argparse type for a comma-separated list; empty entries are skipped."""
+    def parse(text: str) -> list:
+        return [item(v) for v in text.split(",") if v]
+
+    parse.__name__ = f"comma-separated {item.__name__}"
+    return parse
+
+
+def _statspec_file(path) -> dict:
+    return _read_json(path, "statspec")
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None,
                    help="JSON config file; explicit flags override it")
-    p.add_argument("--seed", type=_u64, default=_UNSET,
-                   help="random seed (default 0)")
-    p.add_argument("--threads", type=int, default=_UNSET,
-                   help="worker cap for parallel sections (default 1)")
-    p.add_argument("--output", default=_UNSET,
-                   help="report path (default <command>_report.json)")
+    p.add_argument("--seed", type=_u64, help="random seed")
+    p.add_argument("--threads", type=int, help="accepted and ignored")
+    p.add_argument("--output", help="report path")
 
 
 def _add_csv_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--data", default=_UNSET, help="input CSV path")
-    p.add_argument("--outcome-col", dest="outcome_col", default=_UNSET)
-    p.add_argument("--treatment-col", dest="treatment_col", default=_UNSET)
-    p.add_argument("--cluster-col", dest="cluster_col", default=_UNSET)
-    p.add_argument("--covariate-cols", dest="covariate_cols", default=_UNSET,
+    p.add_argument("--data", help="input CSV path")
+    p.add_argument("--outcome-col", dest="outcome")
+    p.add_argument("--treatment-col", dest="treatment")
+    p.add_argument("--cluster-col", dest="cluster")
+    p.add_argument("--covariate-cols", dest="covariates", type=_listed(str),
                    help="comma-separated covariate column names")
 
 
@@ -738,36 +566,31 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="cross-fitted doubly robust effect estimate")
     _add_common(p)
     _add_csv_flags(p)
-    p.add_argument("--statspec", default=_UNSET,
+    p.add_argument("--statspec", type=_statspec_file,
                    help="path to a JSON statistic specification")
-    p.add_argument("--L", type=int, default=_UNSET,
-                   help="number of cross-fitting folds (default 5)")
-    p.add_argument("--eta", type=_eta_arg, default=_UNSET,
-                   help="trimming threshold in [0, 0.5), or 'none' (default 0.05)")
+    p.add_argument("--L", type=int, help="number of cross-fitting folds")
+    p.add_argument("--eta", type=_eta_arg,
+                   help="trimming threshold in [0, 0.5), or 'none'")
     p.add_argument("--baselines", action=argparse.BooleanOptionalAction,
-                   default=_UNSET,
                    help="also report fixed-effect, pooled-with-means, and "
                         "weighted fixed-effect estimates")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("simulate", help="Monte Carlo over a named design")
     _add_common(p)
-    p.add_argument("--preset", default=_UNSET, choices=list(PRESET_NAMES))
-    p.add_argument("--c", type=int, default=_UNSET, help="number of clusters")
-    p.add_argument("--n-c", dest="n_c", type=int, default=_UNSET,
-                   help="units per cluster")
-    p.add_argument("--reps", type=int, default=_UNSET,
-                   help="Monte Carlo repetitions (default 100)")
-    p.add_argument("--method", default=_UNSET,
+    p.add_argument("--preset", choices=list(PRESET_NAMES))
+    p.add_argument("--c", type=int, help="number of clusters")
+    p.add_argument("--n-c", dest="n_c", type=int, help="units per cluster")
+    p.add_argument("--reps", type=int, help="Monte Carlo repetitions")
+    p.add_argument("--method",
                    choices=["dr", "fe", "mundlak", "weighted-fe", "qte-diff"])
-    p.add_argument("--statspec", default=_UNSET,
+    p.add_argument("--statspec", type=_statspec_file,
                    help="path to a JSON statistic specification")
-    p.add_argument("--L", type=int, default=_UNSET)
-    p.add_argument("--eta", type=_eta_arg, default=_UNSET)
-    p.add_argument("--q", type=float, default=_UNSET,
-                   help="quantile level for qte-diff (default 0.5)")
+    p.add_argument("--L", type=int)
+    p.add_argument("--eta", type=_eta_arg)
+    p.add_argument("--q", type=float, help="quantile level for qte-diff")
     p.add_argument("--use-true-propensity", dest="use_true_propensity",
-                   action=argparse.BooleanOptionalAction, default=_UNSET)
+                   action=argparse.BooleanOptionalAction)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("select",
@@ -775,44 +598,37 @@ def _build_parser() -> argparse.ArgumentParser:
                             "cluster classification")
     _add_common(p)
     _add_csv_flags(p)
-    p.add_argument("--candidates", default=_UNSET,
+    p.add_argument("--candidates", type=_statspec_file,
                    help="path to a JSON statistic specification of candidates")
-    p.add_argument("--lam", type=float, default=_UNSET,
-                   help="single penalty level")
-    p.add_argument("--lambda-grid", dest="lambda_grid", default=_UNSET,
+    p.add_argument("--lam", type=float, help="single penalty level")
+    p.add_argument("--lambda-grid", dest="lambda_grid", type=_listed(float),
                    help="comma-separated penalty levels")
-    p.add_argument("--n-lambdas", dest="n_lambdas", type=int, default=_UNSET,
-                   help="automatic grid size (default 25)")
+    p.add_argument("--n-lambdas", dest="n_lambdas", type=int,
+                   help="automatic grid size")
     p.add_argument("--lambda-min-ratio", dest="lambda_min_ratio", type=float,
-                   default=_UNSET,
                    help="smallest grid penalty relative to the all-zero "
-                        "penalty (default 1e-3)")
+                        "penalty")
     p.add_argument("--stop-after-k", dest="stop_after_k", type=int,
-                   default=_UNSET,
                    help="stop the path once this many candidates are active")
-    p.add_argument("--tol", type=float, default=_UNSET,
-                   help="coordinate-descent tolerance (default 1e-6)")
+    p.add_argument("--tol", type=float, help="coordinate-descent tolerance")
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("mixture",
                        help="fit a discrete mixture over cluster types")
     _add_common(p)
     _add_csv_flags(p)
-    p.add_argument("--p", type=int, default=_UNSET,
-                   help="number of mixture components")
-    p.add_argument("--p-grid", dest="p_grid", default=_UNSET,
+    p.add_argument("--p", type=int, help="number of mixture components")
+    p.add_argument("--p-grid", dest="p_grid", type=_listed(int),
                    help="comma-separated component counts; reports the "
                         "log-likelihood for each")
-    p.add_argument("--restarts", type=int, default=_UNSET,
-                   help="random restarts (default 5)")
-    p.add_argument("--tol", type=float, default=_UNSET,
-                   help="log-likelihood convergence tolerance (default 1e-8)")
+    p.add_argument("--restarts", type=int, help="random restarts")
+    p.add_argument("--tol", type=float,
+                   help="log-likelihood convergence tolerance")
     p.add_argument("--estimate", action=argparse.BooleanOptionalAction,
-                   default=_UNSET,
                    help="feed cluster posteriors into the doubly robust "
                         "estimator as the cluster summaries")
-    p.add_argument("--L", type=int, default=_UNSET)
-    p.add_argument("--eta", type=_eta_arg, default=_UNSET)
+    p.add_argument("--L", type=int)
+    p.add_argument("--eta", type=_eta_arg)
     p.set_defaults(func=cmd_mixture)
 
     p = sub.add_parser("check-equivalence",
@@ -820,10 +636,10 @@ def _build_parser() -> argparse.ArgumentParser:
                             "identity on a dataset")
     _add_common(p)
     _add_csv_flags(p)
-    p.add_argument("--panel", default=_UNSET,
+    p.add_argument("--panel",
                    help="long-form balanced panel CSV (two-way check)")
-    p.add_argument("--unit-col", dest="unit_col", default=_UNSET)
-    p.add_argument("--time-col", dest="time_col", default=_UNSET)
+    p.add_argument("--unit-col", dest="unit")
+    p.add_argument("--time-col", dest="time")
     p.set_defaults(func=cmd_check_equivalence)
 
     return parser

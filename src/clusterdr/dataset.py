@@ -21,28 +21,16 @@ import numpy as np
 from .exceptions import InputError
 
 __all__ = [
-    "UnitRecord",
     "Dataset",
     "ValidationReport",
     "CsvSchema",
     "load_csv",
     "write_csv",
     "validate",
-    "group_by_size",
 ]
 
 # Rows parsed per chunk by load_csv; bounds the memory held as row lists.
 _CHUNK_ROWS = 512
-
-
-@dataclass(frozen=True)
-class UnitRecord:
-    """One observation: outcome, treatment, covariates, cluster label."""
-
-    y: float
-    w: int
-    x: tuple
-    cluster_id: object
 
 
 @dataclass(frozen=True)
@@ -127,8 +115,6 @@ class Dataset:
         self._c = c
         self._n_c = np.bincount(idx, minlength=c)
         self._n_c.setflags(write=False)
-        self._units_cache: Optional[list] = None
-        self._rows_cache: Optional[list] = None
 
     # ----- sizes ---------------------------------------------------------
 
@@ -176,34 +162,6 @@ class Dataset:
         """Original labels, indexed by dense cluster id."""
         return list(self._labels)
 
-    # ----- record / cluster views ---------------------------------------
-
-    @property
-    def units(self) -> list:
-        """Ordered list of :class:`UnitRecord` (built on first access)."""
-        if self._units_cache is None:
-            self._units_cache = [
-                UnitRecord(
-                    y=float(self._y[i]),
-                    w=int(self._w[i]),
-                    x=tuple(self._x[i]),
-                    cluster_id=self._labels[self._cluster_index[i]],
-                )
-                for i in range(self.n)
-            ]
-        return self._units_cache
-
-    @property
-    def clusters(self) -> list:
-        """Row indices per cluster, indexed by dense cluster id."""
-        if self._rows_cache is None:
-            order = np.argsort(self._cluster_index, kind="stable")
-            bounds = np.cumsum(self._n_c)[:-1]
-            self._rows_cache = [
-                np.sort(part) for part in np.split(order, bounds)
-            ]
-        return self._rows_cache
-
     def cluster_means(self, values: np.ndarray) -> np.ndarray:
         """Mean of ``values`` within each cluster (dense id order).
 
@@ -224,12 +182,6 @@ class Dataset:
                 self._cluster_index, weights=values[:, j], minlength=self._c
             )
         return out / self._n_c[:, None]
-
-    def subset(self, rows: np.ndarray) -> "Dataset":
-        """New dataset from a row selection, preserving labels and order."""
-        rows = np.asarray(rows)
-        labels = [self._labels[j] for j in self._cluster_index[rows]]
-        return Dataset(self._y[rows], self._w[rows], self._x[rows], labels)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Dataset(n={self.n}, c={self.c}, k={self.k})"
@@ -430,18 +382,3 @@ def validate(d: Dataset) -> ValidationReport:
         )
     return report
 
-
-def group_by_size(d: Dataset) -> list:
-    """Partition into maximal same-size sub-datasets.
-
-    Returns ``(size, sub_dataset)`` pairs in increasing size order. Each
-    sub-dataset keeps its units in original row order, so concatenating
-    the pieces reconstitutes ``d`` up to row permutation.
-    """
-    sizes = sorted(set(int(s) for s in d.n_c))
-    out = []
-    size_of_unit = d.n_c[d.cluster_index]
-    for size in sizes:
-        rows = np.flatnonzero(size_of_unit == size)
-        out.append((size, d.subset(rows)))
-    return out

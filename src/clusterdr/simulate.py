@@ -559,16 +559,14 @@ def _run_one_rep(cfg: DgpConfig, est: EstimatorConfig, child_seq):
                 mu0=nu.mu0, mu1=nu.mu1, e=res.true_e,
                 fold_of_unit=nu.fold_of_unit, spec_notes=nu.spec_notes,
             )
-        a = (overlap_set(nu.e, est.eta) if est.eta is not None
-             else np.ones(d.n, dtype=np.int8))
+        a = overlap_set(nu.e, est.eta)
         q1 = qte_estimate(d, nu, a, est.q, arm=1)
         q0 = qte_estimate(d, nu, a, est.q, arm=0)
         return q1 - q0, math.nan, res.tau_tilde(a), math.nan
 
     if method != "dr":
         raise InputError(f"unknown method {method!r}")
-    a = (overlap_set(nu.e, est.eta) if est.eta is not None
-         else np.ones(d.n, dtype=np.int8))
+    a = overlap_set(nu.e, est.eta)
     ad = ad.with_mask(a)
     out = dr_estimate(d, ad, nu, eta=est.eta)
     truth = res.tau_tilde(a)
@@ -581,15 +579,13 @@ def monte_carlo(
     est: EstimatorConfig,
     reps: int,
     seed: int,
-    threads: int = 1,
 ) -> McReport:
     """Repeat generate-and-estimate ``reps`` times.
 
     Per-rep randomness comes from children of one seed sequence, so
-    results are reproducible for a given (cfg, est, reps, seed) and
-    independent of ``threads``. A rep that raises is recorded in
-    ``failures`` and excluded from the aggregates rather than aborting
-    the run.
+    results are reproducible for a given (cfg, est, reps, seed). A rep
+    that raises is recorded in ``failures`` and excluded from the
+    aggregates rather than aborting the run.
     """
     if reps < 1:
         raise InputError("reps must be >= 1")
@@ -599,26 +595,12 @@ def monte_carlo(
     truth = np.full(reps, math.nan)
     covered = np.full(reps, math.nan)
     failures: list = []
-
-    def run(r: int):
-        return _run_one_rep(cfg, est, children[r])
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {r: pool.submit(run, r) for r in range(reps)}
-            for r in range(reps):
-                try:
-                    tau_hat[r], se[r], truth[r], covered[r] = futures[r].result()
-                except Exception as exc:  # noqa: BLE001 - recorded, not fatal
-                    failures.append((r, f"{type(exc).__name__}: {exc}"))
-    else:
-        for r in range(reps):
-            try:
-                tau_hat[r], se[r], truth[r], covered[r] = run(r)
-            except Exception as exc:  # noqa: BLE001 - recorded, not fatal
-                failures.append((r, f"{type(exc).__name__}: {exc}"))
+    for r in range(reps):
+        try:
+            tau_hat[r], se[r], truth[r], covered[r] = _run_one_rep(
+                cfg, est, children[r])
+        except Exception as exc:  # noqa: BLE001 - recorded, not fatal
+            failures.append((r, f"{type(exc).__name__}: {exc}"))
 
     ok = ~np.isnan(tau_hat)
     err = tau_hat[ok] - truth[ok]

@@ -304,13 +304,15 @@ def overlap_set(
 ) -> np.ndarray:
     """Retention flags from estimated propensities.
 
-    A unit is kept when ``eta < e_hat < 1 - eta``. Passing ``mask``
-    overrides the rule entirely with a caller-supplied 0/1 vector of
-    known-overlap units.
+    A unit is kept when ``eta < e_hat < 1 - eta``; ``eta=None`` keeps
+    every unit. Passing ``mask`` overrides the rule entirely with a
+    caller-supplied 0/1 vector of known-overlap units.
     """
     e_hat = np.asarray(e_hat, dtype=float)
     if mask is not None:
         return _check_mask(mask, e_hat.shape[0])
+    if eta is None:
+        return np.ones(e_hat.shape[0], dtype=np.int8)
     if not 0.0 <= eta < 0.5:
         raise InputError(f"eta must be in [0, 0.5), got {eta}")
     keep = (e_hat > eta) & (e_hat < 1.0 - eta)

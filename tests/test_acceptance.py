@@ -48,8 +48,6 @@ import oracles
 
 pytestmark = pytest.mark.acceptance
 
-THREADS = 4
-
 # Summary set used by the nonlinear design in criteria 3-5: the mean
 # of the first covariate alone. Both nuisance models are well
 # specified with it and both lose a needed regressor without it.
@@ -116,7 +114,7 @@ def test_c03_consistency_and_rate():
     bias400 = bound400 = None
     for c in (100, 400, 1600):
         cfg = dgp_preset("nonlinear-u", c=c, n_c=5)
-        rep = monte_carlo(cfg, est, reps=300, seed=301, threads=THREADS)
+        rep = monte_carlo(cfg, est, reps=300, seed=301)
         rmse[c] = rep.rmse
         if c == 400:
             bias400 = rep.bias
@@ -150,7 +148,7 @@ def test_c04_double_robustness():
     for name, nc in scenarios.items():
         est = EstimatorConfig(method="dr", statspec=XBAR_SPEC, L=5,
                               eta=0.05, nuisance=nc)
-        rep = monte_carlo(cfg, est, reps=200, seed=42, threads=THREADS)
+        rep = monte_carlo(cfg, est, reps=200, seed=42)
         bias[name] = rep.bias
     elapsed = time.perf_counter() - start
     single_wrong_ok = max(abs(bias["a"]), abs(bias["b"])) < threshold
@@ -171,7 +169,7 @@ def test_c05_coverage_and_se_calibration():
     start = time.perf_counter()
     cfg = dgp_preset("nonlinear-u", c=500, n_c=5)
     est = EstimatorConfig(method="dr", statspec=XBAR_SPEC, L=5, eta=0.05)
-    rep = monte_carlo(cfg, est, reps=500, seed=505, threads=THREADS)
+    rep = monte_carlo(cfg, est, reps=500, seed=505)
     ratio = rep.mean_se / rep.mc_sd
     elapsed = time.perf_counter() - start
     ok = (0.90 <= rep.coverage <= 0.98
@@ -192,7 +190,7 @@ def test_c06_weighted_fe_removes_composition_bias():
     bound = None
     for method, use_true in (("fe", False), ("weighted-fe", True)):
         est = EstimatorConfig(method=method, use_true_propensity=use_true)
-        rep = monte_carlo(cfg, est, reps=300, seed=606, threads=THREADS)
+        rep = monte_carlo(cfg, est, reps=300, seed=606)
         bias[method] = rep.bias
         if method == "weighted-fe":
             bound = 3.0 * rep.mc_sd / math.sqrt(300)
@@ -210,7 +208,7 @@ def test_c06_weighted_fe_removes_composition_bias():
 def test_c07_median_qte_under_randomization():
     cfg = dgp_preset("randomized")
     est = EstimatorConfig(method="qte-diff", q=0.5, eta=0.05)
-    rep = monte_carlo(cfg, est, reps=200, seed=707, threads=THREADS)
+    rep = monte_carlo(cfg, est, reps=200, seed=707)
     mc_se = rep.mc_sd / math.sqrt(200)
     ok = abs(rep.bias) <= 3.0 * mc_se
     verdict(7, "median qte sanity", ok,

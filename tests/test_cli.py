@@ -7,12 +7,24 @@ seed, plus a ``meta`` block for wall-clock facts.
 """
 
 import csv
+import dataclasses
+import inspect
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
 
-from clusterdr import dgp_preset, generate
+from clusterdr import (
+    CsvSchema,
+    EstimatorConfig,
+    NuisanceConfig,
+    dgp_preset,
+    em_fit,
+    generate,
+    load_panel_csv,
+    multinomial_group_lasso,
+)
 from clusterdr.cli import canonical_body_bytes, main
 from clusterdr.dataset import write_csv
 
@@ -286,6 +298,282 @@ def test_check_requires_exactly_one_input(demo_csv, panel_csv):
     assert main(["check-equivalence"]) == 1
     assert main(["check-equivalence", "--data", str(demo_csv),
                  "--panel", str(panel_csv)]) == 1
+
+
+# --- config resolution -------------------------------------------------------
+# Each row runs one command and pins the merged config the report body
+# carries, with its hash. Paths are relative to the work directory so the
+# hashes do not depend on where the test runs.
+
+SPEC = {"terms": [{"kind": "covariate-mean", "j": 0}]}
+NUISANCE = {"outcome_use_summaries": True, "outcome_interactions": True,
+            "propensity_use_summaries": True, "size_indicators": True,
+            "ridge": 0.0}
+CSV_SCHEMA = {"outcome": "y", "treatment": "w", "cluster": "cluster",
+              "covariates": None}
+PANEL_SCHEMA = {"unit": "unit", "time": "time", "outcome": "y",
+                "treatment": "w", "covariates": None}
+ESTIMATE = {"data": "demo.csv", "schema": CSV_SCHEMA, "statspec": None,
+            "L": 5, "eta": 0.05, "baselines": False, "nuisance": NUISANCE,
+            "seed": 0}
+ESTIMATOR = {"method": "dr", "statspec": None, "L": 5, "eta": 0.05, "q": 0.5,
+             "use_true_propensity": False, "nuisance": NUISANCE}
+SIMULATE = {"params": {}, "reps": 100, "estimator": ESTIMATOR, "seed": 0}
+SELECT = {"data": "demo.csv", "schema": CSV_SCHEMA, "candidates": None,
+          "lam": None, "lambda_grid": None, "n_lambdas": 25,
+          "lambda_min_ratio": 1e-3, "stop_after_k": None, "tol": 1e-6,
+          "max_sweeps": 1000, "seed": 0}
+MIXTURE = {"data": "disc.csv", "schema": CSV_SCHEMA, "p": None, "p_grid": None,
+           "restarts": 5, "tol": 1e-8, "max_iter": 500, "support_cap": 512,
+           "estimate": False, "L": 5, "eta": 0.05, "nuisance": NUISANCE,
+           "seed": 0}
+CHECK = {"data": None, "panel": None, "schema": CSV_SCHEMA,
+         "panel_schema": PANEL_SCHEMA, "seed": 0}
+
+CONFIG_TABLE = [
+    pytest.param(
+        ["estimate", "--data", "demo.csv"], None, ESTIMATE,
+        "b380311f8cb6a920d93b7e6e8aa466f0fffd305a47adb8fdc821c4b3e4f4c1ce",
+        id="estimate-bare"),
+    pytest.param(
+        ["estimate"],
+        {"data": "demo.csv", "L": 3, "eta": None, "baselines": True,
+         "seed": 4},
+        {**ESTIMATE, "L": 3, "eta": None, "baselines": True, "seed": 4},
+        "9e165cd6de4fcacf8ac2483c3a9eaa29c8d255a4a68a6f120b9c28d1936ddc90",
+        id="estimate-config"),
+    pytest.param(
+        ["estimate", "--L", "4", "--eta", "0.1", "--seed", "9",
+         "--no-baselines", "--data", "demo.csv"],
+        {"data": "other.csv", "L": 3, "eta": None, "baselines": True,
+         "seed": 4},
+        {**ESTIMATE, "L": 4, "eta": 0.1, "seed": 9},
+        "5d6686a17159542dd29a44627f816e3d3857accf9d0e30999664656de838e953",
+        id="estimate-flags-over-config"),
+    pytest.param(
+        ["estimate", "--data", "demo.csv", "--outcome-col", "y",
+         "--cluster-col", "cluster"],
+        {"schema": {"covariates": ["x1", "x2"], "outcome": "x3"},
+         "nuisance": {"ridge": 0.5, "size_indicators": False}},
+        {**ESTIMATE, "schema": {**CSV_SCHEMA, "covariates": ["x1", "x2"]},
+         "nuisance": {**NUISANCE, "ridge": 0.5, "size_indicators": False}},
+        "bc49b00d3fbb7158eadf8e5cbee0356218c7d31cf652f98f53840e6691427464",
+        id="estimate-nested"),
+    pytest.param(
+        ["estimate", "--data", "demo.csv", "--covariate-cols", "x1,,x2,",
+         "--statspec", "spec.json", "--threads", "2", "--output", "e.json"],
+        None,
+        {**ESTIMATE, "schema": {**CSV_SCHEMA, "covariates": ["x1", "x2"]},
+         "statspec": SPEC},
+        "ee538d05be6bae7795a5f1844ced13d719422292f59a20f8cfe0dc96c0438e04",
+        id="estimate-covariate-list"),
+    pytest.param(
+        ["simulate", "--preset", "randomized", "--c", "20", "--reps", "2"],
+        None,
+        {**SIMULATE, "preset": "randomized", "c": 20, "reps": 2},
+        "96c6a13e3bc2a8c8ea2d25bd3e44f5873b831e488ffa5815462a592fe4e80563",
+        id="simulate-bare"),
+    pytest.param(
+        ["simulate"],
+        {"preset": "mundlak-linear", "c": 20, "n_c": 4, "k": 2, "u_dim": 1,
+         "sigma": 0.5, "reps": 2, "params": {"b1": 2.0, "a1": 0.5},
+         "estimator": {"method": "fe"}, "seed": 3},
+        {**SIMULATE, "preset": "mundlak-linear", "c": 20, "n_c": 4, "k": 2,
+         "u_dim": 1, "sigma": 0.5, "reps": 2,
+         "params": {"a1": 0.5, "b1": 2.0},
+         "estimator": {**ESTIMATOR, "method": "fe"}, "seed": 3},
+        "7b8fca79cdc3b29ed275e979b756dbbd3e8936264d0266cfd457df3d75a74165",
+        id="simulate-config"),
+    pytest.param(
+        ["simulate", "--preset", "mundlak-linear", "--L", "4", "--eta", "none",
+         "--q", "0.3", "--seed", "5", "--n-c", "6"],
+        {"preset": "randomized", "c": 24, "reps": 2, "n_c": 4,
+         "estimator": {"L": 3, "eta": 0.1, "method": "dr",
+                       "nuisance": {"ridge": 0.1,
+                                    "outcome_interactions": False}}},
+        {**SIMULATE, "preset": "mundlak-linear", "c": 24, "n_c": 6,
+         "reps": 2, "seed": 5,
+         "estimator": {**ESTIMATOR, "L": 4, "eta": None, "q": 0.3,
+                       "nuisance": {**NUISANCE, "ridge": 0.1,
+                                    "outcome_interactions": False}}},
+        "401d8d0d513d7e382e01088db190bc65f497751ae9c1cb601a6c28a2f001f694",
+        id="simulate-flags-over-nested"),
+    pytest.param(
+        ["simulate", "--preset", "hetero-prop", "--c", "10", "--n-c", "20",
+         "--reps", "2", "--method", "weighted-fe", "--use-true-propensity",
+         "--statspec", "spec.json"],
+        {"estimator": {"use_true_propensity": False, "q": 0.25},
+         "threads": 3},
+        {**SIMULATE, "preset": "hetero-prop", "c": 10, "n_c": 20, "reps": 2,
+         "estimator": {**ESTIMATOR, "method": "weighted-fe", "statspec": SPEC,
+                       "q": 0.25, "use_true_propensity": True}},
+        "6d892cddd7b7b6e2662883c6bf21cd20b39aa1e951c405f7aaacf25bc94732da",
+        id="simulate-statspec"),
+    pytest.param(
+        ["select", "--data", "demo.csv", "--lam", "0"], None,
+        {**SELECT, "lam": 0.0},
+        "c357fdc2cec026eace9878b9b400ab9eb5c66a820777020bc796894307840817",
+        id="select-flags"),
+    pytest.param(
+        ["select"],
+        {"data": "demo.csv", "lambda_grid": [1.0, 0.1], "tol": 1e-4,
+         "max_sweeps": 200, "n_lambdas": 5},
+        {**SELECT, "lambda_grid": [1.0, 0.1], "tol": 1e-4, "max_sweeps": 200,
+         "n_lambdas": 5},
+        "99cfd2c7354bf72e3af1ce437c056cb21b1afd2e0f3da69ab4f28ae4369607ec",
+        id="select-config"),
+    pytest.param(
+        ["select", "--lam", "0.5", "--stop-after-k", "1",
+         "--lambda-min-ratio", "0.01", "--tol", "1e-3", "--seed", "2"],
+        {"data": "demo.csv", "lam": 0.0, "n_lambdas": 5, "tol": 1e-5},
+        {**SELECT, "lam": 0.5, "stop_after_k": 1, "lambda_min_ratio": 0.01,
+         "tol": 1e-3, "seed": 2, "n_lambdas": 5},
+        "6ed64e47b350c10ad8d15f5bbc64b134e7f391402be397efca653debd7723a90",
+        id="select-flags-over-config"),
+    pytest.param(
+        ["select", "--data", "demo.csv", "--candidates", "spec.json",
+         "--covariate-cols", "x1,,x2,", "--lambda-grid", "0.5,0.05",
+         "--n-lambdas", "3"],
+        {"schema": {"treatment": "w"}},
+        {**SELECT, "schema": {**CSV_SCHEMA, "covariates": ["x1", "x2"]},
+         "candidates": SPEC, "lambda_grid": [0.5, 0.05], "n_lambdas": 3},
+        "166f7f59b52e7f3e6afbde3c01a5ad3a01b6553c40d6cf8ab479b32e3650a044",
+        id="select-candidates"),
+    pytest.param(
+        ["mixture", "--data", "disc.csv", "--p", "1"], None,
+        {**MIXTURE, "p": 1},
+        "404a14c15f03d2b282c70d150f70a52139a010cc65a5da93c08e147e6683b718",
+        id="mixture-bare"),
+    pytest.param(
+        ["mixture"],
+        {"data": "disc.csv", "p_grid": [1, 2], "restarts": 2, "max_iter": 50,
+         "support_cap": 64, "tol": 1e-6},
+        {**MIXTURE, "p_grid": [1, 2], "restarts": 2, "max_iter": 50,
+         "support_cap": 64, "tol": 1e-6},
+        "3fec7b8d9c539e364136b9ed3ca37ee938ec1cac7249476d0d938ce24b35bec1",
+        id="mixture-config"),
+    pytest.param(
+        ["mixture", "--p", "2", "--restarts", "1", "--seed", "2",
+         "--estimate", "--eta", "0.1", "--L", "3", "--tol", "1e-6"],
+        {"data": "disc.csv", "p": 3, "restarts": 3, "L": 4, "estimate": False,
+         "nuisance": {"propensity_use_summaries": False}},
+        {**MIXTURE, "p": 2, "restarts": 1, "seed": 2, "estimate": True,
+         "eta": 0.1, "L": 3, "tol": 1e-6,
+         "nuisance": {**NUISANCE, "propensity_use_summaries": False}},
+        "7c40f51068b8b159d27e455276c2e9e9817de46e3e928daada73271cc29dc62c",
+        id="mixture-flags-over-config"),
+    pytest.param(
+        ["mixture", "--data", "disc.csv", "--p-grid", "1,2,"],
+        {"schema": {"covariates": ["x1"], "cluster": "cluster"},
+         "restarts": 2},
+        {**MIXTURE, "schema": {**CSV_SCHEMA, "covariates": ["x1"]},
+         "p_grid": [1, 2], "restarts": 2},
+        "02999c8625f660dbd155913cc970175c9f1486d9779215a664b3a4040304acc1",
+        id="mixture-p-grid-flag"),
+    pytest.param(
+        ["check-equivalence", "--data", "demo.csv"], None,
+        {**CHECK, "data": "demo.csv"},
+        "6a12d7a1ee4aede1becaa3d8a656b6e67108c86ddaca21f5ad3a5412fa96dd98",
+        id="check-bare"),
+    pytest.param(
+        ["check-equivalence"],
+        {"panel": "panel.csv", "panel_schema": {"covariates": ["x0"]},
+         "seed": 3},
+        {**CHECK, "panel": "panel.csv", "seed": 3,
+         "panel_schema": {**PANEL_SCHEMA, "covariates": ["x0"]}},
+        "c3f79260382f904b845d3f24aa14d42d01cbfdc1080b20da743676e944b7842f",
+        id="check-config"),
+    pytest.param(
+        ["check-equivalence", "--panel", "firms.csv", "--unit-col", "firm",
+         "--time-col", "year", "--outcome-col", "out"],
+        {"schema": {"cluster": "firm"}},
+        {**CHECK, "panel": "firms.csv",
+         "schema": {**CSV_SCHEMA, "outcome": "out", "cluster": "firm"},
+         "panel_schema": {**PANEL_SCHEMA, "unit": "firm", "time": "year",
+                          "outcome": "out"}},
+        "3220f82f75d7bdbe42f17e455acf879fa3add609cf0d8cf9947ef1ad6a9ceebd",
+        id="check-flags-fill-both-schemas"),
+    pytest.param(
+        ["check-equivalence", "--covariate-cols", "x1,", "--seed", "1",
+         "--treatment-col", "w"],
+        {"data": "demo.csv", "schema": {"covariates": ["x2"]},
+         "panel_schema": {"unit": "u"}, "output": "c.json"},
+        {**CHECK, "data": "demo.csv", "seed": 1,
+         "schema": {**CSV_SCHEMA, "covariates": ["x1"]},
+         "panel_schema": {**PANEL_SCHEMA, "unit": "u", "covariates": ["x1"]}},
+        "396e4fc3c933ea7433ef8141bdbf97b2a1a855d25a9bf6fa5fce7ecb72a8a48b",
+        id="check-flags-over-config"),
+]
+
+
+@pytest.mark.parametrize("argv, cfg, config, digest", CONFIG_TABLE)
+def test_merged_config_and_hash(argv, cfg, config, digest, demo_csv,
+                                panel_csv, workdir, capsys):
+    discrete_csv(workdir)
+    text = panel_csv.read_text().replace("unit,time,y,", "firm,year,out,", 1)
+    (workdir / "firms.csv").write_text(text)
+    (workdir / "spec.json").write_text(json.dumps(SPEC))
+    if cfg is not None:
+        (workdir / "cfg.json").write_text(json.dumps(cfg))
+        argv = argv + ["--config", "cfg.json"]
+    assert main(argv) == 0
+    report = capsys.readouterr().out.rsplit("report=", 1)[1].split()[0]
+    body = read_report(workdir / report)["body"]
+    assert body["config"] == config
+    assert body["config_hash"] == digest
+
+
+def schema_default(command, *path):
+    """The ``"default"`` at ``path`` in a command's config schema."""
+    pkg = resources.files("clusterdr").joinpath("schemas")
+    defs = json.loads(pkg.joinpath("defs.json").read_text())["$defs"]
+    node = json.loads(pkg.joinpath(f"{command}.config.json").read_text())
+    for key in path:
+        node = node["properties"][key]
+        if "$ref" in node:
+            node = defs[node["$ref"].rsplit("/", 1)[1]]
+    return node["default"]
+
+
+def keyword_defaults(fn):
+    params = inspect.signature(fn).parameters.items()
+    return {name: p.default for name, p in params
+            if p.default is not inspect.Parameter.empty}
+
+
+def test_schema_defaults_match_library_defaults():
+    pairs = []
+    for f in dataclasses.fields(NuisanceConfig):
+        for command, path in (("estimate", ()), ("mixture", ()),
+                              ("simulate", ("estimator",))):
+            pairs.append((schema_default(command, *path, "nuisance", f.name),
+                          f.default))
+    for f in dataclasses.fields(EstimatorConfig):
+        if f.name != "nuisance":
+            pairs.append((schema_default("simulate", "estimator", f.name),
+                          f.default))
+    for name, value in keyword_defaults(em_fit).items():
+        pairs.append((schema_default("mixture", name), value))
+    for name, value in keyword_defaults(multinomial_group_lasso).items():
+        pairs.append((schema_default("select", name), value))
+    for f in dataclasses.fields(CsvSchema):
+        pairs.append((schema_default("estimate", "schema", f.name), f.default))
+    for name, value in keyword_defaults(load_panel_csv).items():
+        pairs.append((schema_default("check-equivalence", "panel_schema",
+                                     name), value))
+    assert len(pairs) == 42
+    for got, want in pairs:
+        assert (got, type(got)) == (want, type(want))
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("select", "--lambda-grid", "0.1,abc"),
+    ("mixture", "--p-grid", "1,two"),
+])
+def test_malformed_list_flag_exits_one(command, flag, value, demo_csv, capsys):
+    assert main([command, "--data", str(demo_csv), flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err and value in err
 
 
 # --- shared contract ----------------------------------------------------------

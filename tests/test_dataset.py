@@ -12,7 +12,6 @@ from clusterdr import (
     CsvSchema,
     Dataset,
     InputError,
-    group_by_size,
     load_csv,
     validate,
     write_csv,
@@ -37,20 +36,6 @@ def test_dense_ids_follow_first_appearance():
     assert d.cluster_index.tolist() == [0, 0, 1, 1, 1, 2, 2]
     assert d.n == 7 and d.c == 3 and d.k == 2
     assert d.n_c.tolist() == [2, 3, 2]
-
-
-def test_units_view_matches_arrays():
-    d = small_dataset()
-    u = d.units[3]
-    assert u.y == 4.0 and u.w == 1 and u.cluster_id == "a"
-    assert u.x == (3.5, 2.0)
-    assert len(d.units) == d.n
-
-
-def test_clusters_row_indices():
-    d = small_dataset()
-    rows = d.clusters
-    assert [r.tolist() for r in rows] == [[0, 1], [2, 3, 4], [5, 6]]
 
 
 def test_treatment_must_be_binary():
@@ -153,27 +138,6 @@ def test_cluster_means_match_csv_oracle(tmp_path):
         assert got_y[cid] == pytest.approx(want[label]["y"], abs=1e-12)
         assert got_x[cid, 0] == pytest.approx(want[label]["x1"], abs=1e-12)
         assert got_x[cid, 1] == pytest.approx(want[label]["x2"], abs=1e-12)
-
-
-def test_group_by_size_partitions_and_reconstitutes():
-    d = small_dataset()
-    parts = group_by_size(d)
-    assert [size for size, _ in parts] == [2, 3]
-    total_rows = sum(sub.n for _, sub in parts)
-    assert total_rows == d.n
-    two, three = parts[0][1], parts[1][1]
-    assert set(two.cluster_labels) == {"b", "zz"}
-    assert three.cluster_labels == ["a"]
-    # row content survives: all original (y, label) pairs present exactly once
-    original = sorted((float(v), lab) for v, lab in
-                      zip(d.y, [d.cluster_labels[i] for i in d.cluster_index]))
-    rebuilt = sorted(
-        (float(v), lab)
-        for _, sub in parts
-        for v, lab in zip(sub.y, [sub.cluster_labels[i]
-                                  for i in sub.cluster_index])
-    )
-    assert original == rebuilt
 
 
 def test_degenerate_clusters_are_retained():

@@ -79,15 +79,13 @@ def test_zero_effect_unbiased():
     assert abs(report.bias) <= 3.0 * report.mc_sd / math.sqrt(report.reps)
 
 
-def test_monte_carlo_reproducible_and_thread_invariant():
+def test_monte_carlo_reproducible():
     cfg = dgp_preset("mundlak-linear", c=24, n_c=5)
     est = EstimatorConfig(method="dr", L=3)
     r1 = monte_carlo(cfg, est, reps=8, seed=11)
     r2 = monte_carlo(cfg, est, reps=8, seed=11)
-    r4 = monte_carlo(cfg, est, reps=8, seed=11, threads=4)
     assert np.array_equal(r1.tau_hat, r2.tau_hat)
-    assert np.array_equal(r1.tau_hat, r4.tau_hat)
-    assert np.array_equal(r1.se, r4.se)
+    assert np.array_equal(r1.se, r2.se)
     r5 = monte_carlo(cfg, est, reps=8, seed=12)
     assert not np.array_equal(r1.tau_hat, r5.tau_hat)
 

@@ -156,6 +156,12 @@ def test_overlap_set_rule_and_override():
         overlap_set(e, mask=np.array([1, 2, 0, 0, 0, 0, 0]))
 
 
+def test_overlap_set_eta_none_keeps_every_unit():
+    e = np.array([0.0, 1e-10, 0.5, 1.0])
+    a = overlap_set(e, eta=None)
+    assert a.tolist() == [1, 1, 1, 1] and a.dtype == np.int8
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     eta1=st.floats(min_value=0.0, max_value=0.49, exclude_max=True),
