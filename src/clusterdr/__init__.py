@@ -58,7 +58,6 @@ from .glm import (
 )
 from .mixture import (
     MixtureModel,
-    PosteriorStat,
     augment_with_posterior,
     em_fit,
     posterior_suffstat,
@@ -74,7 +73,6 @@ from .simulate import (
     monte_carlo,
 )
 from .suffstats import (
-    AugmentedDesign,
     StatSpec,
     Term,
     build_suffstats,

@@ -50,12 +50,7 @@ from .estimators import (
 from .exceptions import ClusterDrError, EstimationError, InputError
 from .glm import cross_fit_folds, multinomial_group_lasso
 from .mixture import augment_with_posterior, em_fit, posterior_suffstat
-from .simulate import (
-    PRESET_NAMES,
-    EstimatorConfig,
-    dgp_preset,
-    monte_carlo,
-)
+from .simulate import EstimatorConfig, dgp_preset, monte_carlo
 from .suffstats import StatSpec, build_suffstats, mundlak_spec, overlap_set
 
 __all__ = ["main", "canonical_body_bytes", "config_hash"]
@@ -239,13 +234,13 @@ def cmd_estimate(args) -> int:
             raise InputError("; ".join(report.errors))
     with _stage("design"):
         spec = _spec_from_config(cfg["statspec"], d.k)
-        ad = build_suffstats(d, spec)
+        s_bar = build_suffstats(d, spec)
     folds = cross_fit_folds(d.c, cfg["L"], cfg["seed"])
     with _stage("nuisance"):
-        nu = fit_nuisances(ad, d, folds, NuisanceConfig(**cfg["nuisance"]))
+        nu = fit_nuisances(d, s_bar, folds, NuisanceConfig(**cfg["nuisance"]))
     with _stage("estimate"):
         a = overlap_set(nu.e, cfg["eta"])
-        res = dr_estimate(d, ad.with_mask(a), nu, eta=cfg["eta"])
+        res = dr_estimate(d, nu, a, eta=cfg["eta"])
 
     body = _new_body("estimate", cfg)
     body["data"] = {"n": d.n, "c": d.c, "k": d.k, "warnings": report.warnings}
@@ -411,8 +406,7 @@ def cmd_mixture(args) -> int:
 
     with _stage("mixture"):
         model = em_fit(d, p=cfg["p"], **em_kwargs)
-        posterior = posterior_suffstat(model, d)
-    post = posterior.cluster_posterior
+        post = posterior_suffstat(model, d)
     body["model"] = model.to_dict()
     body["posterior"] = [[float(v) for v in row] for row in post]
 
@@ -427,11 +421,12 @@ def cmd_mixture(args) -> int:
     meta = {"posterior_csv": str(post_path)}
     if cfg["estimate"]:
         with _stage("estimate"):
-            ad = augment_with_posterior(d, model, posterior)
+            s_bar = augment_with_posterior(d, model, post)
             folds = cross_fit_folds(d.c, cfg["L"], cfg["seed"])
-            nu = fit_nuisances(ad, d, folds, NuisanceConfig(**cfg["nuisance"]))
+            nu = fit_nuisances(d, s_bar, folds,
+                               NuisanceConfig(**cfg["nuisance"]))
             a = overlap_set(nu.e, cfg["eta"])
-            res = dr_estimate(d, ad.with_mask(a), nu, eta=cfg["eta"])
+            res = dr_estimate(d, nu, a, eta=cfg["eta"])
         body["estimate"] = res.to_dict()
 
     path = _write_report(body, cfg["output"], extra_meta=meta)
@@ -578,12 +573,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo over a named design")
     _add_common(p)
-    p.add_argument("--preset", choices=list(PRESET_NAMES))
+    sim = _schema("simulate.config")["properties"]
+    p.add_argument("--preset", choices=sim["preset"]["enum"])
     p.add_argument("--c", type=int, help="number of clusters")
     p.add_argument("--n-c", dest="n_c", type=int, help="units per cluster")
     p.add_argument("--reps", type=int, help="Monte Carlo repetitions")
     p.add_argument("--method",
-                   choices=["dr", "fe", "mundlak", "weighted-fe", "qte-diff"])
+                   choices=sim["estimator"]["properties"]["method"]["enum"])
     p.add_argument("--statspec", type=_statspec_file,
                    help="path to a JSON statistic specification")
     p.add_argument("--L", type=int)

@@ -33,6 +33,16 @@ __all__ = [
 _CHUNK_ROWS = 512
 
 
+def intern_labels(labels) -> tuple:
+    """Dense int64 ids for a sequence of hashable labels, numbered in
+    order of first appearance, and the distinct labels in that order."""
+    labels_in_order = list(dict.fromkeys(labels))
+    id_of = {lab: j for j, lab in enumerate(labels_in_order)}
+    ids = np.fromiter(map(id_of.__getitem__, labels), dtype=np.int64,
+                      count=len(labels))
+    return ids, labels_in_order
+
+
 @dataclass(frozen=True)
 class CsvSchema:
     """Column names used when reading or writing CSV files.
@@ -96,11 +106,7 @@ class Dataset:
                 f"non-finite covariate values in rows {bad_rows.tolist()}"
             )
 
-        # Dense ids in order of first appearance.
-        labels_in_order = list(dict.fromkeys(cluster_labels))
-        id_of = {lab: j for j, lab in enumerate(labels_in_order)}
-        idx = np.fromiter(map(id_of.__getitem__, cluster_labels),
-                          dtype=np.int64, count=n)
+        idx, labels_in_order = intern_labels(cluster_labels)
         c = len(labels_in_order)
 
         self._y = y

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, intern_labels
 from .exceptions import (
     DegenerateDesignError,
     EmptyOverlapError,
@@ -25,7 +25,6 @@ from .exceptions import (
     UnbalancedPanelError,
 )
 from .glm import FoldAssignment, logistic_fit, predict_proba, wls_fit
-from .suffstats import AugmentedDesign
 
 __all__ = [
     "NuisanceConfig",
@@ -258,20 +257,22 @@ class NuisanceEstimates:
     spec_notes: str
 
 
-def _size_dummies(ad: AugmentedDesign) -> np.ndarray:
+def _size_dummies(d: Dataset) -> np.ndarray:
     """Indicator columns for all but the smallest distinct cluster size."""
-    sizes = np.unique(ad.n_c)
+    sizes = np.unique(d.n_c)
     if sizes.size <= 1:
-        return np.empty((ad.n, 0))
-    cols = [(ad.n_c == s).astype(float) for s in sizes[1:]]
-    return np.column_stack(cols)
+        return np.empty((d.n, 0))
+    unit_size = d.n_c[d.cluster_index]
+    return np.column_stack([(unit_size == s).astype(float)
+                            for s in sizes[1:]])
 
 
-def _outcome_design(ad: AugmentedDesign, w: np.ndarray, cfg: NuisanceConfig,
-                    size_cols: np.ndarray, rows=slice(None)) -> np.ndarray:
+def _outcome_design(d: Dataset, s_bar: np.ndarray, w: np.ndarray,
+                    cfg: NuisanceConfig, size_cols: np.ndarray,
+                    rows=slice(None)) -> np.ndarray:
     """Outcome design at treatment ``w`` for the units selected by
     ``rows`` (all of them by default)."""
-    x, s_bar = ad.x[rows], ad.s_bar[rows]
+    x, s_bar = d.x[rows], s_bar[rows]
     parts = [np.ones(w.shape[0]), w, x]
     if cfg.outcome_use_summaries:
         parts.append(s_bar)
@@ -284,27 +285,29 @@ def _outcome_design(ad: AugmentedDesign, w: np.ndarray, cfg: NuisanceConfig,
     return np.column_stack(parts)
 
 
-def _propensity_design(ad: AugmentedDesign, cfg: NuisanceConfig,
+def _propensity_design(d: Dataset, s_bar: np.ndarray, cfg: NuisanceConfig,
                        size_cols: np.ndarray) -> np.ndarray:
-    parts = [np.ones(ad.n), ad.x]
+    parts = [np.ones(d.n), d.x]
     if cfg.propensity_use_summaries:
-        parts.append(ad.s_bar)
+        parts.append(s_bar)
     if cfg.size_indicators and size_cols.shape[1]:
         parts.append(size_cols)
     return np.column_stack(parts)
 
 
 def fit_nuisances(
-    ad: AugmentedDesign,
     d: Dataset,
+    s_bar: np.ndarray,
     folds: FoldAssignment,
     cfg: Optional[NuisanceConfig] = None,
 ) -> NuisanceEstimates:
     """Cross-fit outcome and propensity models over cluster folds.
 
-    For every fold, models are trained on the units of all other folds
-    and predicted on the held-out fold, so no unit's predictions use
-    its own cluster. The outcome model is fit once on both arms with
+    ``s_bar`` is the (n, t) cluster-summary matrix, row-aligned with
+    ``d`` (see :func:`~clusterdr.suffstats.build_suffstats`). For every
+    fold, models are trained on the units of all other folds and
+    predicted on the held-out fold, so no unit's predictions use its
+    own cluster. The outcome model is fit once on both arms with
     treatment in the design, then evaluated at w=1 and w=0. Raises when
     a training fold contains only one treatment arm.
     """
@@ -314,10 +317,15 @@ def fit_nuisances(
             f"fold assignment covers {folds.fold_of_cluster.shape[0]} "
             f"clusters, dataset has {d.c}"
         )
+    s_bar = np.asarray(s_bar, dtype=float)
+    if s_bar.ndim != 2 or s_bar.shape[0] != d.n:
+        raise InputError(
+            f"summaries have shape {s_bar.shape}, expected ({d.n}, t)"
+        )
     w = d.w.astype(float)
-    size_cols = _size_dummies(ad)
-    design_w = _outcome_design(ad, w, cfg, size_cols)
-    design_e = _propensity_design(ad, cfg, size_cols)
+    size_cols = _size_dummies(d)
+    design_w = _outcome_design(d, s_bar, w, cfg, size_cols)
+    design_e = _propensity_design(d, s_bar, cfg, size_cols)
 
     fold_of_unit = folds.fold_of_cluster[d.cluster_index]
     mu0 = np.empty(d.n)
@@ -334,8 +342,10 @@ def fit_nuisances(
         ofit = wls_fit(design_w[train], d.y[train])
         coef = ofit.coefficients
         n_test = int(np.count_nonzero(test))
-        design_1 = _outcome_design(ad, np.ones(n_test), cfg, size_cols, test)
-        design_0 = _outcome_design(ad, np.zeros(n_test), cfg, size_cols, test)
+        design_1 = _outcome_design(d, s_bar, np.ones(n_test), cfg, size_cols,
+                                   test)
+        design_0 = _outcome_design(d, s_bar, np.zeros(n_test), cfg,
+                                   size_cols, test)
         mu1[test] = design_1 @ coef
         mu0[test] = design_0 @ coef
         pfit = logistic_fit(design_e[train], w_train, ridge=cfg.ridge)
@@ -371,7 +381,7 @@ class DrResult:
 
     ``xi`` holds the per-cluster averaged correction terms feeding the
     variance; ``a_bar`` is the retained fraction; ``eta`` records the
-    trimming threshold (None when a caller-supplied mask was used).
+    trimming threshold the mask was built with (None for no trimming).
     """
 
     tau_hat: float
@@ -402,18 +412,23 @@ class DrResult:
 
 def dr_estimate(
     d: Dataset,
-    ad: AugmentedDesign,
     nu: NuisanceEstimates,
+    a: np.ndarray,
     eta: Optional[float] = 0.05,
 ) -> DrResult:
-    """Average the doubly robust score over retained units.
+    """Average the doubly robust score over the units retained by the
+    0/1 mask ``a`` (see :func:`~clusterdr.suffstats.overlap_set`).
 
     The point estimate is the retained-unit mean of :func:`psi`. The
     variance comes from per-cluster means of the inverse-propensity
     correction term: their spread across clusters, scaled by the
     squared retained fraction, divided by the number of clusters.
     """
-    a = ad.a.astype(float)
+    a = np.asarray(a, dtype=float)
+    if a.shape != (d.n,):
+        raise InputError(f"mask has shape {a.shape}, expected ({d.n},)")
+    if not np.all((a == 0.0) | (a == 1.0)):
+        raise InputError("mask entries must be 0 or 1")
     a_bar = float(a.mean())
     if a_bar == 0.0:
         raise EmptyOverlapError("trimming removed every unit")
@@ -514,20 +529,14 @@ def make_panel(y, w, x, unit_labels, time_labels) -> PanelData:
     if x.ndim == 1:
         x = x.reshape(-1, 1)
     n = y.shape[0]
-    if w.shape != (n,) or x.shape[0] != n:
+    if (w.shape != (n,) or x.shape[0] != n or len(unit_labels) != n
+            or len(time_labels) != n):
         raise InputError("panel columns have mismatched lengths")
     if not np.all((w == 0.0) | (w == 1.0)):
         raise InputError("panel treatment must be 0 or 1")
-
-    def dense(labels):
-        mapping: dict = {}
-        out = np.empty(n, dtype=np.int64)
-        for i, lab in enumerate(labels):
-            out[i] = mapping.setdefault(lab, len(mapping))
-        return out, len(mapping)
-
-    unit_index, n_units = dense(unit_labels)
-    time_index, n_periods = dense(time_labels)
+    unit_index, units = intern_labels(unit_labels)
+    time_index, periods = intern_labels(time_labels)
+    n_units, n_periods = len(units), len(periods)
     if n != n_units * n_periods:
         raise UnbalancedPanelError(
             f"{n} rows cannot form a balanced {n_units} x {n_periods} panel"

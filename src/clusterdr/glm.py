@@ -16,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from .dataset import intern_labels
 from .exceptions import DegenerateDesignError, EstimationError, InputError
 
 __all__ = [
@@ -459,11 +460,8 @@ def multinomial_group_lasso(
     labels = list(cluster_labels)
     if len(labels) != n:
         raise InputError(f"got {len(labels)} labels for {n} rows")
-    label_to_id: dict = {}
-    dense = np.empty(n, dtype=np.int64)
-    for i, lab in enumerate(labels):
-        dense[i] = label_to_id.setdefault(lab, len(label_to_id))
-    n_cat = len(label_to_id)
+    dense, categories = intern_labels(labels)
+    n_cat = len(categories)
     if n_cat < 2:
         raise InputError("need at least two clusters to classify")
     if lam is not None and lam < 0:

@@ -17,11 +17,9 @@ import numpy as np
 
 from .dataset import Dataset
 from .exceptions import EstimationError, InputError
-from .suffstats import AugmentedDesign
 
 __all__ = [
     "MixtureModel",
-    "PosteriorStat",
     "em_fit",
     "posterior_suffstat",
     "augment_with_posterior",
@@ -187,19 +185,9 @@ def em_fit(
     return best
 
 
-@dataclass(frozen=True)
-class PosteriorStat:
-    """Per-cluster posterior over mixture components (rows sum to one)."""
-
-    cluster_posterior: np.ndarray
-
-    @property
-    def p(self) -> int:
-        return self.cluster_posterior.shape[1]
-
-
-def posterior_suffstat(model: MixtureModel, d: Dataset) -> PosteriorStat:
-    """Posterior component probabilities for each cluster of ``d``.
+def posterior_suffstat(model: MixtureModel, d: Dataset) -> np.ndarray:
+    """Posterior component probabilities for each cluster of ``d``: a
+    (c, p) array whose rows sum to one.
 
     Computed in log space from per-cluster cell counts. Raises when a
     unit's (x, w) cell is outside the model's support.
@@ -219,32 +207,20 @@ def posterior_suffstat(model: MixtureModel, d: Dataset) -> PosteriorStat:
     _, resp = _loglik_and_resp(
         counts, np.log(model.pi), np.log(model.component_pmfs)
     )
-    return PosteriorStat(cluster_posterior=resp)
+    return resp
 
 
 def augment_with_posterior(
-    d: Dataset, model: MixtureModel, posterior: Optional[PosteriorStat] = None
-) -> AugmentedDesign:
+    d: Dataset, model: MixtureModel, posterior: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Use mixture posteriors as the cluster summary columns.
 
     The summary for every unit of cluster c is the posterior over
     components given that cluster's data. Rows sum to one, so the last
-    component's column is redundant given an intercept and is omitted
-    from the design. ``posterior`` is ``posterior_suffstat(model, d)``,
-    computed here when not given.
+    component's column is redundant given an intercept and is omitted:
+    the result is (n, max(p - 1, 1)). ``posterior`` is
+    ``posterior_suffstat(model, d)``, computed here when not given.
     """
     if posterior is None:
         posterior = posterior_suffstat(model, d)
-    post = posterior.cluster_posterior
-    cols = post[:, : max(model.p - 1, 1)]
-    s_bar = cols[d.cluster_index, :]
-    names = tuple(f"posterior{k}" for k in range(cols.shape[1]))
-    return AugmentedDesign(
-        x=d.x,
-        w=d.w.astype(float),
-        s_bar=s_bar,
-        n_c=d.n_c[d.cluster_index].astype(float),
-        cluster_index=d.cluster_index,
-        term_names=names,
-        a=np.ones(d.n, dtype=np.int8),
-    )
+    return posterior[d.cluster_index, : max(model.p - 1, 1)]

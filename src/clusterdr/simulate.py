@@ -12,7 +12,7 @@ constants so experiments are reproducible end to end from one seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -538,8 +538,8 @@ def _run_one_rep(cfg: DgpConfig, est: EstimatorConfig, child_seq):
         tau = mundlak_ols(d).tau
         return tau, math.nan, res.tau_tilde(), math.nan
 
-    spec = est.statspec or mundlak_spec(d.k)
-    ad = build_suffstats(d, spec)
+    spec = mundlak_spec(d.k) if est.statspec is None else est.statspec
+    s_bar = build_suffstats(d, spec)
     fold_seed = int(fold_seq.generate_state(1)[0])
     folds = cross_fit_folds(d.c, est.L, fold_seed)
 
@@ -547,18 +547,14 @@ def _run_one_rep(cfg: DgpConfig, est: EstimatorConfig, child_seq):
         if est.use_true_propensity:
             e_hat = res.true_e
         else:
-            nu = fit_nuisances(ad, d, folds, est.nuisance)
-            e_hat = nu.e
+            e_hat = fit_nuisances(d, s_bar, folds, est.nuisance).e
         tau = weighted_fe(d, np.clip(e_hat, 1e-6, 1 - 1e-6)).tau
         return tau, math.nan, res.tau_tilde(), math.nan
 
-    nu = fit_nuisances(ad, d, folds, est.nuisance)
+    nu = fit_nuisances(d, s_bar, folds, est.nuisance)
     if method == "qte-diff":
         if est.use_true_propensity:
-            nu = type(nu)(
-                mu0=nu.mu0, mu1=nu.mu1, e=res.true_e,
-                fold_of_unit=nu.fold_of_unit, spec_notes=nu.spec_notes,
-            )
+            nu = replace(nu, e=res.true_e)
         a = overlap_set(nu.e, est.eta)
         q1 = qte_estimate(d, nu, a, est.q, arm=1)
         q0 = qte_estimate(d, nu, a, est.q, arm=0)
@@ -567,8 +563,7 @@ def _run_one_rep(cfg: DgpConfig, est: EstimatorConfig, child_seq):
     if method != "dr":
         raise InputError(f"unknown method {method!r}")
     a = overlap_set(nu.e, est.eta)
-    ad = ad.with_mask(a)
-    out = dr_estimate(d, ad, nu, eta=est.eta)
+    out = dr_estimate(d, nu, a, eta=est.eta)
     truth = res.tau_tilde(a)
     covered = 1.0 if out.ci[0] <= truth <= out.ci[1] else 0.0
     return out.tau_hat, out.se, truth, covered

@@ -1,17 +1,17 @@
-"""Cluster-level summary statistics and the augmented unit design.
+"""Cluster-level summary statistics.
 
 A statistic specification is an ordered list of term descriptors. Each
 term defines one per-unit value; averaging that value within a cluster
-(own unit included) yields one cluster-summary column. Attaching those
-columns to every unit of the cluster produces the augmented design that
+(own unit included) yields one cluster-summary column. Attached to every
+unit of the cluster, those columns form the summary matrix that
 downstream estimators condition on.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from .exceptions import InputError
 __all__ = [
     "Term",
     "StatSpec",
-    "AugmentedDesign",
     "build_suffstats",
     "mundlak_spec",
     "overlap_set",
@@ -229,88 +228,26 @@ def mundlak_spec(k: int) -> StatSpec:
     return StatSpec(terms=tuple(terms))
 
 
-@dataclass(frozen=True)
-class AugmentedDesign:
-    """Unit-level design carrying cluster summaries.
-
-    Arrays are aligned with the source dataset's row order: covariates
-    ``x`` (n, k), treatment ``w`` (n,), summary columns ``s_bar``
-    (n, t) constant within cluster, cluster size ``n_c`` (n,), dense
-    cluster id ``cluster_index`` (n,), and the 0/1 retention flag ``a``.
-    """
-
-    x: np.ndarray
-    w: np.ndarray
-    s_bar: np.ndarray
-    n_c: np.ndarray
-    cluster_index: np.ndarray
-    term_names: tuple
-    a: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.w.shape[0]
-
-    @property
-    def a_bar(self) -> float:
-        """Retained fraction of units."""
-        return float(np.mean(self.a))
-
-    def with_mask(self, a: np.ndarray) -> "AugmentedDesign":
-        """Copy of this design with a new retention flag."""
-        a = _check_mask(a, self.n)
-        return replace(self, a=a)
-
-
-def _check_mask(a, n: int) -> np.ndarray:
-    a = np.asarray(a)
-    if a.shape != (n,):
-        raise InputError(f"mask has shape {a.shape}, expected ({n},)")
-    a_float = np.asarray(a, dtype=float)
-    if not np.all((a_float == 0.0) | (a_float == 1.0)):
-        raise InputError("mask entries must be 0 or 1")
-    return a_float.astype(np.int8)
-
-
-def build_suffstats(d: Dataset, spec: StatSpec) -> AugmentedDesign:
+def build_suffstats(d: Dataset, spec: StatSpec) -> np.ndarray:
     """Evaluate a statistic specification on a dataset.
 
     Each term's per-unit values are averaged within cluster (the unit's
-    own value included) and broadcast back to the unit rows. The
-    retention flag starts at all-ones; attach a trimming mask with
-    :meth:`AugmentedDesign.with_mask`.
+    own value included) and broadcast back to the unit rows, giving the
+    (n, t) summary matrix, one column per term, constant within cluster.
     """
-    t = len(spec)
-    s_bar = np.empty((d.n, t))
+    s_bar = np.empty((d.n, len(spec)))
     for col, term in enumerate(spec.terms):
-        vals = term.unit_values(d)
-        cluster_vals = d.cluster_means(vals)
-        s_bar[:, col] = cluster_vals[d.cluster_index]
-    return AugmentedDesign(
-        x=d.x,
-        w=d.w.astype(float),
-        s_bar=s_bar,
-        n_c=d.n_c[d.cluster_index].astype(float),
-        cluster_index=d.cluster_index,
-        term_names=tuple(spec.names),
-        a=np.ones(d.n, dtype=np.int8),
-    )
+        s_bar[:, col] = d.cluster_means(term.unit_values(d))[d.cluster_index]
+    return s_bar
 
 
-def overlap_set(
-    e_hat: np.ndarray,
-    eta: float = 0.05,
-    mask: Optional[np.ndarray] = None,
-) -> np.ndarray:
+def overlap_set(e_hat: np.ndarray, eta: float = 0.05) -> np.ndarray:
     """Retention flags from estimated propensities.
 
     A unit is kept when ``eta < e_hat < 1 - eta``; ``eta=None`` keeps
-    every unit. Passing ``mask`` overrides the rule entirely with a
-    caller-supplied 0/1 vector of known-overlap units.
+    every unit.
     """
     e_hat = np.asarray(e_hat, dtype=float)
-    if mask is not None:
-        return _check_mask(mask, e_hat.shape[0])
     if eta is None:
         return np.ones(e_hat.shape[0], dtype=np.int8)
     if not 0.0 <= eta < 0.5:

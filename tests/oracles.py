@@ -210,3 +210,11 @@ def cluster_warnings(w, labels):
             arm = "treated" if t == n else "control"
             warnings.append(f"cluster {label!r} is all-{arm} ({n} units)")
     return warnings, degenerate
+
+
+def setdefault_ids(labels):
+    """Row-by-row label interning: dense ids in order of first appearance
+    and the number of distinct labels."""
+    mapping = {}
+    ids = [mapping.setdefault(lab, len(mapping)) for lab in labels]
+    return ids, len(mapping)

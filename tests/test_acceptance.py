@@ -243,11 +243,11 @@ def test_c08_formula_transcription_oracle():
     spec = StatSpec(terms=(Term("covariate-mean", j=0),))
     for seed in range(10):
         d = twenty_unit_dataset(seed)
-        ad = build_suffstats(d, spec)
+        s_bar = build_suffstats(d, spec)
         folds = cross_fit_folds(d.c, 5, seed)
-        nu = fit_nuisances(ad, d, folds)
+        nu = fit_nuisances(d, s_bar, folds)
         a = overlap_set(nu.e, 0.05)
-        out = dr_estimate(d, ad.with_mask(a), nu, eta=0.05)
+        out = dr_estimate(d, nu, a, eta=0.05)
         cluster_ids = [d.cluster_labels[i] for i in d.cluster_index]
         tau_want, v_want = oracles.straight_line_dr(
             d.y, d.w.astype(int), nu.mu1, nu.mu0, nu.e,
@@ -272,7 +272,7 @@ def test_c09_mixture_separation():
         gains = np.diff(np.asarray(model.ll_path))
         if gains.size:
             min_gain = min(min_gain, float(gains.min()))
-        post = posterior_suffstat(model, d).cluster_posterior
+        post = posterior_suffstat(model, d)
         max_rowerr = max(max_rowerr,
                          float(np.abs(post.sum(axis=1) - 1.0).max()))
         min_frac = min(min_frac, float((post.max(axis=1) >= 0.95).mean()))

@@ -582,3 +582,11 @@ def test_malformed_list_flag_exits_one(command, flag, value, demo_csv, capsys):
 def test_unknown_subcommand_exit_one(capsys):
     assert main(["frobnicate"]) == 1
     assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--preset", "--method"])
+def test_simulate_unknown_choice_exit_one(flag, capsys):
+    args = ["simulate", "--preset", "randomized", "--reps", "1"]
+    assert main(args + [flag, "no-such-name"]) == 1
+    err = capsys.readouterr().err
+    assert f"argument {flag}: invalid choice: 'no-such-name'" in err

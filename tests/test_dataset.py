@@ -16,7 +16,7 @@ from clusterdr import (
     validate,
     write_csv,
 )
-from clusterdr.dataset import _CHUNK_ROWS
+from clusterdr.dataset import _CHUNK_ROWS, intern_labels
 
 import oracles
 
@@ -173,6 +173,22 @@ def test_validate_matches_loop_oracle(pool, units):
     warnings, degenerate = oracles.cluster_warnings(w.tolist(), labels)
     assert report.warnings == warnings
     assert report.degenerate_clusters == degenerate
+
+
+@settings(max_examples=200, deadline=None)
+@given(pool=st.lists(_LABELS, min_size=8, max_size=8),
+       picks=st.lists(st.integers(min_value=0, max_value=7), max_size=40))
+def test_intern_labels_matches_loop_oracle(pool, picks):
+    # The one interning path of Dataset, make_panel and the selector.
+    labels = [pool[j] for j in picks]
+    ids, distinct = intern_labels(labels)
+    want_ids, n_distinct = oracles.setdefault_ids(labels)
+    assert ids.dtype == np.int64 and ids.tolist() == want_ids
+    assert len(distinct) == n_distinct
+    assert [distinct[i] for i in ids] == labels
+    # dense integer ids, as the selector gets them, come back unchanged
+    again, _ = intern_labels(np.asarray(want_ids, dtype=np.int64))
+    assert again.tolist() == want_ids
 
 
 def test_validate_scales_to_many_clusters():

@@ -54,11 +54,11 @@ def unbalanced_dataset(seed=0, c=12):
 
 
 def pipeline(d, L=3, eta=0.05, seed=1, cfg=None):
-    ad = build_suffstats(d, mundlak_spec(d.k))
+    s_bar = build_suffstats(d, mundlak_spec(d.k))
     folds = cross_fit_folds(d.c, L, seed)
-    nu = fit_nuisances(ad, d, folds, cfg)
+    nu = fit_nuisances(d, s_bar, folds, cfg)
     a = overlap_set(nu.e, eta)
-    return ad.with_mask(a), nu, a
+    return nu, a
 
 
 # --------------------------------------------------------------------------
@@ -148,23 +148,23 @@ def test_training_fold_with_single_arm_raises():
     w = np.array([1, 1, 1, 1, 0, 1, 0, 1])
     x = np.linspace(-1, 1, 8).reshape(-1, 1)
     d = Dataset(y, w, x, ["a"] * 4 + ["b"] * 4)
-    ad = build_suffstats(d, mundlak_spec(1))
+    s_bar = build_suffstats(d, mundlak_spec(1))
     folds = cross_fit_folds(2, 2, seed=0)
     with pytest.raises(DegenerateDesignError):
-        fit_nuisances(ad, d, folds)
+        fit_nuisances(d, s_bar, folds)
 
 
 def test_cross_fit_predictions_ignore_own_fold_outcomes():
     d = unbalanced_dataset(seed=5)
-    ad = build_suffstats(d, mundlak_spec(d.k))
+    s_bar = build_suffstats(d, mundlak_spec(d.k))
     folds = cross_fit_folds(d.c, 3, seed=7)
-    nu = fit_nuisances(ad, d, folds)
+    nu = fit_nuisances(d, s_bar, folds)
     fold0 = nu.fold_of_unit == 0
     y2 = d.y.copy()
     y2[fold0] += 100.0  # poison the held-out outcomes
     d2 = Dataset(y2, d.w, d.x,
                  [d.cluster_labels[i] for i in d.cluster_index])
-    nu2 = fit_nuisances(build_suffstats(d2, mundlak_spec(d.k)), d2, folds)
+    nu2 = fit_nuisances(d2, build_suffstats(d2, mundlak_spec(d.k)), folds)
     assert np.max(np.abs(nu.mu1[fold0] - nu2.mu1[fold0])) < 1e-8
     assert np.max(np.abs(nu.mu0[fold0] - nu2.mu0[fold0])) < 1e-8
     assert np.max(np.abs(nu.e[fold0] - nu2.e[fold0])) < 1e-8
@@ -172,7 +172,7 @@ def test_cross_fit_predictions_ignore_own_fold_outcomes():
 
 def test_nuisance_shapes_and_notes():
     d = unbalanced_dataset(seed=6)
-    ad, nu, a = pipeline(d)
+    nu, a = pipeline(d)
     assert nu.mu0.shape == (d.n,)
     assert nu.mu1.shape == (d.n,)
     assert np.all((nu.e > 0) & (nu.e < 1))
@@ -183,10 +183,19 @@ def test_nuisance_shapes_and_notes():
 
 def test_fold_mismatch_rejected():
     d = unbalanced_dataset(seed=6)
-    ad = build_suffstats(d, mundlak_spec(d.k))
+    s_bar = build_suffstats(d, mundlak_spec(d.k))
     folds = cross_fit_folds(d.c + 1, 3, seed=0)
     with pytest.raises(InputError):
-        fit_nuisances(ad, d, folds)
+        fit_nuisances(d, s_bar, folds)
+
+
+def test_summary_matrix_must_have_one_row_per_unit():
+    d = unbalanced_dataset(seed=6)
+    s_bar = build_suffstats(d, mundlak_spec(d.k))
+    folds = cross_fit_folds(d.c, 3, seed=0)
+    for bad in (s_bar[:-1], s_bar[:, 0]):
+        with pytest.raises(InputError, match="summaries have shape"):
+            fit_nuisances(d, bad, folds)
 
 
 # --------------------------------------------------------------------------
@@ -197,8 +206,8 @@ def test_fold_mismatch_rejected():
 def test_dr_matches_straight_line_transcription():
     for seed in range(4):
         d = unbalanced_dataset(seed=seed)
-        ad, nu, a = pipeline(d, seed=seed)
-        out = dr_estimate(d, ad, nu, eta=0.05)
+        nu, a = pipeline(d, seed=seed)
+        out = dr_estimate(d, nu, a, eta=0.05)
         cluster_ids = [d.cluster_labels[i] for i in d.cluster_index]
         tau_want, v_want = oracles.straight_line_dr(
             d.y, d.w.astype(int), nu.mu1, nu.mu0, nu.e,
@@ -213,8 +222,8 @@ def test_dr_matches_straight_line_transcription():
 
 def test_dr_result_serialization():
     d = unbalanced_dataset(seed=2)
-    ad, nu, _ = pipeline(d)
-    out = dr_estimate(d, ad, nu, eta=0.05)
+    nu, a = pipeline(d)
+    out = dr_estimate(d, nu, a, eta=0.05)
     blob = out.to_dict()
     assert set(blob) == {"tau_hat", "se", "ci", "v_hat", "a_bar", "n", "c",
                          "L", "eta", "xi"}
@@ -225,30 +234,44 @@ def test_dr_result_serialization():
 
 def test_empty_overlap_raises():
     d = unbalanced_dataset(seed=3)
-    ad, nu, _ = pipeline(d)
+    nu, _ = pipeline(d)
     with pytest.raises(EmptyOverlapError):
-        dr_estimate(d, ad.with_mask(np.zeros(d.n, dtype=int)), nu)
+        dr_estimate(d, nu, np.zeros(d.n, dtype=int))
+
+
+def test_mask_must_be_zero_one_per_unit():
+    d = unbalanced_dataset(seed=3)
+    nu, a = pipeline(d)
+    with pytest.raises(InputError, match="shape"):
+        dr_estimate(d, nu, a[:-1])
+    bad = a.astype(float)
+    bad[0] = 0.5
+    with pytest.raises(InputError, match="0 or 1"):
+        dr_estimate(d, nu, bad)
+    # any 0/1 dtype is accepted
+    want = dr_estimate(d, nu, a).tau_hat
+    assert dr_estimate(d, nu, a.astype(bool)).tau_hat == want
 
 
 def test_outcome_shift_leaves_tau_unchanged():
     d = unbalanced_dataset(seed=7)
-    ad, nu, a = pipeline(d, seed=11)
-    base = dr_estimate(d, ad, nu).tau_hat
+    nu, a = pipeline(d, seed=11)
+    base = dr_estimate(d, nu, a).tau_hat
     labels = [d.cluster_labels[i] for i in d.cluster_index]
     d2 = Dataset(d.y + 57.0, d.w, d.x, labels)
-    ad2, nu2, _ = pipeline(d2, seed=11)
-    shifted = dr_estimate(d2, ad2, nu2).tau_hat
+    nu2, a2 = pipeline(d2, seed=11)
+    shifted = dr_estimate(d2, nu2, a2).tau_hat
     assert shifted == pytest.approx(base, abs=1e-7)
 
 
 def test_outcome_scale_scales_tau():
     d = unbalanced_dataset(seed=8)
-    ad, nu, _ = pipeline(d, seed=11)
-    base = dr_estimate(d, ad, nu).tau_hat
+    nu, a = pipeline(d, seed=11)
+    base = dr_estimate(d, nu, a).tau_hat
     labels = [d.cluster_labels[i] for i in d.cluster_index]
     d2 = Dataset(3.0 * d.y, d.w, d.x, labels)
-    ad2, nu2, _ = pipeline(d2, seed=11)
-    scaled = dr_estimate(d2, ad2, nu2).tau_hat
+    nu2, a2 = pipeline(d2, seed=11)
+    scaled = dr_estimate(d2, nu2, a2).tau_hat
     assert scaled == pytest.approx(3.0 * base, rel=1e-7)
 
 
@@ -258,15 +281,15 @@ def test_covariate_affine_change_leaves_tau_unchanged():
     # fits and affine invariance of the refit pipeline is meaningful.
     res = generate(dgp_preset("mundlak-linear", c=40, n_c=6, a1=0.6), 17)
     d = res.dataset
-    ad, nu, _ = pipeline(d, seed=13)
+    nu, a = pipeline(d, seed=13)
     assert np.min(np.abs(nu.e - 0.05)) > 0.002
     assert np.min(np.abs(nu.e - 0.95)) > 0.002
-    base = dr_estimate(d, ad, nu).tau_hat
+    base = dr_estimate(d, nu, a).tau_hat
     labels = [d.cluster_labels[i] for i in d.cluster_index]
     x2 = d.x * np.array([2.0, 0.5, 1.5]) + np.array([-1.0, 4.0, 0.25])
     d2 = Dataset(d.y, d.w, x2, labels)
-    ad2, nu2, _ = pipeline(d2, seed=13)
-    moved = dr_estimate(d2, ad2, nu2).tau_hat
+    nu2, a2 = pipeline(d2, seed=13)
+    moved = dr_estimate(d2, nu2, a2).tau_hat
     assert moved == pytest.approx(base, abs=1e-6)
 
 
@@ -278,7 +301,7 @@ def test_covariate_affine_change_leaves_tau_unchanged():
 def test_qte_matches_exhaustive_scan():
     res = generate(dgp_preset("randomized", c=80, n_c=6), 21)
     d = res.dataset
-    ad, nu, a = pipeline(d, seed=5)
+    nu, a = pipeline(d, seed=5)
     for arm in (0, 1):
         for q in (0.1, 0.5, 0.9):
             got = qte_estimate(d, nu, a, q, arm)
@@ -292,7 +315,7 @@ def test_qte_matches_exhaustive_scan():
 def test_qte_is_an_observed_outcome_and_shifts():
     res = generate(dgp_preset("randomized", c=60, n_c=5), 8)
     d = res.dataset
-    ad, nu, a = pipeline(d, seed=3)
+    nu, a = pipeline(d, seed=3)
     q_hat = qte_estimate(d, nu, a, 0.5, arm=1)
     assert q_hat in set(d.y[(d.w == 1) & (a == 1)].tolist())
     labels = [d.cluster_labels[i] for i in d.cluster_index]
@@ -304,7 +327,7 @@ def test_qte_is_an_observed_outcome_and_shifts():
 def test_qte_input_errors():
     res = generate(dgp_preset("randomized", c=20, n_c=4), 2)
     d = res.dataset
-    ad, nu, a = pipeline(d, seed=2, L=2)
+    nu, a = pipeline(d, seed=2, L=2)
     with pytest.raises(InputError):
         qte_estimate(d, nu, a, 1.5, arm=1)
     with pytest.raises(InputError):
@@ -352,6 +375,14 @@ def test_unbalanced_panel_rejected():
     time2[0] = time2[4]
     with pytest.raises(UnbalancedPanelError):
         make_panel(y, w, x, unit2, time2)
+
+
+def test_panel_label_lengths_must_match_rows():
+    y, w, x, unit, time = random_panel(seed=11)
+    with pytest.raises(InputError, match="mismatched"):
+        make_panel(y, w, x, unit[:-1], time)
+    with pytest.raises(InputError, match="mismatched"):
+        make_panel(y, w, x, unit, list(time) + [0])
 
 
 def test_panel_labels_may_be_strings():

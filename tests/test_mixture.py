@@ -52,7 +52,7 @@ def test_posterior_rows_sum_to_one_and_match_oracle():
     res = separated(seed=3)
     d = res.dataset
     m = em_fit(d, p=2, seed=1, restarts=3)
-    post = posterior_suffstat(m, d).cluster_posterior
+    post = posterior_suffstat(m, d)
     assert np.max(np.abs(post.sum(axis=1) - 1.0)) < 1e-12
     cells = {cell: i for i, cell in enumerate(m.support)}
     for cid in range(min(d.c, 10)):
@@ -83,7 +83,7 @@ def test_posterior_concentration_grows_with_cluster_size():
     for n_c in (2, 5, 20):
         res = separated(seed=5, c=80, n_c=n_c)
         m = em_fit(res.dataset, p=2, seed=7, restarts=3)
-        post = posterior_suffstat(m, res.dataset).cluster_posterior
+        post = posterior_suffstat(m, res.dataset)
         sharpness.append(post.max(axis=1).mean())
     assert sharpness[0] < sharpness[1] < sharpness[2]
     assert sharpness[2] > 0.95
@@ -122,15 +122,15 @@ def test_posterior_bridge_into_estimation():
     res = separated(seed=8, c=80, n_c=20)
     d = res.dataset
     m = em_fit(d, p=2, seed=2, restarts=3)
-    ad = augment_with_posterior(d, m)
-    assert ad.s_bar.shape == (d.n, 1)  # p - 1 columns
+    s_bar = augment_with_posterior(d, m)
+    assert s_bar.shape == (d.n, 1)  # p - 1 columns
     # summary constant within cluster
     for cid in range(5):
         rows = np.flatnonzero(d.cluster_index == cid)
-        assert np.ptp(ad.s_bar[rows, 0]) == 0.0
+        assert np.ptp(s_bar[rows, 0]) == 0.0
     folds = cross_fit_folds(d.c, 3, seed=4)
-    nu = fit_nuisances(ad, d, folds)
+    nu = fit_nuisances(d, s_bar, folds)
     a = overlap_set(nu.e, 0.05)
-    out = dr_estimate(d, ad.with_mask(a), nu, eta=0.05)
+    out = dr_estimate(d, nu, a, eta=0.05)
     # the design has a constant effect of 1
     assert abs(out.tau_hat - 1.0) < 5 * out.se + 0.1

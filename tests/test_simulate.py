@@ -1,6 +1,10 @@
 """Data-generating presets and the Monte Carlo driver."""
 
+import ast
+import inspect
+import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ import pytest
 from clusterdr import (
     EstimatorConfig,
     InputError,
+    NuisanceConfig,
     PRESET_NAMES,
     StatSpec,
     Term,
@@ -15,6 +20,7 @@ from clusterdr import (
     generate,
     monte_carlo,
 )
+from clusterdr.simulate import _run_one_rep
 
 
 def test_all_presets_generate():
@@ -126,6 +132,52 @@ def test_custom_statspec_flows_through():
     rep = monte_carlo(cfg, EstimatorConfig(method="dr", statspec=spec, L=3),
                       reps=3, seed=7)
     assert not rep.failures
+
+
+@pytest.mark.parametrize("method", ["dr", "qte-diff", "weighted-fe"])
+def test_empty_statspec_means_no_summary_columns(method):
+    # An empty spec is a design with zero summary columns, not a request
+    # for the default treatment-and-covariate means.
+    cfg = dgp_preset("mundlak-linear", c=30, n_c=5)
+
+    def run(**est):
+        return monte_carlo(cfg, EstimatorConfig(method=method, L=3, **est),
+                           reps=3, seed=2)
+
+    empty = run(statspec=StatSpec(terms=()))
+    no_columns = run(nuisance=NuisanceConfig(outcome_use_summaries=False,
+                                             propensity_use_summaries=False))
+    assert not empty.failures
+    assert np.array_equal(empty.tau_hat, no_columns.tau_hat)
+    assert np.array_equal(empty.se, no_columns.se, equal_nan=True)
+    assert not np.array_equal(empty.tau_hat, run().tau_hat)
+
+
+def dispatched_methods():
+    """The string constants ``_run_one_rep`` compares ``method`` with."""
+    tree = ast.parse(inspect.getsource(_run_one_rep))
+    return {
+        const.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and isinstance(node.left, ast.Name) and node.left.id == "method"
+        for const in node.comparators if isinstance(const, ast.Constant)
+    }
+
+
+def test_config_schema_names_the_library_presets_and_methods():
+    schema = json.loads(resources.files("clusterdr").joinpath(
+        "schemas", "simulate.config.json").read_text())["properties"]
+    assert schema["preset"]["enum"] == list(PRESET_NAMES)
+    methods = schema["estimator"]["properties"]["method"]["enum"]
+    assert set(methods) == dispatched_methods()
+    cfg = dgp_preset("mundlak-linear", c=12, n_c=5)
+    for method in methods:
+        rep = monte_carlo(cfg, EstimatorConfig(method=method, L=2), reps=1,
+                          seed=0)
+        assert not rep.failures, method
+    with pytest.raises(InputError, match="every rep failed"):
+        monte_carlo(cfg, EstimatorConfig(method="bogus", L=2), reps=1, seed=0)
 
 
 def test_per_rep_csv(tmp_path):

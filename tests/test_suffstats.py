@@ -47,35 +47,35 @@ def test_two_unit_cluster_means():
     d = Dataset(np.array([0.0, 0.0]), np.array([1, 0]),
                 np.array([[2.0], [4.0]]), ["c", "c"])
     spec = StatSpec(terms=(Term("treatment-mean"), Term("covariate-mean", j=0)))
-    ad = build_suffstats(d, spec)
-    assert ad.s_bar[0].tolist() == [0.5, 3.0]
-    assert ad.s_bar[1].tolist() == [0.5, 3.0]
+    s_bar = build_suffstats(d, spec)
+    assert s_bar[0].tolist() == [0.5, 3.0]
+    assert s_bar[1].tolist() == [0.5, 3.0]
 
 
 def test_own_unit_is_included():
     d = Dataset(np.array([0.0]), np.array([1]), np.array([[7.0]]), ["solo"])
-    ad = build_suffstats(d, mundlak_spec(1))
-    assert ad.s_bar[0].tolist() == [1.0, 7.0]
+    s_bar = build_suffstats(d, mundlak_spec(1))
+    assert s_bar[0].tolist() == [1.0, 7.0]
 
 
 def test_against_double_loop_oracle():
     d = random_dataset(seed=3)
     spec = full_kind_spec()
-    ad = build_suffstats(d, spec)
+    s_bar = build_suffstats(d, spec)
     term_values = np.column_stack([t.unit_values(d) for t in spec.terms])
     cluster_ids = [d.cluster_labels[i] for i in d.cluster_index]
     want = oracles.naive_suffstat_means(cluster_ids, term_values)
-    assert np.max(np.abs(ad.s_bar - want)) < 1e-12
+    assert np.max(np.abs(s_bar - want)) < 1e-12
 
 
 def test_within_cluster_constancy_is_exact():
     d = random_dataset(seed=4)
-    ad = build_suffstats(d, full_kind_spec())
+    s_bar = build_suffstats(d, full_kind_spec())
     for cid in range(d.c):
         rows = np.flatnonzero(d.cluster_index == cid)
-        first = ad.s_bar[rows[0]]
+        first = s_bar[rows[0]]
         for r in rows[1:]:
-            assert np.array_equal(ad.s_bar[r], first)
+            assert np.array_equal(s_bar[r], first)
 
 
 def test_mundlak_spec_order_and_names():
@@ -135,10 +135,10 @@ def test_registered_transform_used_in_spec():
     register_transform("abs-x0", lambda x, w: np.abs(x[:, 0]))
     d = Dataset(np.zeros(2), np.array([0, 1]),
                 np.array([[-2.0], [4.0]]), ["a", "a"])
-    ad = build_suffstats(
+    s_bar = build_suffstats(
         d, StatSpec(terms=(Term("custom-transform", tag="abs-x0"),))
     )
-    assert ad.s_bar[:, 0].tolist() == [3.0, 3.0]
+    assert s_bar[:, 0].tolist() == [3.0, 3.0]
     # and the tag survives serialization
     spec = StatSpec(terms=(Term("custom-transform", tag="abs-x0"),))
     assert StatSpec.from_json(spec.to_json()) == spec
@@ -148,12 +148,8 @@ def test_overlap_set_rule_and_override():
     e = np.array([0.01, 0.05, 0.06, 0.5, 0.94, 0.95, 0.99])
     a = overlap_set(e)  # default threshold 0.05
     assert a.tolist() == [0, 0, 1, 1, 1, 0, 0]
-    forced = overlap_set(e, mask=np.array([1, 1, 0, 0, 0, 1, 1]))
-    assert forced.tolist() == [1, 1, 0, 0, 0, 1, 1]
     with pytest.raises(InputError):
         overlap_set(e, eta=0.7)
-    with pytest.raises(InputError):
-        overlap_set(e, mask=np.array([1, 2, 0, 0, 0, 0, 0]))
 
 
 def test_overlap_set_eta_none_keeps_every_unit():
@@ -175,14 +171,3 @@ def test_overlap_monotone_in_threshold(eta1, eta2, seed):
     narrow = overlap_set(e, eta=hi)
     # tightening the threshold can only remove units
     assert np.all(narrow <= wide)
-
-
-def test_mask_attach_and_a_bar():
-    d = random_dataset(seed=9, n=10)
-    ad = build_suffstats(d, mundlak_spec(d.k))
-    assert ad.a_bar == 1.0
-    masked = ad.with_mask(np.array([1, 0] * 5))
-    assert masked.a_bar == 0.5
-    assert ad.a_bar == 1.0  # original untouched
-    with pytest.raises(InputError):
-        ad.with_mask(np.ones(3))
