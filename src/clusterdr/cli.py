@@ -337,6 +337,11 @@ def cmd_select(args) -> int:
             lambda_min_ratio=cfg["lambda_min_ratio"],
             stop_after_k=cfg["stop_after_k"],
         )
+    unconverged = ", ".join(f"{pt.lam:.6g}" for pt in res.path
+                            if not pt.converged)
+    if unconverged:
+        print(f"warning: selector did not converge at λ={unconverged} "
+              f"within max_sweeps={cfg['max_sweeps']} steps", file=sys.stderr)
     names = [t.name for t in cand.terms]
     sel_spec = StatSpec(terms=tuple(cand.terms[j] for j in res.selected))
 
@@ -606,7 +611,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         "penalty")
     p.add_argument("--stop-after-k", dest="stop_after_k", type=int,
                    help="stop the path once this many candidates are active")
-    p.add_argument("--tol", type=float, help="coordinate-descent tolerance")
+    p.add_argument("--tol", type=float,
+                   help="largest coefficient move that ends a penalty "
+                        "level's fit")
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("mixture",

@@ -347,11 +347,12 @@ def write_csv(d: Dataset, path, schema: Optional[CsvSchema] = None) -> None:
             [schema.outcome, schema.treatment, schema.cluster] + covariates
         )
         labels = d.cluster_labels
-        for i in range(d.n):
-            writer.writerow(
-                [repr(float(d.y[i])), int(d.w[i]), labels[d.cluster_index[i]]]
-                + [repr(float(v)) for v in d.x[i]]
-            )
+        writer.writerows(zip(
+            map(repr, d.y.tolist()),
+            d.w.tolist(),
+            map(labels.__getitem__, d.cluster_index.tolist()),
+            *(map(repr, col) for col in d.x.T.tolist()),
+        ))
 
 
 def validate(d: Dataset) -> ValidationReport:

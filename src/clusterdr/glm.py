@@ -11,7 +11,7 @@ so of two duplicated columns the later one goes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -312,11 +312,20 @@ def cross_fit_folds(c: int, L: int, seed: int) -> FoldAssignment:
 
 @dataclass(frozen=True)
 class PathPoint:
-    """Selection state at one penalty level."""
+    """Selection state at one penalty level.
+
+    ``coefficients`` is the (1 + q, m) fit on the standardized
+    candidates: row 0 holds the intercepts of the m non-reference
+    clusters, row 1 + j candidate j's block. ``converged`` is False when the fit hit the iteration cap;
+    ``iterations`` counts its steps (0 at or above ``lambda_max``).
+    """
 
     lam: float
     selected: tuple
     group_norms: np.ndarray
+    coefficients: np.ndarray
+    converged: bool
+    iterations: int
 
 
 @dataclass(frozen=True)
@@ -326,7 +335,8 @@ class GroupLassoResult:
     ``selected`` holds candidate indices with a nonzero coefficient
     block at the requested penalty (or the smallest grid penalty when
     only a grid was given). ``path`` records the selection at each grid
-    point from largest penalty down.
+    point from largest penalty down. ``converged`` is True when every
+    path point converged; ``iterations`` sums their steps.
     """
 
     selected: tuple
@@ -334,100 +344,76 @@ class GroupLassoResult:
     lam: float
     path: tuple
     lambda_max: float
+    converged: bool
+    iterations: int
 
 
-class _MultinomialState:
-    """Cyclic block updates for the group-penalized multinomial fit.
+def _softmax(x: np.ndarray, coef: np.ndarray, prob: np.ndarray) -> None:
+    """Write the non-reference class probabilities at ``coef`` into the
+    (n, m) array ``prob``; the reference class has linear predictor 0."""
+    np.matmul(x, coef, out=prob)
+    top = np.maximum(prob.max(axis=1), 0.0)
+    prob -= top[:, None]
+    np.exp(prob, out=prob)
+    prob /= (prob.sum(axis=1) + np.exp(-top))[:, None]
 
-    Candidate j's coefficients across the non-reference categories form
-    one block; a block proximal step with a per-block curvature bound
-    either soft-thresholds the whole block or zeroes it exactly. The
-    intercept block is never penalized. Each step decreases the
-    penalized objective, so selection sets are reproducible.
+
+def _bregman(prob: np.ndarray, delta: np.ndarray) -> float:
+    """``f(y + d) - f(y) - <grad f(y), d>`` for the multinomial loss f,
+    from the probabilities at y and ``delta = x @ d`` (overwritten).
+
+    Each row gives ``log1p(sum_k p_k expm1(delta_k)) - p . delta``, which
+    stays accurate for tiny d, where a difference of two losses would
+    be lost to rounding.
     """
+    linear = float(np.vdot(prob, delta))
+    np.expm1(delta, out=delta)
+    delta *= prob
+    return float(np.sum(np.log1p(delta.sum(axis=1)))) - linear
 
-    def __init__(self, f: np.ndarray, y_onehot: np.ndarray):
-        self.f = f
-        self.y = y_onehot
-        self.n, self.q = f.shape
-        self.m = y_onehot.shape[1]  # categories minus reference
-        self.b0 = np.zeros(self.m)
-        self.b = np.zeros((self.q, self.m))
-        self.eta = np.zeros((self.n, self.m))
-        # Curvature bounds: multinomial Hessian blocks are dominated by
-        # (1/2) * column squared norm.
-        self.lip0 = self.n / 2.0
-        self.lip = np.maximum(np.sum(f * f, axis=0) / 2.0, 1e-12)
 
-    def _probs(self) -> np.ndarray:
-        top = np.max(self.eta, axis=1, keepdims=True)
-        top = np.maximum(top, 0.0)
-        ez = np.exp(self.eta - top)
-        denom = np.exp(-top[:, 0]) + ez.sum(axis=1)
-        return ez / denom[:, None]
+def _fista(x, coef, lam, xty, prob, delta, step, min_step, tol, max_iter):
+    """Minimize the multinomial loss plus ``lam`` times the candidate
+    block norms, warm-started at ``coef``, by FISTA with backtracking
+    (Beck & Teboulle 2009).
 
-    def objective(self, lam: float) -> float:
-        top = np.maximum(np.max(self.eta, axis=1), 0.0)
-        lse = top + np.log(
-            np.exp(-top) + np.sum(np.exp(self.eta - top[:, None]), axis=1)
-        )
-        fit_term = float(np.sum(lse) - np.sum(self.eta * self.y))
-        return fit_term + lam * float(
-            np.sum(np.linalg.norm(self.b, axis=1))
-        )
-
-    def sweep(self, lam: float, blocks=None) -> float:
-        """One pass over the given blocks (all of them by default);
-        returns the largest coefficient move."""
-        biggest = 0.0
-        resid = self._probs() - self.y
-        g0 = resid.sum(axis=0)
-        delta0 = -g0 / self.lip0
-        self.b0 += delta0
-        self.eta += delta0[None, :]
-        biggest = max(biggest, float(np.max(np.abs(delta0))))
-        for j in (range(self.q) if blocks is None else blocks):
-            resid = self._probs() - self.y
-            g = self.f[:, j] @ resid
-            z = self.b[j] - g / self.lip[j]
-            zn = float(np.linalg.norm(z))
-            thr = lam / self.lip[j]
-            if zn <= thr:
-                new = np.zeros(self.m)
-            else:
-                new = (1.0 - thr / zn) * z
-            delta = new - self.b[j]
-            move = float(np.max(np.abs(delta)))
-            if move > 0.0:
-                self.eta += np.outer(self.f[:, j], delta)
-                self.b[j] = new
-            biggest = max(biggest, move)
-        return biggest
-
-    def fit(self, lam: float, tol: float, max_sweeps: int) -> None:
-        """Descend to tolerance with an active-set schedule.
-
-        Full passes decide which blocks enter (the optimality check for
-        blocks at zero); between full passes only the nonzero blocks
-        are iterated, since the others keep exact zeros until a full
-        pass moves them. Finishes only on a converged full pass.
-        """
-        sweeps = 0
-        while sweeps < max_sweeps:
-            move = self.sweep(lam)
-            sweeps += 1
-            if move < tol:
-                return
-            active = [j for j in range(self.q) if np.any(self.b[j] != 0.0)]
-            if len(active) == self.q:
-                continue
-            while sweeps < max_sweeps:
-                if self.sweep(lam, blocks=active) < tol:
-                    break
-                sweeps += 1
-
-    def group_norms(self) -> np.ndarray:
-        return np.linalg.norm(self.b, axis=1)
+    Each iteration takes one softmax at the extrapolated point, tries a
+    step 1.25 times the last one, and halves it (not below
+    ``min_step``, where the bound always holds) until the quadratic
+    upper bound holds after the block soft-threshold. Momentum restarts
+    when a step turns against the last move (O'Donoghue & Candes 2015).
+    ``xty`` is ``x.T @ Y`` for the one-hot labels Y. Stops when no
+    coefficient moves by ``tol``; returns (coef, step, converged, steps).
+    """
+    prev = coef
+    theta = 1.0
+    for it in range(1, max_iter + 1):
+        theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
+        y = coef + ((theta - 1.0) / theta_next) * (coef - prev)
+        theta = theta_next
+        _softmax(x, y, prob)
+        grad = x.T @ prob - xty
+        step *= 1.25
+        while True:
+            z = y - step * grad
+            norms = np.linalg.norm(z[1:], axis=1)
+            shrink = np.zeros_like(norms)
+            live = norms > step * lam
+            shrink[live] = 1.0 - step * lam / norms[live]
+            z[1:] *= shrink[:, None]
+            d = z - y
+            np.matmul(x, d, out=delta)
+            if (step == min_step
+                    or _bregman(prob, delta) <= np.vdot(d, d) / (2.0 * step)):
+                break
+            step = max(0.5 * step, min_step)
+        if np.vdot(y - z, z - coef) > 0.0:
+            theta = 1.0
+        move = float(np.max(np.abs(z - coef)))
+        prev, coef = coef, z
+        if move < tol:
+            return coef, step, True, it
+    return coef, step, False, max_iter
 
 
 def multinomial_group_lasso(
@@ -451,9 +437,14 @@ def multinomial_group_lasso(
     Features are centered and scaled internally.
 
     Pass ``lam`` for a single fit, ``lambda_grid`` (descending) for a
-    path, or neither to use an automatic geometric grid from the
-    smallest penalty that zeroes everything. With ``stop_after_k`` the
-    path stops early once that many candidates are active.
+    path, or neither to use an automatic geometric grid from
+    ``lambda_max``, the smallest penalty that zeroes everything. With
+    ``stop_after_k`` the path stops early once that many candidates are
+    active. At or above ``lambda_max`` the fit is the exact all-zero
+    one with intercepts ``log(n_k / n_ref)``. Below it, each penalty is
+    fit by FISTA, warm-started from the previous one, until no
+    coefficient moves by ``tol`` in a step or ``max_sweeps`` steps are
+    taken; a fit stopped by the cap has ``converged=False``.
     """
     f = _as_design(features)
     n, q = f.shape
@@ -468,30 +459,28 @@ def multinomial_group_lasso(
         raise InputError("lambda must be >= 0")
 
     # Standardize candidates; a constant column becomes all-zero and
-    # can never be selected.
+    # can never be selected. Column 0 of x is the intercept.
     mu = f.mean(axis=0)
     sd = f.std(axis=0)
     sd[sd == 0.0] = 1.0
-    f_std = (f - mu) / sd
+    x = np.column_stack([np.ones(n), (f - mu) / sd])
 
     ref = n_cat - 1
-    y_onehot = np.zeros((n, n_cat - 1))
-    non_ref = dense != ref
-    y_onehot[np.flatnonzero(non_ref), dense[non_ref]] = 1.0
+    rows = np.flatnonzero(dense != ref)
+    prob = np.zeros((n, ref))
+    prob[rows, dense[rows]] = 1.0
+    xty = x.T @ prob
+    delta = np.empty_like(prob)
 
-    state = _MultinomialState(f_std, y_onehot)
-    # Intercept-only fit to find the smallest all-zero penalty.
-    for _ in range(200):
-        resid = state._probs() - y_onehot
-        g0 = resid.sum(axis=0)
-        if np.max(np.abs(g0)) < 1e-8 * n:
-            break
-        delta0 = -g0 / state.lip0
-        state.b0 += delta0
-        state.eta += delta0[None, :]
-    resid = state._probs() - y_onehot
-    grad_norms = np.linalg.norm(f_std.T @ resid, axis=1)
-    lambda_max = float(grad_norms.max()) if q else 0.0
+    # With free intercepts only, the multinomial MLE matches the class
+    # frequencies.
+    counts = np.bincount(dense)
+    null = np.zeros((1 + q, ref))
+    null[0] = np.log(counts[:ref] / counts[ref])
+    _softmax(x, null, prob)
+    prob[rows, dense[rows]] -= 1.0
+    grad_norms = np.linalg.norm(x[:, 1:].T @ prob, axis=1)
+    lambda_max = float(grad_norms.max(initial=0.0))
 
     if lambda_grid is not None:
         grid = [float(v) for v in lambda_grid]
@@ -499,37 +488,44 @@ def multinomial_group_lasso(
             raise InputError("lambda grid values must be >= 0")
         grid = sorted(grid, reverse=True)
     elif lam is not None:
-        grid = [v for v in np.geomspace(
+        grid = list(np.geomspace(
             max(lambda_max, lam, 1e-12), max(lam, 1e-12), num=8
-        )]
+        ))
         if grid[-1] != lam:
             grid.append(lam)
     else:
         hi = max(lambda_max, 1e-12)
         grid = list(np.geomspace(hi, hi * lambda_min_ratio, num=n_lambdas))
 
+    # 1/L for L = ||x||_F^2 / 2, a bound on the loss's curvature.
+    step = min_step = 2.0 / float(np.vdot(x, x))
+    coef = null
     path = []
     for lam_k in grid:
-        state.fit(lam_k, tol, max_sweeps)
-        norms = state.group_norms()
+        if lam_k >= lambda_max:
+            coef, converged, iters = null, True, 0
+        else:
+            coef, step, converged, iters = _fista(
+                x, coef, lam_k, xty, prob, delta, step, min_step, tol,
+                max_sweeps,
+            )
+        norms = np.linalg.norm(coef[1:], axis=1)
         sel = tuple(int(j) for j in np.flatnonzero(norms > 0.0))
         path.append(PathPoint(lam=float(lam_k), selected=sel,
-                              group_norms=norms.copy()))
+                              group_norms=norms, coefficients=coef,
+                              converged=converged, iterations=iters))
         if stop_after_k is not None and len(sel) >= stop_after_k:
             break
 
+    final = path[-1]
     if lam is not None:
-        final = path[-1]
-        for point in path:
-            if point.lam == lam:
-                final = point
-                break
-    else:
-        final = path[-1]
+        final = next((point for point in path if point.lam == lam), final)
     return GroupLassoResult(
         selected=final.selected,
         group_norms=final.group_norms,
         lam=final.lam,
         path=tuple(path),
         lambda_max=lambda_max,
+        converged=all(point.converged for point in path),
+        iterations=sum(point.iterations for point in path),
     )

@@ -218,3 +218,46 @@ def setdefault_ids(labels):
     mapping = {}
     ids = [mapping.setdefault(lab, len(mapping)) for lab in labels]
     return ids, len(mapping)
+
+
+def rowwise_write_csv(d, path, header):
+    """Row-by-row CSV writer: the header, then per unit the outcome's
+    repr, the arm, the cluster label and each covariate's repr."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        labels = d.cluster_labels
+        for i in range(d.n):
+            writer.writerow(
+                [repr(float(d.y[i])), int(d.w[i]), labels[d.cluster_index[i]]]
+                + [repr(float(v)) for v in d.x[i]]
+            )
+
+
+def multinomial_gradient(features, labels, coefficients):
+    """Gradient of the multinomial negative log-likelihood with respect to
+    the stacked (1 + q, m) coefficients, with dense one-hot labels.
+
+    Features are centered and divided by their population standard
+    deviation (1 for a constant column), an intercept column goes first,
+    and the last label in first-appearance order is the reference class
+    with linear predictor 0.
+    """
+    f = np.asarray(features, dtype=float)
+    n, q = f.shape
+    sd = f.std(axis=0)
+    sd[sd == 0.0] = 1.0
+    x = np.ones((n, 1 + q))
+    x[:, 1:] = (f - f.mean(axis=0)) / sd
+    order = []
+    for lab in labels:
+        if lab not in order:
+            order.append(lab)
+    onehot = np.zeros((n, len(order)))
+    for i, lab in enumerate(labels):
+        onehot[i, order.index(lab)] = 1.0
+    eta = np.zeros((n, len(order)))
+    eta[:, :-1] = x @ coefficients
+    prob = np.exp(eta - eta.max(axis=1, keepdims=True))
+    prob /= prob.sum(axis=1, keepdims=True)
+    return x.T @ (prob - onehot)[:, :-1]

@@ -201,6 +201,23 @@ def test_select_output_feeds_estimate(demo_csv, workdir):
     assert body["statspec"] == sel
 
 
+def test_select_unconverged_fit_warns_body_unchanged(demo_csv, workdir,
+                                                     capsys):
+    (workdir / "cap.json").write_text(json.dumps({"max_sweeps": 1}))
+    args = ["select", "--data", str(demo_csv), "--stop-after-k", "2"]
+    assert main(args + ["--config", "cap.json",
+                        "--output", "capped.json"]) == 0
+    assert ("warning: selector did not converge at λ="
+            in capsys.readouterr().err)
+    assert main(args + ["--output", "full.json"]) == 0
+    assert "did not converge" not in capsys.readouterr().err
+    capped = read_report(workdir / "capped.json")["body"]
+    full = read_report(workdir / "full.json")["body"]
+    assert capped.keys() == full.keys()
+    assert [p.keys() for p in capped["path"]] == [
+        p.keys() for p in full["path"][:len(capped["path"])]]
+
+
 def test_select_empty_candidates_exit_one(demo_csv, workdir, capsys):
     cand = workdir / "cand.json"
     cand.write_text(json.dumps({"terms": []}))

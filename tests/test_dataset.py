@@ -191,6 +191,32 @@ def test_intern_labels_matches_loop_oracle(pool, picks):
     assert again.tolist() == want_ids
 
 
+_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 5e-324, 0.1, 1e300]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(min_value=1, max_value=12),
+       k=st.integers(min_value=0, max_value=3))
+def test_write_csv_matches_row_loop_oracle(tmp_path_factory, data, n, k):
+    y = data.draw(st.lists(st.one_of(_CELLS, st.just(math.nan)),
+                           min_size=n, max_size=n))
+    w = data.draw(st.lists(st.integers(min_value=0, max_value=1),
+                           min_size=n, max_size=n))
+    x = data.draw(st.lists(st.lists(_CELLS, min_size=k, max_size=k),
+                           min_size=n, max_size=n))
+    labels = data.draw(st.lists(_LABELS, min_size=n, max_size=n))
+    d = Dataset(np.array(y), np.array(w), np.array(x).reshape(n, k), labels)
+    out = tmp_path_factory.mktemp("csv")
+    got, want = out / "columns.csv", out / "rows.csv"
+    write_csv(d, got)
+    header = ["y", "w", "cluster"] + [f"x{j + 1}" for j in range(k)]
+    oracles.rowwise_write_csv(d, want, header)
+    assert got.read_bytes() == want.read_bytes()
+
+
 def test_validate_scales_to_many_clusters():
     # One unit per cluster: every cluster draws two warnings.
     n = 200_000

@@ -1,6 +1,7 @@
 """Least squares, logistic fits, folds, and the group-penalized selector."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -11,8 +12,11 @@ from clusterdr import (
     EstimationError,
     InputError,
     cross_fit_folds,
+    dgp_preset,
+    generate,
     logistic_fit,
     multinomial_group_lasso,
+    mundlak_spec,
     predict_proba,
     wls_fit,
 )
@@ -308,14 +312,25 @@ def test_signal_enters_before_noise():
     assert first_sel == (0,)
 
 
+def sparse_relevant(c, seed):
+    """The select benchmark's problem: Mundlak candidates of a
+    ``sparse-relevant`` draw; candidates 0 and 1 are the relevant ones."""
+    d = generate(dgp_preset("sparse-relevant", c=c), seed).dataset
+    terms = mundlak_spec(d.k).terms
+    feats = np.column_stack([t.unit_values(d) for t in terms])
+    return feats, d.cluster_index
+
+
 def test_path_is_decreasing_in_lambda():
-    f, labels = selection_problem(seed=2)
-    res = multinomial_group_lasso(f, labels)
-    lams = [p.lam for p in res.path]
-    assert all(a > b for a, b in zip(lams, lams[1:]))
-    assert res.path[0].lam == pytest.approx(res.lambda_max)
-    # at the top of the path nothing is selected
-    assert res.path[0].selected == ()
+    for (f, labels), kwargs in [(selection_problem(seed=2), {}),
+                                (sparse_relevant(60, 1), {"stop_after_k": 2})]:
+        res = multinomial_group_lasso(f, labels, **kwargs)
+        lams = [p.lam for p in res.path]
+        assert all(a > b for a, b in zip(lams, lams[1:]))
+        assert res.path[0].lam == pytest.approx(res.lambda_max)
+        # at the top of the path nothing is selected
+        assert res.path[0].selected == ()
+        assert not np.any(res.path[0].coefficients[1:])
 
 
 def test_string_labels_accepted():
@@ -333,3 +348,71 @@ def test_selector_input_errors():
         multinomial_group_lasso(f, labels, lam=-1.0)
     with pytest.raises(InputError):
         multinomial_group_lasso(f, np.zeros(f.shape[0]), lam=1.0)
+
+
+def test_closed_form_intercepts_are_class_log_odds():
+    f, labels = selection_problem(seed=4)
+    keep = (labels != 1) | (np.arange(labels.size) % 3 != 0)
+    f, labels = f[keep], labels[keep]
+    counts = np.bincount(labels)
+    res = multinomial_group_lasso(f, labels, lam=1e9)
+    coef = res.path[-1].coefficients
+    assert np.allclose(coef[0], np.log(counts[:-1] / counts[-1]),
+                       rtol=0, atol=1e-12)
+    assert not np.any(coef[1:])
+    grad = oracles.multinomial_gradient(f, labels.tolist(), coef)
+    assert np.max(np.abs(grad[0])) < 1e-9 * labels.size
+    # lambda_max is the largest candidate gradient norm at that fit
+    assert res.lambda_max == pytest.approx(
+        np.linalg.norm(grad[1:], axis=1).max(), rel=1e-10)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       q=st.integers(min_value=1, max_value=4),
+       n_cat=st.integers(min_value=2, max_value=4),
+       ratio=st.sampled_from([0.5, 0.2, 0.05]))
+def test_fits_satisfy_kkt_conditions(seed, q, n_cat, ratio):
+    rng = np.random.default_rng(seed)
+    labels = rng.permutation(np.arange(10 * n_cat) % n_cat)
+    f = rng.standard_normal((labels.size, q))
+    f[:, 0] += 0.7 * labels
+    res = multinomial_group_lasso(f, labels, n_lambdas=4,
+                                  lambda_min_ratio=ratio, tol=1e-9,
+                                  max_sweeps=20_000)
+    assert res.converged
+    for point in res.path:
+        lam, coef = point.lam, point.coefficients
+        grad = oracles.multinomial_gradient(f, labels.tolist(), coef)
+        small = 1e-5 * (1.0 + lam)
+        assert np.max(np.abs(grad[0])) < small
+        for j, block in enumerate(coef[1:]):
+            norm = np.linalg.norm(block)
+            assert (norm > 0.0) == (j in point.selected)
+            if norm == 0.0:
+                assert np.linalg.norm(grad[1 + j]) <= lam * (1.0 + 1e-6)
+            else:
+                assert np.linalg.norm(grad[1 + j] + lam * block / norm) < small
+
+
+def test_iteration_cap_is_reported():
+    f, labels = selection_problem(seed=2)
+    res = multinomial_group_lasso(f, labels, n_lambdas=4, max_sweeps=1)
+    assert not res.converged
+    assert res.path[0].converged and res.path[0].iterations == 0
+    assert all(not p.converged and p.iterations == 1 for p in res.path[1:])
+    assert res.iterations == len(res.path) - 1
+    full = multinomial_group_lasso(f, labels, n_lambdas=4)
+    assert full.converged and all(p.converged for p in full.path)
+    assert full.iterations == sum(p.iterations for p in full.path)
+
+
+@pytest.mark.slow
+def test_selector_scales_to_120_clusters():
+    f, labels = sparse_relevant(120, 1)
+    start = time.perf_counter()
+    res = multinomial_group_lasso(f, labels, stop_after_k=2)
+    elapsed = time.perf_counter() - start
+    assert set(res.selected) == {0, 1}
+    assert res.converged
+    assert elapsed < 30.0
