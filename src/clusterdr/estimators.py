@@ -267,22 +267,29 @@ def _size_dummies(d: Dataset) -> np.ndarray:
                             for s in sizes[1:]])
 
 
-def _outcome_design(d: Dataset, s_bar: np.ndarray, w: np.ndarray,
-                    cfg: NuisanceConfig, size_cols: np.ndarray,
-                    rows=slice(None)) -> np.ndarray:
-    """Outcome design at treatment ``w`` for the units selected by
-    ``rows`` (all of them by default)."""
-    x, s_bar = d.x[rows], s_bar[rows]
-    parts = [np.ones(w.shape[0]), w, x]
+def _outcome_system(d: Dataset, s_bar: np.ndarray, cfg: NuisanceConfig,
+                    size_cols: np.ndarray):
+    """``[design | y]`` for the outcome model at the observed treatment,
+    plus the treatment columns and, for each, the column it is w times
+    (the intercept for w itself), so a fit can be evaluated at w = 1
+    and w = 0 without building either design."""
+    w = d.w.astype(float)
+    t = s_bar.shape[1] if cfg.outcome_use_summaries else 0
+    parts = [np.ones(d.n), w, d.x]
     if cfg.outcome_use_summaries:
         parts.append(s_bar)
+    treat, parent = [1], [0]
     if cfg.outcome_interactions:
-        parts.append(x * w[:, None])
+        parts.append(d.x * w[:, None])
         if cfg.outcome_use_summaries:
             parts.append(s_bar * w[:, None])
+        first = 2 + d.k + t
+        treat += range(first, first + d.k + t)
+        parent += range(2, 2 + d.k + t)
     if cfg.size_indicators and size_cols.shape[1]:
-        parts.append(size_cols[rows])
-    return np.column_stack(parts)
+        parts.append(size_cols)
+    parts.append(d.y)
+    return np.column_stack(parts), np.array(treat), np.array(parent)
 
 
 def _propensity_design(d: Dataset, s_bar: np.ndarray, cfg: NuisanceConfig,
@@ -293,6 +300,46 @@ def _propensity_design(d: Dataset, s_bar: np.ndarray, cfg: NuisanceConfig,
     if cfg.size_indicators and size_cols.shape[1]:
         parts.append(size_cols)
     return np.column_stack(parts)
+
+
+def _guarded_cholesky(gram: np.ndarray, p: int):
+    """Upper Cholesky factor R of a Gram matrix, or None when the
+    factorization fails, is not finite, or one of its first ``p``
+    pivots is at or below ``1e-6 * max(largest column norm, 1)`` over
+    those columns."""
+    try:
+        r = np.linalg.cholesky(gram).T
+    except np.linalg.LinAlgError:
+        return None
+    col_norm = float(np.sqrt(np.diagonal(gram)[:p].max(initial=0.0)))
+    if (not np.all(np.isfinite(r))
+            or np.any(np.diagonal(r)[:p] <= 1e-6 * max(col_norm, 1.0))):
+        return None
+    return r
+
+
+def _gram_fit(gram: np.ndarray, m: np.ndarray, test: np.ndarray):
+    """Least squares on the training rows of ``m = [design | y]`` from
+    their Gram matrix, or None when :func:`_guarded_cholesky` declines.
+
+    The Cholesky factor R of ``gram`` goes to :func:`wls_fit` as the
+    system ``R[:, :p], R[:, p]``, which has the training rows' normal
+    equations and column norms. One corrected semi-normal step on the
+    training residual then recovers the accuracy the Gram squared away
+    (Bjorck 1996, *Numerical Methods for Least Squares Problems*). The
+    pivot guard means ``wls_fit`` drops nothing and the conditioning is
+    in the step's range.
+    """
+    p = gram.shape[0] - 1
+    r = _guarded_cholesky(gram, p)
+    if r is None:
+        return None
+    coef = wls_fit(r[:, :p], r[:, p]).coefficients
+    resid = m @ np.append(-coef, 1.0)
+    resid[test] = 0.0
+    rp = r[:p, :p]
+    coef += np.linalg.solve(rp, np.linalg.solve(rp.T, (m.T @ resid)[:p]))
+    return coef
 
 
 def fit_nuisances(
@@ -307,9 +354,17 @@ def fit_nuisances(
     ``d`` (see :func:`~clusterdr.suffstats.build_suffstats`). For every
     fold, models are trained on the units of all other folds and
     predicted on the held-out fold, so no unit's predictions use its
-    own cluster. The outcome model is fit once on both arms with
-    treatment in the design, then evaluated at w=1 and w=0. Raises when
-    a training fold contains only one treatment arm.
+    own cluster. Raises when a training fold contains only one
+    treatment arm.
+
+    The outcome model is fit once on both arms with treatment in the
+    design, then evaluated at w=1 and w=0. ``[design | y]`` is built
+    once and each fold's Gram matrix formed; a training Gram is the
+    total minus its fold's, and is solved by :func:`_gram_fit`. When
+    that declines, :func:`~clusterdr.glm.wls_fit` runs on the training
+    rows. Each fold's propensity fit starts from the previous fold's
+    coefficients, or from zero when that fit ran into separation or the
+    training design is rank deficient by the same pivot guard.
     """
     cfg = cfg or NuisanceConfig()
     if folds.fold_of_cluster.shape[0] != d.c:
@@ -324,13 +379,27 @@ def fit_nuisances(
         )
     w = d.w.astype(float)
     size_cols = _size_dummies(d)
-    design_w = _outcome_design(d, s_bar, w, cfg, size_cols)
+    m, treat, parent = _outcome_system(d, s_bar, cfg, size_cols)
+    p = m.shape[1] - 1
     design_e = _propensity_design(d, s_bar, cfg, size_cols)
+    q = design_e.shape[1]
 
     fold_of_unit = folds.fold_of_cluster[d.cluster_index]
+    grams = np.empty((folds.L, p + 1, p + 1))
+    grams_e = np.empty((folds.L, q, q))
+    for fold in range(folds.L):
+        test = fold_of_unit == fold
+        rows = m[test]
+        grams[fold] = rows.T @ rows
+        rows = design_e[test]
+        grams_e[fold] = rows.T @ rows
+    total = grams.sum(axis=0)
+    total_e = grams_e.sum(axis=0)
+
     mu0 = np.empty(d.n)
     mu1 = np.empty(d.n)
     e = np.empty(d.n)
+    start = None
     for fold in range(folds.L):
         test = fold_of_unit == fold
         train = ~test
@@ -339,16 +408,26 @@ def fit_nuisances(
             raise DegenerateDesignError(
                 f"training split for fold {fold} has a single treatment arm"
             )
-        ofit = wls_fit(design_w[train], d.y[train])
-        coef = ofit.coefficients
-        n_test = int(np.count_nonzero(test))
-        design_1 = _outcome_design(d, s_bar, np.ones(n_test), cfg, size_cols,
-                                   test)
-        design_0 = _outcome_design(d, s_bar, np.zeros(n_test), cfg,
-                                   size_cols, test)
-        mu1[test] = design_1 @ coef
-        mu0[test] = design_0 @ coef
-        pfit = logistic_fit(design_e[train], w_train, ridge=cfg.ridge)
+        coef = _gram_fit(total - grams[fold], m, test)
+        if coef is None:
+            coef = wls_fit(m[train, :p], m[train, p]).coefficients
+        # mu(w) = design(w) @ coef: at w = 0 the treatment columns
+        # vanish, at w = 1 each adds its coefficient to its parent's.
+        coef0 = coef.copy()
+        coef0[treat] = 0.0
+        coef1 = coef0.copy()
+        coef1[parent] += coef[treat]
+        rows = m[test, :p]
+        mu0[test] = rows @ coef0
+        mu1[test] = rows @ coef1
+        # A warm start keeps its component along any direction the
+        # training rows do not identify, so it is used only when their
+        # design has full column rank.
+        if _guarded_cholesky(total_e - grams_e[fold], q) is None:
+            start = None
+        pfit = logistic_fit(design_e[train], w_train, ridge=cfg.ridge,
+                            start=start)
+        start = None if pfit.separation_detected else pfit.coefficients
         e[test] = predict_proba(pfit, design_e[test])
 
     notes = (

@@ -95,6 +95,12 @@ def wls_fit(design, response, weights=None) -> WlsFit:
     coefficients. On the retained columns the weighted residuals are
     orthogonal to the design up to
     ``1e-8 * (1 + ||response||)``.
+
+    Any system with the same normal equations gives the same fit, so a
+    caller holding the Cholesky factor R of ``[A | b]``'s Gram matrix
+    may pass ``R[:, :p], R[:, p]`` instead of the rows: its column
+    norms, and hence the rank rule, are those of ``A``
+    (:func:`~clusterdr.estimators.fit_nuisances` does this per fold).
     """
     a = _as_design(design)
     b = np.asarray(response, dtype=float)
@@ -150,32 +156,36 @@ def wls_fit(design, response, weights=None) -> WlsFit:
 
 
 def _sigmoid(eta: np.ndarray) -> np.ndarray:
-    out = np.empty_like(eta)
-    pos = eta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-    ez = np.exp(eta[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    z = np.exp(-np.abs(eta))
+    return np.where(eta >= 0.0, 1.0, z) / (1.0 + z)
 
 
-def _penalized_loglik(eta, y, wt, beta, ridge) -> float:
-    # y*eta - log(1 + exp(eta)), stable via logaddexp
-    ll = float(np.sum(wt * (y * eta - np.logaddexp(0.0, eta))))
-    return ll - 0.5 * ridge * float(beta @ beta)
+def _prob_loglik(eta, y, wt, beta, ridge):
+    """Probabilities and penalized log-likelihood at ``eta`` from one
+    ``exp(-|eta|)``."""
+    z = np.exp(-np.abs(eta))
+    prob = np.where(eta >= 0.0, 1.0, z) / (1.0 + z)
+    # log(1 + exp(eta)) = max(eta, 0) + log1p(exp(-|eta|))
+    terms = y * eta - np.maximum(eta, 0.0) - np.log1p(z)
+    ll = float(wt @ terms) - 0.5 * ridge * float(beta @ beta)
+    return prob, ll
 
 
-def _irls(a, y, wt, tol, max_iter, ridge):
-    n, p = a.shape
-    beta = np.zeros(p)
-    eta = np.zeros(n)
+def _separated(prob) -> bool:
+    """A probability has left the open interval (1e-10, 1 - 1e-10)."""
+    return (prob.min(initial=1.0) <= _PROB_FLOOR
+            or prob.max(initial=0.0) >= 1.0 - _PROB_FLOOR)
+
+
+def _irls(a, y, wt, tol, max_iter, ridge, start):
+    p = a.shape[1]
+    beta = np.zeros(p) if start is None else start.copy()
+    prob, ll = _prob_loglik(a @ beta, y, wt, beta, ridge)
     separation = False
-    ll = _penalized_loglik(eta, y, wt, beta, ridge)
     max_abs_score = math.inf
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        prob = _sigmoid(eta)
-        if np.any(prob <= _PROB_FLOOR) or np.any(prob >= 1.0 - _PROB_FLOOR):
-            separation = True
+        separation = separation or _separated(prob)
         score = a.T @ (wt * (y - prob)) - ridge * beta
         max_abs_score = float(np.max(np.abs(score))) if p else 0.0
         if max_abs_score < tol:
@@ -194,14 +204,12 @@ def _irls(a, y, wt, tol, max_iter, ridge):
         for _ in range(40):
             beta_new = beta + scale * step
             eta_new = a @ beta_new
-            ll_new = _penalized_loglik(eta_new, y, wt, beta_new, ridge)
+            prob_new, ll_new = _prob_loglik(eta_new, y, wt, beta_new, ridge)
             if ll_new >= ll - 1e-12 * (1.0 + abs(ll)):
                 break
             scale *= 0.5
-        beta, eta, ll = beta_new, eta_new, ll_new
-    prob = _sigmoid(eta)
-    if np.any(prob <= _PROB_FLOOR) or np.any(prob >= 1.0 - _PROB_FLOOR):
-        separation = True
+        beta, prob, ll = beta_new, prob_new, ll_new
+    separation = separation or _separated(prob)
     score = a.T @ (wt * (y - prob)) - ridge * beta
     max_abs_score = float(np.max(np.abs(score))) if p else 0.0
     converged = max_abs_score < tol
@@ -215,14 +223,20 @@ def logistic_fit(
     tol: float = 1e-8,
     max_iter: int = 100,
     ridge: float = 0.0,
+    start=None,
 ) -> LogisticFit:
     """Fit a binary logistic regression by damped Newton steps.
 
-    Convergence means the largest absolute score entry falls below
-    ``tol``. When ``ridge`` is zero and the fit runs into separation
-    (a fitted probability leaving the open interval
-    (1e-10, 1 - 1e-10)), the fit restarts once with ridge 1e-6; the
-    result still reports ``separation_detected``.
+    Newton starts from ``start`` (one coefficient per design column,
+    e.g. a fit on overlapping data) or from zero when it is ``None``;
+    ``iterations`` counts the steps taken from there. Convergence means
+    the largest absolute score entry falls below ``tol``. When ``ridge``
+    is zero and the fit runs into separation (a fitted probability
+    leaving the open interval (1e-10, 1 - 1e-10), the start included),
+    the fit restarts once from zero with ridge 1e-6; the result still
+    reports ``separation_detected``. Newton never moves the start along
+    a direction the design rows do not identify, so on a rank-deficient
+    design the fit depends on ``start``.
     """
     a = _as_design(design)
     y = np.asarray(labels, dtype=float)
@@ -241,15 +255,22 @@ def logistic_fit(
             raise InputError("weights must be finite and non-negative")
     if ridge < 0:
         raise InputError("ridge must be >= 0")
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        if start.shape != (a.shape[1],):
+            raise InputError(f"start has shape {start.shape}, expected "
+                             f"({a.shape[1]},)")
+        if not np.all(np.isfinite(start)):
+            raise InputError("start contains non-finite values")
 
     beta, converged, iters, max_score, separation = _irls(
-        a, y, wt, tol, max_iter, ridge
+        a, y, wt, tol, max_iter, ridge, start
     )
     effective_ridge = ridge
     if separation and ridge == 0.0:
         effective_ridge = 1e-6
         beta, converged, iters, max_score, _ = _irls(
-            a, y, wt, tol, max_iter, effective_ridge
+            a, y, wt, tol, max_iter, effective_ridge, None
         )
         separation = True
     return LogisticFit(
@@ -487,6 +508,8 @@ def multinomial_group_lasso(
         if any(v < 0 for v in grid):
             raise InputError("lambda grid values must be >= 0")
         grid = sorted(grid, reverse=True)
+    elif lam is not None and lam >= lambda_max:
+        grid = [lam]
     elif lam is not None:
         grid = list(np.geomspace(
             max(lambda_max, lam, 1e-12), max(lam, 1e-12), num=8

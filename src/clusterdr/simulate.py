@@ -27,7 +27,7 @@ from .estimators import (
     qte_estimate,
     weighted_fe,
 )
-from .exceptions import InputError
+from .exceptions import ClusterDrError, InputError
 from .glm import cross_fit_folds
 from .suffstats import StatSpec, build_suffstats, mundlak_spec, overlap_set
 
@@ -428,7 +428,8 @@ def generate(cfg: DgpConfig, seed=None) -> GenerateResult:
     noise = rng.standard_normal(n) if cfg.sigma > 0 else np.zeros(n)
     y = baseline + w * effect + cfg.sigma * noise
 
-    labels = [str(j) for j in idx]
+    names = [str(j) for j in range(cfg.c)]
+    labels = [names[j] for j in idx.tolist()]
     d = Dataset(y, w, x, labels)
     return GenerateResult(
         dataset=d, truth=effect, true_e=p_unit, p_cluster=p_cluster, u=u
@@ -579,8 +580,10 @@ def monte_carlo(
 
     Per-rep randomness comes from children of one seed sequence, so
     results are reproducible for a given (cfg, est, reps, seed). A rep
-    that raises is recorded in ``failures`` and excluded from the
-    aggregates rather than aborting the run.
+    whose estimator fails (a :class:`~clusterdr.exceptions.ClusterDrError`
+    or a numpy ``LinAlgError``) is recorded in ``failures`` and excluded
+    from the aggregates rather than aborting the run; any other
+    exception is a programming error and propagates.
     """
     if reps < 1:
         raise InputError("reps must be >= 1")
@@ -594,7 +597,7 @@ def monte_carlo(
         try:
             tau_hat[r], se[r], truth[r], covered[r] = _run_one_rep(
                 cfg, est, children[r])
-        except Exception as exc:  # noqa: BLE001 - recorded, not fatal
+        except (ClusterDrError, np.linalg.LinAlgError) as exc:
             failures.append((r, f"{type(exc).__name__}: {exc}"))
 
     ok = ~np.isnan(tau_hat)

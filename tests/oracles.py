@@ -261,3 +261,49 @@ def multinomial_gradient(features, labels, coefficients):
     prob = np.exp(eta - eta.max(axis=1, keepdims=True))
     prob /= prob.sum(axis=1, keepdims=True)
     return x.T @ (prob - onehot)[:, :-1]
+
+
+def perfold_fit_nuisances(d, s_bar, folds, cfg=None):
+    """Cross-fitting with one fit per fold on copies of the training
+    rows: least squares by a Householder QR of the training design, a
+    cold-started logistic fit, and both outcome designs built at w = 1
+    and w = 0 for the held-out rows. ``cfg`` is a ``NuisanceConfig``
+    (the defaults when None).
+
+    Returns (mu0, mu1, e, columns dropped per fold).
+    """
+    from clusterdr import NuisanceConfig
+    from clusterdr.glm import logistic_fit, predict_proba, wls_fit
+
+    cfg = cfg or NuisanceConfig()
+    w = d.w.astype(float)
+    sizes = np.unique(d.n_c)
+    unit_size = d.n_c[d.cluster_index]
+    size_cols = ([(unit_size == s).astype(float) for s in sizes[1:]]
+                 if cfg.size_indicators else [])
+    no_cols = np.empty((d.n, 0))
+    s_out = s_bar if cfg.outcome_use_summaries else no_cols
+    s_prop = s_bar if cfg.propensity_use_summaries else no_cols
+
+    def outcome(arm, rows):
+        x, s = d.x[rows], s_out[rows]
+        parts = [np.ones(len(arm)), arm, x, s]
+        if cfg.outcome_interactions:
+            parts += [x * arm[:, None], s * arm[:, None]]
+        return np.column_stack(parts + [c[rows] for c in size_cols])
+
+    design_e = np.column_stack([np.ones(d.n), d.x, s_prop] + size_cols)
+    fold_of_unit = folds.fold_of_cluster[d.cluster_index]
+    mu0, mu1, e = np.empty(d.n), np.empty(d.n), np.empty(d.n)
+    dropped = []
+    for fold in range(folds.L):
+        test = fold_of_unit == fold
+        train = ~test
+        ofit = wls_fit(outcome(w[train], train), d.y[train])
+        dropped.append(ofit.columns_dropped)
+        n_test = int(test.sum())
+        mu1[test] = outcome(np.ones(n_test), test) @ ofit.coefficients
+        mu0[test] = outcome(np.zeros(n_test), test) @ ofit.coefficients
+        pfit = logistic_fit(design_e[train], w[train], ridge=cfg.ridge)
+        e[test] = predict_proba(pfit, design_e[test])
+    return mu0, mu1, e, dropped

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusterdr import (
     Dataset,
     DegenerateDesignError,
     EmptyOverlapError,
     EstimationError,
+    FoldAssignment,
     InputError,
     NuisanceConfig,
     UnbalancedPanelError,
@@ -179,6 +182,171 @@ def test_nuisance_shapes_and_notes():
     assert "propensity" in nu.spec_notes and "outcome" in nu.spec_notes
     # unbalanced sizes trigger the size indicator columns
     assert "size indicators" in nu.spec_notes
+
+
+def clustered_data(seed, sizes, k):
+    """Clusters of the given sizes with a latent level driving the
+    covariates, a treatment rate in (0.3, 0.7), and the outcome."""
+    rng = np.random.default_rng(seed)
+    c = len(sizes)
+    idx = np.repeat(np.arange(c), sizes)
+    u = rng.standard_normal(c)
+    x = rng.standard_normal((idx.size, k)) + u[idx, None]
+    rate = 0.3 + 0.4 / (1.0 + np.exp(-u))
+    w = (rng.random(idx.size) < rate[idx]).astype(int)
+    y = (1.0 + 0.8 * w + x @ np.linspace(1.0, -0.5, k) + u[idx]
+         + 0.3 * rng.standard_normal(idx.size))
+    return Dataset(y, w, x, [f"g{j}" for j in idx])
+
+
+def assert_matches_perfold_oracle(d, s_bar, folds, atol=1e-10, cfg=None):
+    nu = fit_nuisances(d, s_bar, folds, cfg)
+    mu0, mu1, e, _ = oracles.perfold_fit_nuisances(d, s_bar, folds, cfg)
+    np.testing.assert_allclose(nu.mu0, mu0, rtol=1e-10, atol=atol)
+    np.testing.assert_allclose(nu.mu1, mu1, rtol=1e-10, atol=atol)
+    np.testing.assert_allclose(nu.e, e, rtol=0.0, atol=1e-8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       c=st.integers(min_value=40, max_value=80),
+       n_c=st.integers(min_value=5, max_value=10),
+       varied=st.booleans(),
+       k=st.integers(min_value=1, max_value=3),
+       L=st.integers(min_value=3, max_value=5))
+def test_fit_nuisances_matches_perfold_oracle(seed, c, n_c, varied, k, L):
+    # Varied sizes add the size indicator columns to both models. The
+    # two propensity fits stop at different points with |score| < 1e-8,
+    # so e agrees to 1e-8 only when the propensity model is well
+    # determined: these sizes leave at least 26 training clusters for
+    # its at most 2k + 4 columns (16 clusters and L = 2 gave 2.8e-8).
+    sizes = n_c + (np.arange(c) % 3 if varied else np.zeros(c, dtype=int))
+    d = clustered_data(seed, sizes, k)
+    s_bar = build_suffstats(d, mundlak_spec(d.k))
+    assert_matches_perfold_oracle(d, s_bar, cross_fit_folds(d.c, L, seed))
+
+
+@pytest.mark.parametrize("summaries, interactions, sizes, ridge", [
+    (False, False, True, 0.0),
+    (False, True, True, 0.0),
+    (True, False, False, 0.0),
+    (True, True, False, 0.5),
+])
+def test_model_forms_match_perfold_oracle(summaries, interactions, sizes,
+                                          ridge):
+    cfg = NuisanceConfig(outcome_use_summaries=summaries,
+                         outcome_interactions=interactions,
+                         propensity_use_summaries=summaries,
+                         size_indicators=sizes, ridge=ridge)
+    d = clustered_data(8, 5 + np.arange(40) % 4, 2)
+    s_bar = build_suffstats(d, mundlak_spec(d.k))
+    assert_matches_perfold_oracle(d, s_bar, cross_fit_folds(d.c, 4, 8),
+                                  cfg=cfg)
+
+
+def record_calls(monkeypatch, name):
+    """Wrap ``clusterdr.estimators.<name>``; the returned list receives
+    (args, kwargs, result) for each call."""
+    import clusterdr.estimators as est
+
+    calls = []
+    original = getattr(est, name)
+
+    def wrapper(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append((args, kwargs, result))
+        return result
+
+    monkeypatch.setattr(est, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("scale, on_rows, dropped, atol", [
+    (None, False, (), 1e-10),
+    (1e-4, False, (), 1e-10),
+    (1e-8, True, (), 1e-7),
+    (1e-13, True, (5, 9), 1e-10),
+])
+def test_gram_path_guard_and_row_fallback(monkeypatch, scale, on_rows,
+                                          dropped, atol):
+    # With scale set, a third summary column is 2 * x0_bar plus a
+    # cluster-level perturbation of that size. At 1e-4 its Cholesky
+    # pivot is about 2e-5 of the largest column norm: above the 1e-6
+    # guard, with a Gram condition number about 3e10, so the Gram fit
+    # matches the QR on the rows only after the semi-normal refinement.
+    # Smaller perturbations miss the guard, so the outcome fit runs on
+    # the training rows, and the QR rank rule drops the column and its
+    # treatment interaction (columns 5 and 9) only below its 1e-9
+    # threshold. A kept near-duplicate has coefficients of order
+    # 1 / scale, so two evaluations of the same fit differ by about
+    # 1e-16 / scale.
+    d = clustered_data(3, np.full(30, 6), 1)
+    s_bar = build_suffstats(d, mundlak_spec(d.k))
+    if scale is not None:
+        jitter = np.random.default_rng(4).standard_normal(d.c)
+        s_bar = np.column_stack(
+            [s_bar, 2.0 * s_bar[:, 1] + scale * jitter[d.cluster_index]])
+    folds = cross_fit_folds(d.c, 3, seed=2)
+    calls = record_calls(monkeypatch, "wls_fit")
+    assert_matches_perfold_oracle(d, s_bar, folds, atol)
+    _, _, _, want = oracles.perfold_fit_nuisances(d, s_bar, folds)
+    assert want == [dropped] * 3
+    assert [res.columns_dropped for _, _, res in calls] == want
+    # one fit per fold: on the training rows, or on the (p + 1) x p
+    # triangular system from the Gram
+    p = s_bar.shape[1] * 2 + 4
+    shapes = [args[0].shape for args, _, _ in calls]
+    if on_rows:
+        assert all(rows > 100 for rows, _ in shapes)
+    else:
+        assert shapes == [(p + 1, p)] * 3
+
+
+def test_fold_after_separated_fit_starts_cold(monkeypatch):
+    # x has the sign of 2w - 1 everywhere but in cluster 0, where it is
+    # reversed; the training split without cluster 0 (fold 0) is
+    # separated, every other one is not.
+    rng = np.random.default_rng(11)
+    c, n_c = 9, 8
+    idx = np.repeat(np.arange(c), n_c)
+    # 2 to 6 treated units per cluster, so w_bar varies
+    w = (np.tile(np.arange(n_c), c) < 2 + idx % 5).astype(int)
+    sign = np.where(idx == 0, -1.0, 1.0)
+    x = sign * (2 * w - 1) * (0.5 + rng.random(idx.size))
+    y = x + w + rng.standard_normal(idx.size)
+    d = Dataset(y, w, x, [f"g{j}" for j in idx])
+    s_bar = build_suffstats(d, mundlak_spec(d.k))
+    folds = FoldAssignment(fold_of_cluster=np.arange(c) % 3, L=3, seed=0)
+    calls = record_calls(monkeypatch, "logistic_fit")
+    assert_matches_perfold_oracle(d, s_bar, folds)
+    separated = [res.separation_detected for _, _, res in calls]
+    assert separated == [True, False, False]
+    starts = [kwargs["start"] for _, kwargs, _ in calls]
+    # fold 1's training design has full rank, so only the separation
+    # of fold 0 makes it start cold
+    train = folds.fold_of_cluster[d.cluster_index] != 1
+    design = np.column_stack([np.ones(d.n), d.x, s_bar])[train]
+    assert np.linalg.matrix_rank(design) == design.shape[1]
+    assert starts[0] is None and starts[1] is None
+    assert np.array_equal(starts[2], calls[1][2].coefficients)
+
+
+def test_rank_deficient_training_design_starts_cold(monkeypatch):
+    # Cluster 3 is the only one of size 9 and sits in fold 3, so fold 3's
+    # training rows never see its size indicator. A warm start from
+    # fold 2's fit would carry that indicator's coefficient into fold
+    # 3's predictions; a cold start leaves it at zero, as the oracle does.
+    sizes = np.full(20, 6)
+    sizes[3] = 9
+    d = clustered_data(21, sizes, 1)
+    s_bar = build_suffstats(d, mundlak_spec(d.k))
+    folds = FoldAssignment(fold_of_cluster=np.arange(20) % 4, L=4, seed=0)
+    calls = record_calls(monkeypatch, "logistic_fit")
+    assert_matches_perfold_oracle(d, s_bar, folds)
+    starts = [kwargs["start"] for _, kwargs, _ in calls]
+    assert starts[0] is None and starts[3] is None
+    assert starts[1] is not None and starts[2] is not None
+    assert calls[2][2].coefficients[-1] != 0.0
 
 
 def test_fold_mismatch_rejected():

@@ -224,6 +224,42 @@ def test_explicit_ridge_keeps_flag_without_fallback():
     assert np.all(np.isfinite(fit.coefficients))
 
 
+def test_warm_start_reaches_cold_optimum():
+    rng = np.random.default_rng(12)
+    n = 400
+    a = np.column_stack([np.ones(n), rng.standard_normal((n, 3))])
+    truth = np.array([0.2, 1.0, -0.7, 0.4])
+    y = (rng.random(n) < 1.0 / (1.0 + np.exp(-(a @ truth)))).astype(float)
+    cold = logistic_fit(a, y)
+    # as in cross-fitting: start from the fit on an overlapping subset
+    nearby = logistic_fit(a[: n // 2], y[: n // 2]).coefficients
+    for start in (nearby, 2.0 * nearby, cold.coefficients):
+        warm = logistic_fit(a, y, start=start)
+        assert warm.converged and not warm.separation_detected
+        assert np.max(np.abs(warm.coefficients - cold.coefficients)) < 1e-8
+    assert logistic_fit(a, y, start=nearby).iterations < cold.iterations
+    assert logistic_fit(a, y, start=cold.coefficients).iterations == 0
+
+
+def test_separated_warm_start_refits_cold_with_ridge():
+    x = np.linspace(-1, 1, 20)
+    a = np.column_stack([np.ones(20), x])
+    y = (x > 0).astype(float)
+    cold = logistic_fit(a, y)
+    warm = logistic_fit(a, y, start=np.array([0.5, 3.0]))
+    assert warm.separation_detected and warm.ridge == 1e-6
+    assert np.array_equal(warm.coefficients, cold.coefficients)
+
+
+def test_start_must_match_design():
+    a = np.column_stack([np.ones(6), np.arange(6.0)])
+    y = np.array([0, 1, 0, 1, 1, 0], dtype=float)
+    with pytest.raises(InputError, match="start has shape"):
+        logistic_fit(a, y, start=np.zeros(3))
+    with pytest.raises(InputError, match="non-finite"):
+        logistic_fit(a, y, start=np.array([0.0, np.nan]))
+
+
 def test_predict_proba_clamps_and_checks_shapes():
     fit = logistic_fit(np.ones((4, 1)), np.array([1.0, 0.0, 1.0, 0.0]))
     p = predict_proba(fit, np.array([[1.0], [1.0]]))
@@ -297,6 +333,9 @@ def test_huge_penalty_selects_nothing():
     f, labels = selection_problem()
     res = multinomial_group_lasso(f, labels, lam=1e9)
     assert res.selected == ()
+    # a penalty at or above lambda_max is one all-zero path point
+    assert len(res.path) == 1
+    assert res.path[0].lam == 1e9
 
 
 def test_zero_penalty_selects_everything():

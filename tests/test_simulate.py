@@ -104,6 +104,27 @@ def test_failed_reps_are_recorded_not_fatal():
         monte_carlo(cfg, EstimatorConfig(method="dr", L=5), reps=4, seed=0)
 
 
+def test_programming_errors_propagate(monkeypatch):
+    # Only estimation failures are recorded per rep; anything else is a
+    # bug and must not be counted as a failed rep.
+    import clusterdr.simulate as sim
+
+    def broken(*args, **kwargs):
+        raise TypeError("bug in the nuisance fits")
+
+    monkeypatch.setattr(sim, "fit_nuisances", broken)
+    cfg = dgp_preset("mundlak-linear", c=12, n_c=5)
+    with pytest.raises(TypeError, match="bug in the nuisance fits"):
+        monte_carlo(cfg, EstimatorConfig(method="dr", L=3), reps=2, seed=0)
+
+
+def test_generate_labels_are_cluster_ids():
+    cfg = dgp_preset("mundlak-linear", c=13, n_c=3)
+    d = generate(cfg, 5).dataset
+    assert d.cluster_labels == [str(j) for j in range(13)]
+    assert d.cluster_index.tolist() == [j for j in range(13) for _ in "abc"]
+
+
 def test_baseline_methods_run():
     cfg = dgp_preset("hetero-prop", c=20, n_c=30)
     fe = monte_carlo(cfg, EstimatorConfig(method="fe"), reps=3, seed=5)
