@@ -25,7 +25,6 @@ from .estimators import (
     NuisanceEstimates,
     PanelData,
     TwowayCheck,
-    cluster_robust_se,
     dr_estimate,
     fe_ols,
     fit_nuisances,

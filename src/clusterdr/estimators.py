@@ -41,7 +41,6 @@ __all__ = [
     "fit_nuisances",
     "dr_estimate",
     "qte_estimate",
-    "cluster_robust_se",
     "load_panel_csv",
     "make_panel",
     "twoway_mundlak_check",
@@ -190,37 +189,6 @@ def weighted_fe(d: Dataset, e_hat: np.ndarray) -> FeResult:
     return FeResult(tau=float(fit.coefficients[0]), beta=fit.coefficients[1:])
 
 
-def cluster_robust_se(
-    design: np.ndarray,
-    residuals: np.ndarray,
-    cluster_index: np.ndarray,
-    n_clusters: int,
-    weights: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Cluster-aggregated sandwich standard errors for a linear fit.
-
-    Per-cluster score sums play the role the cluster averages play in
-    the doubly robust variance: the middle matrix is the sum of outer
-    products of cluster-summed weighted scores. Returns one standard
-    error per design column (zero for dropped all-zero columns).
-    """
-    design = np.asarray(design, dtype=float)
-    n, p = design.shape
-    wt = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
-    scores = design * (wt * residuals)[:, None]
-    cluster_scores = np.zeros((n_clusters, p))
-    np.add.at(cluster_scores, cluster_index, scores)
-    bread = (design * wt[:, None]).T @ design
-    meat = cluster_scores.T @ cluster_scores
-    try:
-        bread_inv = np.linalg.pinv(bread)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-        raise EstimationError(f"singular bread matrix: {exc}") from None
-    cov = bread_inv @ meat @ bread_inv
-    var = np.clip(np.diag(cov), 0.0, None)
-    return np.sqrt(var)
-
-
 # ---------------------------------------------------------------------------
 # Cross-fitted nuisance models
 # ---------------------------------------------------------------------------
@@ -302,46 +270,6 @@ def _propensity_design(d: Dataset, s_bar: np.ndarray, cfg: NuisanceConfig,
     return np.column_stack(parts)
 
 
-def _guarded_cholesky(gram: np.ndarray, p: int):
-    """Upper Cholesky factor R of a Gram matrix, or None when the
-    factorization fails, is not finite, or one of its first ``p``
-    pivots is at or below ``1e-6 * max(largest column norm, 1)`` over
-    those columns."""
-    try:
-        r = np.linalg.cholesky(gram).T
-    except np.linalg.LinAlgError:
-        return None
-    col_norm = float(np.sqrt(np.diagonal(gram)[:p].max(initial=0.0)))
-    if (not np.all(np.isfinite(r))
-            or np.any(np.diagonal(r)[:p] <= 1e-6 * max(col_norm, 1.0))):
-        return None
-    return r
-
-
-def _gram_fit(gram: np.ndarray, m: np.ndarray, test: np.ndarray):
-    """Least squares on the training rows of ``m = [design | y]`` from
-    their Gram matrix, or None when :func:`_guarded_cholesky` declines.
-
-    The Cholesky factor R of ``gram`` goes to :func:`wls_fit` as the
-    system ``R[:, :p], R[:, p]``, which has the training rows' normal
-    equations and column norms. One corrected semi-normal step on the
-    training residual then recovers the accuracy the Gram squared away
-    (Bjorck 1996, *Numerical Methods for Least Squares Problems*). The
-    pivot guard means ``wls_fit`` drops nothing and the conditioning is
-    in the step's range.
-    """
-    p = gram.shape[0] - 1
-    r = _guarded_cholesky(gram, p)
-    if r is None:
-        return None
-    coef = wls_fit(r[:, :p], r[:, p]).coefficients
-    resid = m @ np.append(-coef, 1.0)
-    resid[test] = 0.0
-    rp = r[:p, :p]
-    coef += np.linalg.solve(rp, np.linalg.solve(rp.T, (m.T @ resid)[:p]))
-    return coef
-
-
 def fit_nuisances(
     d: Dataset,
     s_bar: np.ndarray,
@@ -359,12 +287,15 @@ def fit_nuisances(
 
     The outcome model is fit once on both arms with treatment in the
     design, then evaluated at w=1 and w=0. ``[design | y]`` is built
-    once and each fold's Gram matrix formed; a training Gram is the
-    total minus its fold's, and is solved by :func:`_gram_fit`. When
-    that declines, :func:`~clusterdr.glm.wls_fit` runs on the training
-    rows. Each fold's propensity fit starts from the previous fold's
-    coefficients, or from zero when that fit ran into separation or the
-    training design is rank deficient by the same pivot guard.
+    once and each fold's rows get one Householder QR. The R factor of
+    stacked R factors is the R factor of the stacked rows (TSQR;
+    Demmel, Grigori, Hoemmen & Langou 2012), so a fold's training
+    system is the stack of the other folds' triangles, which
+    :func:`~clusterdr.glm.wls_fit` solves with the training rows'
+    column norms and rank rule. Each fold's propensity fit starts from
+    the previous fold's coefficients, or from zero when that fit ran
+    into separation or a pivot of the training design's R factor is at
+    or below ``1e-6 * max(largest column norm, 1)``.
     """
     cfg = cfg or NuisanceConfig()
     if folds.fold_of_cluster.shape[0] != d.c:
@@ -385,32 +316,23 @@ def fit_nuisances(
     q = design_e.shape[1]
 
     fold_of_unit = folds.fold_of_cluster[d.cluster_index]
-    grams = np.empty((folds.L, p + 1, p + 1))
-    grams_e = np.empty((folds.L, q, q))
-    for fold in range(folds.L):
-        test = fold_of_unit == fold
-        rows = m[test]
-        grams[fold] = rows.T @ rows
-        rows = design_e[test]
-        grams_e[fold] = rows.T @ rows
-    total = grams.sum(axis=0)
-    total_e = grams_e.sum(axis=0)
+    tests = [fold_of_unit == fold for fold in range(folds.L)]
+    tri = [np.linalg.qr(m[test], mode="r") for test in tests]
+    tri_e = [np.linalg.qr(design_e[test], mode="r") for test in tests]
 
     mu0 = np.empty(d.n)
     mu1 = np.empty(d.n)
     e = np.empty(d.n)
     start = None
-    for fold in range(folds.L):
-        test = fold_of_unit == fold
+    for fold, test in enumerate(tests):
         train = ~test
         w_train = w[train]
         if w_train.min() == w_train.max():
             raise DegenerateDesignError(
                 f"training split for fold {fold} has a single treatment arm"
             )
-        coef = _gram_fit(total - grams[fold], m, test)
-        if coef is None:
-            coef = wls_fit(m[train, :p], m[train, p]).coefficients
+        stack = np.vstack(tri[:fold] + tri[fold + 1:])
+        coef = wls_fit(stack[:, :p], stack[:, p]).coefficients
         # mu(w) = design(w) @ coef: at w = 0 the treatment columns
         # vanish, at w = 1 each adds its coefficient to its parent's.
         coef0 = coef.copy()
@@ -421,9 +343,12 @@ def fit_nuisances(
         mu0[test] = rows @ coef0
         mu1[test] = rows @ coef1
         # A warm start keeps its component along any direction the
-        # training rows do not identify, so it is used only when their
-        # design has full column rank.
-        if _guarded_cholesky(total_e - grams_e[fold], q) is None:
+        # training rows do not identify, so it is used only when every
+        # pivot of their design clears the guard.
+        stack = np.vstack(tri_e[:fold] + tri_e[fold + 1:])
+        pivots = np.abs(np.diagonal(np.linalg.qr(stack, mode="r")))
+        col_norm = np.linalg.norm(stack, axis=0).max()
+        if pivots.size < q or np.any(pivots <= 1e-6 * max(col_norm, 1.0)):
             start = None
         pfit = logistic_fit(design_e[train], w_train, ridge=cfg.ridge,
                             start=start)

@@ -97,9 +97,9 @@ def wls_fit(design, response, weights=None) -> WlsFit:
     ``1e-8 * (1 + ||response||)``.
 
     Any system with the same normal equations gives the same fit, so a
-    caller holding the Cholesky factor R of ``[A | b]``'s Gram matrix
-    may pass ``R[:, :p], R[:, p]`` instead of the rows: its column
-    norms, and hence the rank rule, are those of ``A``
+    caller holding R factors of blocks of ``[A | b]``'s rows may pass
+    their stack ``S`` as ``S[:, :p], S[:, p]`` instead of the rows: its
+    column norms, and hence the rank rule, are those of ``A``
     (:func:`~clusterdr.estimators.fit_nuisances` does this per fold).
     """
     a = _as_design(design)

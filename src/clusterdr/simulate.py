@@ -582,8 +582,10 @@ def monte_carlo(
     results are reproducible for a given (cfg, est, reps, seed). A rep
     whose estimator fails (a :class:`~clusterdr.exceptions.ClusterDrError`
     or a numpy ``LinAlgError``) is recorded in ``failures`` and excluded
-    from the aggregates rather than aborting the run; any other
-    exception is a programming error and propagates.
+    from the aggregates rather than aborting the run; when every rep
+    fails, the :class:`~clusterdr.exceptions.InputError` raised quotes
+    the first failure. Any other exception is a programming error and
+    propagates.
     """
     if reps < 1:
         raise InputError("reps must be >= 1")
@@ -603,7 +605,8 @@ def monte_carlo(
     ok = ~np.isnan(tau_hat)
     err = tau_hat[ok] - truth[ok]
     if not np.any(ok):
-        raise InputError("every rep failed; see failures for messages")
+        r, message = failures[0]
+        raise InputError(f"every rep failed; rep {r}: {message}")
     bias = float(err.mean())
     rmse = float(np.sqrt(np.mean(err**2)))
     mc_sd = float(err.std(ddof=1)) if err.size > 1 else math.nan

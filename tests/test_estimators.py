@@ -15,7 +15,6 @@ from clusterdr import (
     NuisanceConfig,
     UnbalancedPanelError,
     build_suffstats,
-    cluster_robust_se,
     cross_fit_folds,
     dgp_preset,
     dr_estimate,
@@ -30,6 +29,7 @@ from clusterdr import (
     qte_estimate,
     twoway_mundlak_check,
     weighted_fe,
+    wls_fit,
 )
 
 import oracles
@@ -261,45 +261,86 @@ def record_calls(monkeypatch, name):
     return calls
 
 
-@pytest.mark.parametrize("scale, on_rows, dropped, atol", [
+@pytest.mark.parametrize("scale, cold, dropped, atol", [
     (None, False, (), 1e-10),
     (1e-4, False, (), 1e-10),
     (1e-8, True, (), 1e-7),
     (1e-13, True, (5, 9), 1e-10),
 ])
-def test_gram_path_guard_and_row_fallback(monkeypatch, scale, on_rows,
-                                          dropped, atol):
+def test_stacked_triangles_and_warm_start_guard(monkeypatch, scale, cold,
+                                                dropped, atol):
     # With scale set, a third summary column is 2 * x0_bar plus a
-    # cluster-level perturbation of that size. At 1e-4 its Cholesky
-    # pivot is about 2e-5 of the largest column norm: above the 1e-6
-    # guard, with a Gram condition number about 3e10, so the Gram fit
-    # matches the QR on the rows only after the semi-normal refinement.
-    # Smaller perturbations miss the guard, so the outcome fit runs on
-    # the training rows, and the QR rank rule drops the column and its
-    # treatment interaction (columns 5 and 9) only below its 1e-9
-    # threshold. A kept near-duplicate has coefficients of order
-    # 1 / scale, so two evaluations of the same fit differ by about
-    # 1e-16 / scale.
+    # cluster-level perturbation of that size. Its pivot in the R factor
+    # of the training rows is then about scale / 5 of the largest column
+    # norm. The QR rank rule drops the column and its treatment
+    # interaction (columns 5 and 9) only below its 1e-9 threshold, and
+    # the propensity warm start is refused below the 1e-6 guard. A kept
+    # near-duplicate has coefficients of order 1 / scale, so two
+    # evaluations of the same fit differ by about 1e-16 / scale.
     d = clustered_data(3, np.full(30, 6), 1)
     s_bar = build_suffstats(d, mundlak_spec(d.k))
     if scale is not None:
         jitter = np.random.default_rng(4).standard_normal(d.c)
         s_bar = np.column_stack(
             [s_bar, 2.0 * s_bar[:, 1] + scale * jitter[d.cluster_index]])
-    folds = cross_fit_folds(d.c, 3, seed=2)
+    L = 3
+    folds = cross_fit_folds(d.c, L, seed=2)
     calls = record_calls(monkeypatch, "wls_fit")
+    pcalls = record_calls(monkeypatch, "logistic_fit")
     assert_matches_perfold_oracle(d, s_bar, folds, atol)
     _, _, _, want = oracles.perfold_fit_nuisances(d, s_bar, folds)
-    assert want == [dropped] * 3
+    assert want == [dropped] * L
     assert [res.columns_dropped for _, _, res in calls] == want
-    # one fit per fold: on the training rows, or on the (p + 1) x p
-    # triangular system from the Gram
+    # one fit per fold, on the other folds' (p + 1)-column triangles
     p = s_bar.shape[1] * 2 + 4
     shapes = [args[0].shape for args, _, _ in calls]
-    if on_rows:
-        assert all(rows > 100 for rows, _ in shapes)
-    else:
-        assert shapes == [(p + 1, p)] * 3
+    assert len(shapes) == L
+    assert all(rows <= (L - 1) * (p + 1) and cols == p
+               for rows, cols in shapes)
+    starts = [kwargs["start"] for _, kwargs, _ in pcalls]
+    assert [start is None for start in starts] == [True] + [cold] * (L - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       p=st.integers(min_value=1, max_value=8),
+       fold_rows=st.lists(st.integers(min_value=1, max_value=12),
+                          min_size=2, max_size=5),
+       duplicate=st.booleans(),
+       zero=st.booleans())
+def test_stacked_triangles_fit_like_training_rows(seed, p, fold_rows,
+                                                  duplicate, zero):
+    # The R factor of stacked per-fold R factors is the R factor of the
+    # training rows, so wls_fit on the stack keeps the same columns and
+    # predicts the held-out fold alike. Folds may have fewer rows than
+    # columns, and so may the training rows. Both fits are backward
+    # stable, so predictions differ by about the condition number of
+    # the kept columns times 1e-16 of their size (at most 1.1e-15 on
+    # 30,000 draws).
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((sum(fold_rows), p + 1))
+    if duplicate and p >= 2:
+        j = int(rng.integers(1, p))
+        m[:, j] = m[:, int(rng.integers(0, j))]
+    if zero:
+        m[:, int(rng.integers(0, p))] = 0.0
+    fold_of_row = np.repeat(np.arange(len(fold_rows)), fold_rows)
+    tri = [np.linalg.qr(m[fold_of_row == f], mode="r")
+           for f in range(len(fold_rows))]
+    for fold in range(len(fold_rows)):
+        train = fold_of_row != fold
+        stack = np.vstack(tri[:fold] + tri[fold + 1:])
+        got = wls_fit(stack[:, :p], stack[:, p])
+        want = wls_fit(m[train, :p], m[train, p])
+        assert got.columns_dropped == want.columns_dropped
+        held_out = m[~train, :p]
+        kept = [j for j in range(p) if j not in want.columns_dropped]
+        cond = np.linalg.cond(m[train][:, kept]) if kept else 1.0
+        size = (np.abs(held_out).sum(axis=1).max()
+                * np.abs(want.coefficients).max())
+        np.testing.assert_allclose(held_out @ got.coefficients,
+                                   held_out @ want.coefficients,
+                                   rtol=0.0, atol=1e-13 * cond * (1 + size))
 
 
 def test_fold_after_separated_fit_starts_cold(monkeypatch):
@@ -562,22 +603,3 @@ def test_panel_labels_may_be_strings():
         [f"q{t}" for t in time],
     ))
     assert p1.tau_fe == pytest.approx(p2.tau_fe, abs=1e-12)
-
-
-# --------------------------------------------------------------------------
-# cluster-aggregated sandwich for baselines
-# --------------------------------------------------------------------------
-
-
-def test_cluster_robust_se_basics():
-    d = unbalanced_dataset(seed=13)
-    w_t = d.w.astype(float) - d.cluster_means(d.w.astype(float))[d.cluster_index]
-    y_t = d.y - d.cluster_means(d.y)[d.cluster_index]
-    design = w_t.reshape(-1, 1)
-    resid = y_t - design[:, 0] * fe_ols(d).tau
-    se = cluster_robust_se(design, resid, d.cluster_index, d.c)
-    assert se.shape == (1,)
-    assert np.isfinite(se[0]) and se[0] > 0
-    # zero residuals give zero uncertainty
-    se0 = cluster_robust_se(design, np.zeros(d.n), d.cluster_index, d.c)
-    assert se0[0] == 0.0

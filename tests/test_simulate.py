@@ -197,7 +197,8 @@ def test_config_schema_names_the_library_presets_and_methods():
         rep = monte_carlo(cfg, EstimatorConfig(method=method, L=2), reps=1,
                           seed=0)
         assert not rep.failures, method
-    with pytest.raises(InputError, match="every rep failed"):
+    with pytest.raises(InputError, match="every rep failed; rep 0: "
+                       "InputError: unknown method 'bogus'"):
         monte_carlo(cfg, EstimatorConfig(method="bogus", L=2), reps=1, seed=0)
 
 
