@@ -278,15 +278,16 @@ def cmd_simulate(args) -> int:
     for key in ("c", "n_c", "k", "u_dim", "sigma"):
         if key in cfg:
             overrides[key] = cfg[key]
+    est_cfg = cfg["estimator"]
+    spec = est_cfg["statspec"]
     with _stage("configure"):
         dgp = dgp_preset(cfg["preset"], **overrides)
-    est_cfg = cfg["estimator"]
-    est = EstimatorConfig(**{
-        **est_cfg,
-        "statspec": (None if est_cfg["statspec"] is None
-                     else StatSpec.from_json(json.dumps(est_cfg["statspec"]))),
-        "nuisance": NuisanceConfig(**est_cfg["nuisance"]),
-    })
+        est = EstimatorConfig(**{
+            **est_cfg,
+            "statspec": (None if spec is None
+                         else StatSpec.from_json(json.dumps(spec))),
+            "nuisance": NuisanceConfig(**est_cfg["nuisance"]),
+        })
     with _stage("simulate"):
         rep = monte_carlo(dgp, est, reps=cfg["reps"], seed=cfg["seed"])
 
@@ -382,6 +383,8 @@ def cmd_mixture(args) -> int:
         raise InputError("mixture: provide --p or --p-grid")
     if cfg["p"] is not None and cfg["p_grid"] is not None:
         raise InputError("mixture: --p and --p-grid are mutually exclusive")
+    if cfg["p_grid"] is not None and cfg["estimate"]:
+        raise InputError("mixture: --estimate needs --p, not --p-grid")
     _validate_config(cfg, "mixture", partial=False)
     with _stage("load"):
         d = load_csv(cfg["data"], CsvSchema(**cfg["schema"]))

@@ -43,6 +43,28 @@ def intern_labels(labels) -> tuple:
     return ids, labels_in_order
 
 
+def group_means(index, values, n_groups: int, weights=None) -> np.ndarray:
+    """Mean of the rows of ``values`` in each group, in group id order.
+
+    ``index`` holds each row's group id in ``0..n_groups-1``; every
+    group needs at least one row. ``values`` is a vector of length n or
+    an (n, m) matrix, and the result is (n_groups,) or (n_groups, m).
+    With ``weights`` each row counts by its weight and a group's sum is
+    divided by its total weight instead of its row count.
+    """
+    values = np.asarray(values, dtype=float)
+    cols = values.T if values.ndim == 2 else values[None, :]
+    sums = np.empty((n_groups, cols.shape[0]))
+    for j, col in enumerate(cols):
+        sums[:, j] = np.bincount(
+            index, weights=col if weights is None else col * weights,
+            minlength=n_groups,
+        )
+    means = sums / np.bincount(index, weights=weights,
+                               minlength=n_groups)[:, None]
+    return means if values.ndim == 2 else means[:, 0]
+
+
 @dataclass(frozen=True)
 class CsvSchema:
     """Column names used when reading or writing CSV files.
@@ -168,26 +190,18 @@ class Dataset:
         """Original labels, indexed by dense cluster id."""
         return list(self._labels)
 
-    def cluster_means(self, values: np.ndarray) -> np.ndarray:
+    def cluster_means(self, values: np.ndarray, weights=None) -> np.ndarray:
         """Mean of ``values`` within each cluster (dense id order).
 
         ``values`` may be a vector of length n or an (n, m) matrix;
-        the result has one row per cluster.
+        the result has one row per cluster. ``weights`` (length n,
+        positive) makes it the weighted mean: each unit counts by its
+        weight and a cluster's sum is divided by its total weight.
         """
         values = np.asarray(values, dtype=float)
         if values.shape[0] != self.n:
             raise InputError("values length does not match dataset")
-        if values.ndim == 1:
-            sums = np.bincount(
-                self._cluster_index, weights=values, minlength=self._c
-            )
-            return sums / self._n_c
-        out = np.empty((self._c, values.shape[1]))
-        for j in range(values.shape[1]):
-            out[:, j] = np.bincount(
-                self._cluster_index, weights=values[:, j], minlength=self._c
-            )
-        return out / self._n_c[:, None]
+        return group_means(self._cluster_index, values, self._c, weights)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Dataset(n={self.n}, c={self.c}, k={self.k})"

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dataset import Dataset, intern_labels
+from .dataset import Dataset, group_means, intern_labels
 from .exceptions import (
     DegenerateDesignError,
     EmptyOverlapError,
@@ -101,13 +101,6 @@ class MundlakResult:
     gamma: np.ndarray
 
 
-def _demean_within(d: Dataset, values: np.ndarray) -> np.ndarray:
-    means = d.cluster_means(values)
-    if values.ndim == 1:
-        return values - means[d.cluster_index]
-    return values - means[d.cluster_index, :]
-
-
 def _check_treatment_variation(w_centered: np.ndarray, what: str) -> None:
     if float(w_centered @ w_centered) <= 1e-12 * max(1, w_centered.size):
         raise DegenerateDesignError(
@@ -116,19 +109,27 @@ def _check_treatment_variation(w_centered: np.ndarray, what: str) -> None:
         )
 
 
+def _within_fit(d: Dataset, omega, what: str) -> FeResult:
+    """Least squares of y on (w, x) with one dummy per cluster, weighted
+    by ``omega`` (None: unweighted), solved without the dummies: remove
+    the ``omega``-weighted cluster means of ``[y | w | x]`` and fit the
+    residuals with the same weights."""
+    v = np.column_stack([d.y, d.w, d.x])
+    v -= d.cluster_means(v, omega)[d.cluster_index]
+    _check_treatment_variation(v[:, 1], what)
+    fit = wls_fit(v[:, 1:], v[:, 0], weights=omega)
+    return FeResult(tau=float(fit.coefficients[0]), beta=fit.coefficients[1:])
+
+
 def fe_ols(d: Dataset) -> FeResult:
     """Cluster fixed-effects regression via within-cluster demeaning.
 
-    Numerically identical to least squares with one dummy per cluster.
-    Raises when no cluster has both treatment arms.
+    The unweighted case of the within-cluster fit that
+    :func:`weighted_fe` runs with inverse-propensity weights; identical
+    to least squares with one dummy per cluster. Raises when no cluster
+    has both treatment arms.
     """
-    y_t = _demean_within(d, d.y)
-    w_t = _demean_within(d, d.w.astype(float))
-    _check_treatment_variation(w_t, "fixed-effects regression")
-    x_t = _demean_within(d, d.x)
-    design = np.column_stack([w_t, x_t])
-    fit = wls_fit(design, y_t)
-    return FeResult(tau=float(fit.coefficients[0]), beta=fit.coefficients[1:])
+    return _within_fit(d, None, "fixed-effects regression")
 
 
 def mundlak_ols(d: Dataset) -> MundlakResult:
@@ -148,45 +149,21 @@ def mundlak_ols(d: Dataset) -> MundlakResult:
     )
 
 
-def _weighted_demean(
-    d: Dataset, values: np.ndarray, weights: np.ndarray
-) -> np.ndarray:
-    denom = np.bincount(d.cluster_index, weights=weights, minlength=d.c)
-    if values.ndim == 1:
-        num = np.bincount(
-            d.cluster_index, weights=weights * values, minlength=d.c
-        )
-        return values - (num / denom)[d.cluster_index]
-    out = np.empty_like(values, dtype=float)
-    for j in range(values.shape[1]):
-        num = np.bincount(
-            d.cluster_index, weights=weights * values[:, j], minlength=d.c
-        )
-        out[:, j] = values[:, j] - (num / denom)[d.cluster_index]
-    return out
-
-
 def weighted_fe(d: Dataset, e_hat: np.ndarray) -> FeResult:
     """Fixed-effects regression weighted by inverse propensities.
 
-    Each unit gets weight 1/e (treated) or 1/(1-e) (control); cluster
-    demeaning uses the same weights, which reproduces weighted least
-    squares with cluster dummies exactly.
+    The within-cluster fit of :func:`fe_ols` with unit weights 1/e
+    (treated) or 1/(1-e) (control) in both the cluster means and the
+    regression, which reproduces weighted least squares with cluster
+    dummies exactly.
     """
     e_hat = np.asarray(e_hat, dtype=float)
     if e_hat.shape != (d.n,):
         raise InputError(f"e_hat has shape {e_hat.shape}, expected ({d.n},)")
     if np.any(e_hat <= 0.0) or np.any(e_hat >= 1.0):
         raise InputError("propensities must lie strictly in (0, 1)")
-    w = d.w.astype(float)
-    omega = np.where(w == 1.0, 1.0 / e_hat, 1.0 / (1.0 - e_hat))
-    y_t = _weighted_demean(d, d.y, omega)
-    w_t = _weighted_demean(d, w, omega)
-    _check_treatment_variation(w_t, "weighted fixed-effects regression")
-    x_t = _weighted_demean(d, d.x, omega)
-    design = np.column_stack([w_t, x_t])
-    fit = wls_fit(design, y_t, weights=omega)
-    return FeResult(tau=float(fit.coefficients[0]), beta=fit.coefficients[1:])
+    omega = np.where(d.w == 1, 1.0 / e_hat, 1.0 / (1.0 - e_hat))
+    return _within_fit(d, omega, "weighted fixed-effects regression")
 
 
 # ---------------------------------------------------------------------------
@@ -215,14 +192,12 @@ class NuisanceConfig:
 @dataclass(frozen=True)
 class NuisanceEstimates:
     """Cross-fitted predictions: both-arm outcome means, propensities,
-    the fold each unit was predicted in, and a notes string describing
-    the model forms."""
+    and the fold each unit was predicted in."""
 
     mu0: np.ndarray
     mu1: np.ndarray
     e: np.ndarray
     fold_of_unit: np.ndarray
-    spec_notes: str
 
 
 def _size_dummies(d: Dataset) -> np.ndarray:
@@ -355,23 +330,7 @@ def fit_nuisances(
         start = None if pfit.separation_detected else pfit.coefficients
         e[test] = predict_proba(pfit, design_e[test])
 
-    notes = (
-        "outcome: linear in [1, w, x"
-        + (", s_bar" if cfg.outcome_use_summaries else "")
-        + (", w*x" if cfg.outcome_interactions else "")
-        + (", w*s_bar"
-           if cfg.outcome_interactions and cfg.outcome_use_summaries else "")
-        + (", size indicators" if size_cols.shape[1] and cfg.size_indicators
-           else "")
-        + "]; propensity: logistic in [1, x"
-        + (", s_bar" if cfg.propensity_use_summaries else "")
-        + (", size indicators" if size_cols.shape[1] and cfg.size_indicators
-           else "")
-        + f"]; folds={folds.L}"
-    )
-    return NuisanceEstimates(
-        mu0=mu0, mu1=mu1, e=e, fold_of_unit=fold_of_unit, spec_notes=notes
-    )
+    return NuisanceEstimates(mu0=mu0, mu1=mu1, e=e, fold_of_unit=fold_of_unit)
 
 
 # ---------------------------------------------------------------------------
@@ -443,8 +402,7 @@ def dr_estimate(
     mu_w = np.where(w == 1.0, nu.mu1, nu.mu0)
     ipw = w / nu.e - (1.0 - w) / (1.0 - nu.e)
     correction = a * ipw * (d.y - mu_w)
-    xi = np.bincount(d.cluster_index, weights=correction, minlength=d.c)
-    xi = xi / d.n_c
+    xi = d.cluster_means(correction)
     v_hat = float(np.mean((xi - xi.mean()) ** 2) / a_bar**2)
     se = float(np.sqrt(v_hat / d.c))
     ci = (tau_hat - 1.96 * se, tau_hat + 1.96 * se)
@@ -545,8 +503,7 @@ def make_panel(y, w, x, unit_labels, time_labels) -> PanelData:
         raise UnbalancedPanelError(
             f"{n} rows cannot form a balanced {n_units} x {n_periods} panel"
         )
-    counts = np.zeros((n_units, n_periods), dtype=np.int64)
-    np.add.at(counts, (unit_index, time_index), 1)
+    counts = np.bincount(unit_index * n_periods + time_index, minlength=n)
     if not np.all(counts == 1):
         raise UnbalancedPanelError(
             "panel is unbalanced: some unit-period cells are missing "
@@ -603,22 +560,6 @@ class TwowayCheck:
     max_abs_diff: float
 
 
-def _twoway_demean(p: PanelData, values: np.ndarray) -> np.ndarray:
-    if values.ndim == 1:
-        values = values.reshape(-1, 1)
-    out = np.empty_like(values, dtype=float)
-    for j in range(values.shape[1]):
-        v = values[:, j]
-        unit_mean = np.bincount(p.unit_index, weights=v,
-                                minlength=p.n_units) / p.n_periods
-        time_mean = np.bincount(p.time_index, weights=v,
-                                minlength=p.n_periods) / p.n_units
-        out[:, j] = (
-            v - unit_mean[p.unit_index] - time_mean[p.time_index] + v.mean()
-        )
-    return out
-
-
 def twoway_mundlak_check(p: PanelData) -> TwowayCheck:
     """Compare two-way fixed effects with its summary-based twin.
 
@@ -627,27 +568,17 @@ def twoway_mundlak_check(p: PanelData) -> TwowayCheck:
     treatment and covariates as controls. On a balanced panel the two
     treatment coefficients agree to machine precision.
     """
-    w_t = _twoway_demean(p, p.w)[:, 0]
-    _check_treatment_variation(w_t, "two-way fixed-effects regression")
-    y_t = _twoway_demean(p, p.y)[:, 0]
-    x_t = _twoway_demean(p, p.x)
-    fe_fit = wls_fit(np.column_stack([w_t, x_t]), y_t)
+    v = np.column_stack([p.y, p.w, p.x])
+    unit = group_means(p.unit_index, v, p.n_units)[p.unit_index]
+    time = group_means(p.time_index, v, p.n_periods)[p.time_index]
+    v_t = v - unit - time + np.array([col.mean() for col in v.T])
+    _check_treatment_variation(v_t[:, 1], "two-way fixed-effects regression")
+    fe_fit = wls_fit(v_t[:, 1:], v_t[:, 0])
     tau_fe = float(fe_fit.coefficients[0])
 
-    def unit_means(v):
-        return (np.bincount(p.unit_index, weights=v, minlength=p.n_units)
-                / p.n_periods)[p.unit_index]
-
-    def time_means(v):
-        return (np.bincount(p.time_index, weights=v, minlength=p.n_periods)
-                / p.n_units)[p.time_index]
-
-    parts = [np.ones(p.n), p.w, p.x, unit_means(p.w).reshape(-1, 1),
-             time_means(p.w).reshape(-1, 1)]
-    for j in range(p.k):
-        parts.append(unit_means(p.x[:, j]).reshape(-1, 1))
-        parts.append(time_means(p.x[:, j]).reshape(-1, 1))
-    design = np.column_stack(parts)
+    # unit mean, then period mean, of w and of each covariate in turn
+    means = np.stack([unit[:, 1:], time[:, 1:]], axis=2).reshape(p.n, -1)
+    design = np.column_stack([np.ones(p.n), v[:, 1:], means])
     m_fit = wls_fit(design, p.y)
     tau_mundlak = float(m_fit.coefficients[1])
     return TwowayCheck(

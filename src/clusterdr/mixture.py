@@ -89,9 +89,9 @@ class MixtureModel:
 
 
 def _counts_matrix(d: Dataset, unit_cell: np.ndarray, n_cells: int):
-    counts = np.zeros((d.c, n_cells))
-    np.add.at(counts, (d.cluster_index, unit_cell), 1.0)
-    return counts
+    cells = np.bincount(d.cluster_index * n_cells + unit_cell,
+                        minlength=d.c * n_cells)
+    return cells.reshape(d.c, n_cells).astype(float)
 
 
 def _loglik_and_resp(counts, log_pi, log_pmf):

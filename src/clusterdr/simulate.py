@@ -449,8 +449,11 @@ class EstimatorConfig:
     and ``qte-diff`` (treated-minus-control quantile at level ``q``).
     ``statspec`` defaults to treatment mean plus all covariate means.
     ``eta`` of ``None`` disables trimming. ``use_true_propensity``
-    feeds the generator's assignment probabilities to methods that
-    weight by propensities.
+    feeds the generator's assignment probabilities to ``weighted-fe``
+    and ``qte-diff`` in place of the fitted propensities; any other
+    method rejects it. ``dr`` does not take it: its score conditions on
+    the cluster summaries, which hold the unit's own treatment, and the
+    generator's probability is not that conditional propensity.
     """
 
     method: str = "dr"
@@ -460,6 +463,12 @@ class EstimatorConfig:
     q: float = 0.5
     use_true_propensity: bool = False
     nuisance: NuisanceConfig = field(default_factory=NuisanceConfig)
+
+    def __post_init__(self):
+        if self.use_true_propensity and self.method not in (
+                "weighted-fe", "qte-diff"):
+            raise InputError(f"use_true_propensity applies to weighted-fe "
+                             f"and qte-diff only, not {self.method!r}")
 
     def to_dict(self) -> dict:
         return {

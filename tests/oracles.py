@@ -212,6 +212,24 @@ def cluster_warnings(w, labels):
     return warnings, degenerate
 
 
+def loop_group_means(ids, values, n_groups, weights=None):
+    """Per-group means by one pass over the rows, weighting each row by
+    ``weights[i]`` (1 when None); a vector gives a vector back."""
+    matrix = np.ndim(values) == 2
+    m = np.shape(values)[1] if matrix else 1
+    sums = [[0.0] * m for _ in range(n_groups)]
+    totals = [0.0] * n_groups
+    for i, g in enumerate(ids):
+        wt = 1.0 if weights is None else float(weights[i])
+        totals[g] += wt
+        row = values[i] if matrix else [values[i]]
+        for j in range(m):
+            sums[g][j] += wt * float(row[j])
+    out = np.array([[s / totals[g] for s in sums[g]]
+                    for g in range(n_groups)]).reshape(n_groups, m)
+    return out if matrix else out[:, 0]
+
+
 def setdefault_ids(labels):
     """Row-by-row label interning: dense ids in order of first appearance
     and the number of distinct labels."""

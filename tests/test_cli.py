@@ -168,6 +168,18 @@ def test_simulate_thread_count_does_not_change_body(workdir):
     assert "threads" not in body["config"] and "output" not in body["config"]
 
 
+@pytest.mark.parametrize("method", ["dr", "fe", "mundlak"])
+def test_simulate_true_propensity_rejected_where_unread(workdir, capsys,
+                                                        method):
+    code = main(["simulate", "--preset", "hetero-prop", "--c", "40",
+                 "--n-c", "20", "--reps", "5", "--seed", "1", "--method",
+                 method, "--use-true-propensity", "--output", "s.json"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "configure: use_true_propensity" in err and repr(method) in err
+    assert not (workdir / "s.json").exists()
+
+
 # --- select -----------------------------------------------------------------
 
 
@@ -274,6 +286,15 @@ def test_mixture_p_grid_reports_logliks(workdir, capsys):
     body = read_report(workdir / "grid.json")["body"]
     assert [row["p"] for row in body["grid"]] == [1, 2]
     assert body["grid"][1]["loglik"] >= body["grid"][0]["loglik"]
+
+
+def test_mixture_p_grid_with_estimate_exits_one(workdir, capsys):
+    # rejected before loading: the data file does not exist
+    assert main(["mixture", "--data", "absent.csv", "--p-grid", "1,2",
+                 "--estimate", "--output", "grid.json"]) == 1
+    err = capsys.readouterr().err
+    assert "mixture: --estimate" in err and "--p-grid" in err
+    assert not (workdir / "grid.json").exists()
 
 
 def test_mixture_rerun_byte_identical(workdir):

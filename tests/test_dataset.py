@@ -16,7 +16,7 @@ from clusterdr import (
     validate,
     write_csv,
 )
-from clusterdr.dataset import _CHUNK_ROWS, intern_labels
+from clusterdr.dataset import _CHUNK_ROWS, group_means, intern_labels
 
 import oracles
 
@@ -189,6 +189,41 @@ def test_intern_labels_matches_loop_oracle(pool, picks):
     # dense integer ids, as the selector gets them, come back unchanged
     again, _ = intern_labels(np.asarray(want_ids, dtype=np.int64))
     assert again.tolist() == want_ids
+
+
+_VALUES = st.floats(min_value=-1e3, max_value=1e3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n_groups=st.integers(min_value=1, max_value=6),
+       m=st.one_of(st.none(), st.integers(min_value=0, max_value=3)),
+       weighted=st.booleans())
+def test_group_means_match_loop_oracle(data, n_groups, m, weighted):
+    # Every group has a row; groups without extra rows are one-row
+    # groups, and the ids come in any order. m=None draws a vector.
+    extra = data.draw(st.lists(st.integers(min_value=0,
+                                           max_value=n_groups - 1),
+                               max_size=20))
+    ids = np.array(data.draw(st.permutations(list(range(n_groups)) + extra)),
+                   dtype=np.int64)
+    n = ids.size
+    width = 1 if m is None else m
+    rows = data.draw(st.lists(st.lists(_VALUES, min_size=width,
+                                       max_size=width),
+                              min_size=n, max_size=n))
+    values = np.array(rows).reshape(n, width)
+    if m is None:
+        values = values[:, 0]
+    weights = None
+    if weighted:
+        weights = np.array(data.draw(st.lists(
+            st.floats(min_value=1e-3, max_value=1e3), min_size=n,
+            max_size=n)))
+    got = group_means(ids, values, n_groups, weights)
+    want = oracles.loop_group_means(ids, values, n_groups, weights)
+    assert got.shape == want.shape == (
+        (n_groups,) if m is None else (n_groups, m))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-9)
 
 
 _CELLS = st.one_of(

@@ -179,9 +179,6 @@ def test_nuisance_shapes_and_notes():
     assert nu.mu0.shape == (d.n,)
     assert nu.mu1.shape == (d.n,)
     assert np.all((nu.e > 0) & (nu.e < 1))
-    assert "propensity" in nu.spec_notes and "outcome" in nu.spec_notes
-    # unbalanced sizes trigger the size indicator columns
-    assert "size indicators" in nu.spec_notes
 
 
 def clustered_data(seed, sizes, k):
