@@ -24,7 +24,6 @@ or numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
@@ -36,7 +35,7 @@ from pathlib import Path
 import numpy as np
 from jsonschema import Draft202012Validator
 
-from .dataset import CsvSchema, load_csv, validate
+from .dataset import CsvSchema, load_csv, validate, write_table
 from .estimators import (
     NuisanceConfig,
     dr_estimate,
@@ -420,11 +419,10 @@ def cmd_mixture(args) -> int:
 
     out = Path(cfg["output"])
     post_path = out.with_suffix(".posterior.csv")
-    with open(post_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cluster"] + [f"post_{j}" for j in range(model.p)])
-        for label, row in zip(d.cluster_labels, post):
-            writer.writerow([label] + [repr(float(v)) for v in row])
+    write_table(
+        post_path, ["cluster"] + [f"post_{j}" for j in range(model.p)],
+        [d.cluster_labels, *(map(repr, col) for col in post.T.tolist())],
+    )
 
     meta = {"posterior_csv": str(post_path)}
     if cfg["estimate"]:

@@ -1,4 +1,4 @@
-"""Clustered cross-section containers and CSV input/output.
+"""Clustered cross-section containers and all CSV reading and writing.
 
 A dataset is an ordered collection of units, each carrying an outcome,
 a binary treatment, a covariate vector, and a cluster label. Labels may
@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter
 from typing import Optional, Sequence
 
@@ -230,11 +230,11 @@ def _parse_float(text: str, row: int, column: str) -> float:
         ) from None
 
 
-def _parse_columns(rows: list, take, n_cov: int):
+def _parse_columns(rows: list, take, n_labels: int, n_cov: int):
     """Parse one chunk of rows column by column.
 
-    Returns (y, w, labels, x with one row per covariate), or None when
-    any cell is bad or missing; the caller then finds which one.
+    Returns (y, w, one label column per role, x with one row per
+    covariate), or None when any cell is bad or missing.
     """
     m = len(rows)
     try:
@@ -242,20 +242,23 @@ def _parse_columns(rows: list, take, n_cov: int):
         y = np.fromiter(map(float, cols[0]), dtype=float, count=m)
         w = np.fromiter(map(float, cols[1]), dtype=float, count=m)
         x = np.empty((n_cov, m))
-        for j, col in enumerate(cols[3:]):
+        for j, col in enumerate(cols[2 + n_labels:]):
             x[j] = np.fromiter(map(float, col), dtype=float, count=m)
     except (IndexError, ValueError):
         return None
-    if ("" in cols[2] or not np.all((w == 0.0) | (w == 1.0))
+    labels = cols[2:2 + n_labels]
+    if (any("" in lab for lab in labels)
+            or not np.all((w == 0.0) | (w == 1.0))
             or not np.all(np.isfinite(x))):
         return None
-    return y, w, cols[2], x
+    return y, w, labels, x
 
 
-def _raise_first_bad_cell(rows: list, first_row: int, schema: CsvSchema,
-                          covariates: list, pos: dict) -> None:
+def _raise_first_bad_cell(rows: list, first_row: int, outcome: str,
+                          treatment: str, labels: dict, covariates: list,
+                          pos: dict) -> None:
     """Raise the error of the first bad cell in ``rows``, in row-major
-    order and, within a row, outcome, treatment, label, covariates.
+    order and, within a row, outcome, treatment, labels, covariates.
 
     Only called on a chunk that :func:`_parse_columns` rejected, so it
     always raises. A cell past the end of a short row reads as missing.
@@ -263,16 +266,15 @@ def _raise_first_bad_cell(rows: list, first_row: int, schema: CsvSchema,
     for row_num, row in enumerate(rows, start=first_row):
         cell = {col: row[i] if i < len(row) else None
                 for col, i in pos.items()}
-        _parse_float(cell[schema.outcome], row_num, schema.outcome)
-        w_val = _parse_float(cell[schema.treatment], row_num,
-                             schema.treatment)
+        _parse_float(cell[outcome], row_num, outcome)
+        w_val = _parse_float(cell[treatment], row_num, treatment)
         if w_val not in (0.0, 1.0):
             raise InputError(
                 f"row {row_num}: treatment must be 0 or 1, got {w_val}"
             )
-        lab = cell[schema.cluster]
-        if lab is None or lab == "":
-            raise InputError(f"row {row_num}: empty cluster label")
+        for role, col in labels.items():
+            if cell[col] is None or cell[col] == "":
+                raise InputError(f"row {row_num}: empty {role} label")
         for col in covariates:
             text = cell[col]
             if text is None or text == "":
@@ -286,41 +288,39 @@ def _raise_first_bad_cell(rows: list, first_row: int, schema: CsvSchema,
                 )
 
 
-def load_csv(path, schema: Optional[CsvSchema] = None) -> Dataset:
-    """Read a clustered cross-section from a CSV file.
+def read_units(path, outcome: str, treatment: str, labels: dict,
+               covariates: Optional[Sequence[str]] = None) -> tuple:
+    """Read one row per unit from a CSV file.
+
+    ``labels`` maps each label role (``"cluster"``, or ``"unit"`` and
+    ``"time"``) to its column; ``covariates=None`` means every other
+    column, in header order. Returns ``(y, w, label_lists, x)``: float
+    vectors, one list of label strings per role of ``labels``, and the
+    (n, k) covariates.
 
     The file is streamed in chunks of ``_CHUNK_ROWS`` rows, each parsed
     column by column. Blank lines are skipped and not counted in row
     numbers; extra fields are ignored; of duplicate header names the
-    last column wins.
-
-    Raises :class:`InputError` on a missing column, a non-numeric cell,
-    a treatment value other than 0/1, or a missing covariate value,
-    naming the first bad cell's 1-based row (the header is row 1).
-    NaN outcomes load successfully and are reported by :func:`validate`.
+    last column wins. Raises :class:`InputError` on a missing column, a
+    non-numeric cell, a treatment other than 0/1, an empty label, or a
+    missing or non-finite covariate, naming the first bad cell's 1-based
+    row (the header is row 1). NaN outcomes load successfully.
     """
-    schema = schema or CsvSchema()
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise InputError(f"{path}: empty file")
-        for col in (schema.outcome, schema.treatment, schema.cluster):
+        roles = [outcome, treatment, *labels.values()]
+        covariates = ([h for h in header if h not in roles]
+                      if covariates is None else list(covariates))
+        for col in roles + covariates:
             if col not in header:
                 raise InputError(f"{path}: missing column {col!r}")
-        if schema.covariates is None:
-            claimed = {schema.outcome, schema.treatment, schema.cluster}
-            covariates = [h for h in header if h not in claimed]
-        else:
-            covariates = list(schema.covariates)
-            for col in covariates:
-                if col not in header:
-                    raise InputError(f"{path}: missing column {col!r}")
 
         pos = {name: i for i, name in enumerate(header)}
-        roles = [schema.outcome, schema.treatment, schema.cluster]
         take = itemgetter(*(pos[col] for col in roles + covariates))
-        ys, ws, labels, xs = [], [], [], []
+        parts = []
         row_num = 2
         while True:
             chunk = list(islice(reader, _CHUNK_ROWS))
@@ -329,19 +329,43 @@ def load_csv(path, schema: Optional[CsvSchema] = None) -> Dataset:
             rows = [row for row in chunk if row]
             if not rows:
                 continue
-            parsed = _parse_columns(rows, take, len(covariates))
+            parsed = _parse_columns(rows, take, len(labels), len(covariates))
             if parsed is None:
-                _raise_first_bad_cell(rows, row_num, schema, covariates, pos)
-            y, w, lab, x = parsed
-            ys.append(y)
-            ws.append(w)
-            labels.extend(lab)
-            xs.append(x)
+                _raise_first_bad_cell(rows, row_num, outcome, treatment,
+                                      labels, covariates, pos)
+            parts.append(parsed)
             row_num += len(rows)
-    if not ys:
+    if not parts:
         raise InputError(f"{path}: no data rows")
+    ys, ws, labs, xs = zip(*parts)
     x = np.ascontiguousarray(np.concatenate(xs, axis=1).T)
-    return Dataset(np.concatenate(ys), np.concatenate(ws), x, labels)
+    return (np.concatenate(ys), np.concatenate(ws),
+            [list(chain.from_iterable(col)) for col in zip(*labs)], x)
+
+
+def load_csv(path, schema: Optional[CsvSchema] = None) -> Dataset:
+    """Read a clustered cross-section from a CSV file.
+
+    Columns are named by ``schema`` and parsed by :func:`read_units`,
+    whose errors name the first bad cell's row. NaN outcomes load and
+    are reported by :func:`validate`.
+    """
+    schema = schema or CsvSchema()
+    y, w, (clusters,), x = read_units(
+        path, schema.outcome, schema.treatment, {"cluster": schema.cluster},
+        schema.covariates,
+    )
+    return Dataset(y, w, x, clusters)
+
+
+def write_table(path, header: list, columns) -> None:
+    """Write a CSV file: the ``header`` row, then row i holds entry i of
+    each of the equal-length ``columns``, written as ``csv`` formats it
+    (so floats should come as their ``repr`` strings)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*columns))
 
 
 def write_csv(d: Dataset, path, schema: Optional[CsvSchema] = None) -> None:
@@ -355,18 +379,13 @@ def write_csv(d: Dataset, path, schema: Optional[CsvSchema] = None) -> None:
             raise InputError(
                 f"schema names {len(covariates)} covariates, dataset has {d.k}"
             )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [schema.outcome, schema.treatment, schema.cluster] + covariates
-        )
-        labels = d.cluster_labels
-        writer.writerows(zip(
-            map(repr, d.y.tolist()),
-            d.w.tolist(),
-            map(labels.__getitem__, d.cluster_index.tolist()),
-            *(map(repr, col) for col in d.x.T.tolist()),
-        ))
+    labels = d.cluster_labels
+    write_table(
+        path, [schema.outcome, schema.treatment, schema.cluster] + covariates,
+        [map(repr, d.y.tolist()), d.w.tolist(),
+         map(labels.__getitem__, d.cluster_index.tolist()),
+         *(map(repr, col) for col in d.x.T.tolist())],
+    )
 
 
 def validate(d: Dataset) -> ValidationReport:

@@ -10,13 +10,12 @@ baselines and for the exact algebraic equivalence checks.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .dataset import Dataset, group_means, intern_labels
+from .dataset import Dataset, group_means, intern_labels, read_units
 from .exceptions import (
     DegenerateDesignError,
     EmptyOverlapError,
@@ -518,36 +517,13 @@ def make_panel(y, w, x, unit_labels, time_labels) -> PanelData:
 def load_panel_csv(path, unit: str = "unit", time: str = "time",
                    outcome: str = "y", treatment: str = "w",
                    covariates: Optional[list] = None) -> PanelData:
-    """Read a long-form panel CSV and check balance."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise InputError(f"{path}: empty file")
-        header = list(reader.fieldnames)
-        for col in (unit, time, outcome, treatment):
-            if col not in header:
-                raise InputError(f"{path}: missing column {col!r}")
-        if covariates is None:
-            claimed = {unit, time, outcome, treatment}
-            covariates = [h for h in header if h not in claimed]
-        ys, ws, units, times, xs = [], [], [], [], []
-        for row_num, row in enumerate(reader, start=2):
-            try:
-                ys.append(float(row[outcome]))
-                ws.append(float(row[treatment]))
-                xs.append([float(row[c]) for c in covariates])
-            except (TypeError, ValueError):
-                raise InputError(
-                    f"{path}: non-numeric value in row {row_num}"
-                ) from None
-            units.append(row[unit])
-            times.append(row[time])
-    if not ys:
-        raise InputError(f"{path}: no data rows")
-    x = np.asarray(xs, dtype=float)
-    if x.size == 0:
-        x = np.empty((len(ys), 0))
-    return make_panel(np.asarray(ys), np.asarray(ws), x, units, times)
+    """Read a long-form panel CSV through ``load_csv``'s chunked reader
+    (``read_units``, same row-numbered errors), then check balance with
+    :func:`make_panel`. ``covariates=None`` means every other column."""
+    y, w, (units, times), x = read_units(
+        path, outcome, treatment, {"unit": unit, "time": time}, covariates
+    )
+    return make_panel(y, w, x, units, times)
 
 
 @dataclass(frozen=True)

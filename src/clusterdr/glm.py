@@ -39,12 +39,11 @@ class WlsFit:
     """Weighted least-squares result.
 
     ``coefficients`` has one entry per design column; dropped columns
-    get an exact zero so ``design @ coefficients`` reproduces
-    ``fitted``. ``rank`` counts the retained columns.
+    get an exact zero, so ``design @ coefficients`` gives the fitted
+    values. ``rank`` counts the retained columns.
     """
 
     coefficients: np.ndarray
-    fitted: np.ndarray
     rank: int
     columns_dropped: tuple
 
@@ -149,7 +148,6 @@ def wls_fit(design, response, weights=None) -> WlsFit:
         coef[kept] = np.linalg.solve(r[:rank, :rank], r[:rank, -1])
     return WlsFit(
         coefficients=coef,
-        fitted=a @ coef,
         rank=rank,
         columns_dropped=tuple(dropped),
     )

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, write_table
 from .estimators import (
     NuisanceConfig,
     dr_estimate,
@@ -519,20 +519,13 @@ class McReport:
         }
 
     def write_per_rep_csv(self, path) -> None:
-        import csv as _csv
-
-        with open(path, "w", newline="") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow(["rep", "tau_hat", "se", "truth", "covered"])
-            for r in range(self.tau_hat.shape[0]):
-                writer.writerow([
-                    r,
-                    repr(float(self.tau_hat[r])),
-                    repr(float(self.se[r])),
-                    repr(float(self.truth[r])),
-                    int(self.covered[r]) if not math.isnan(
-                        float(self.covered[r])) else "",
-                ])
+        write_table(path, ["rep", "tau_hat", "se", "truth", "covered"], [
+            range(self.tau_hat.shape[0]),
+            map(repr, self.tau_hat.tolist()),
+            map(repr, self.se.tolist()),
+            map(repr, self.truth.tolist()),
+            ["" if math.isnan(c) else int(c) for c in self.covered.tolist()],
+        ])
 
 
 def _run_one_rep(cfg: DgpConfig, est: EstimatorConfig, child_seq):

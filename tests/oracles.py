@@ -8,6 +8,7 @@ code paths it checks. Tests compare library output against these.
 from __future__ import annotations
 
 import csv
+import math
 from collections import defaultdict
 
 import numpy as np
@@ -250,6 +251,59 @@ def rowwise_write_csv(d, path, header):
                 [repr(float(d.y[i])), int(d.w[i]), labels[d.cluster_index[i]]]
                 + [repr(float(v)) for v in d.x[i]]
             )
+
+
+def rowwise_write_per_rep(rep, path):
+    """Row-by-row per-rep CSV: the rep number, the repr of each estimate,
+    standard error and truth, and ``covered`` as 0/1, empty when NaN."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["rep", "tau_hat", "se", "truth", "covered"])
+        for r in range(rep.tau_hat.shape[0]):
+            writer.writerow([
+                r,
+                repr(float(rep.tau_hat[r])),
+                repr(float(rep.se[r])),
+                repr(float(rep.truth[r])),
+                int(rep.covered[r]) if not math.isnan(
+                    float(rep.covered[r])) else "",
+            ])
+
+
+def rowwise_write_posterior(labels, post, path):
+    """Row-by-row posterior CSV: per cluster its label, then the repr of
+    each component's posterior probability."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["cluster"]
+                        + [f"post_{j}" for j in range(post.shape[1])])
+        for label, row in zip(labels, post):
+            writer.writerow([label] + [repr(float(v)) for v in row])
+
+
+def dictreader_load_panel(path, unit="unit", time="time", outcome="y",
+                          treatment="w", covariates=None):
+    """Long-form panel read one ``csv.DictReader`` row at a time: the
+    outcome, treatment and each covariate through ``float``, the labels
+    as read, then ``make_panel``. For valid files only."""
+    from clusterdr import make_panel
+
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if covariates is None:
+            claimed = {unit, time, outcome, treatment}
+            covariates = [h for h in reader.fieldnames if h not in claimed]
+        ys, ws, units, times, xs = [], [], [], [], []
+        for row in reader:
+            ys.append(float(row[outcome]))
+            ws.append(float(row[treatment]))
+            xs.append([float(row[c]) for c in covariates])
+            units.append(row[unit])
+            times.append(row[time])
+    x = np.asarray(xs, dtype=float)
+    if x.size == 0:
+        x = np.empty((len(ys), 0))
+    return make_panel(np.asarray(ys), np.asarray(ws), x, units, times)
 
 
 def multinomial_gradient(features, labels, coefficients):

@@ -14,6 +14,8 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusterdr import (
     CsvSchema,
@@ -22,11 +24,15 @@ from clusterdr import (
     dgp_preset,
     em_fit,
     generate,
+    load_csv,
     load_panel_csv,
     multinomial_group_lasso,
 )
+from clusterdr import cli
 from clusterdr.cli import canonical_body_bytes, main
 from clusterdr.dataset import write_csv
+
+import oracles
 
 
 @pytest.fixture
@@ -134,7 +140,8 @@ def test_simulate_smoke_and_per_rep_csv(workdir, capsys):
     assert code == 0
     body = read_report(workdir / "sim.json")["body"]
     assert body["mc"]["reps"] == 2
-    rows = list(csv.DictReader(open(workdir / "sim.reps.csv")))
+    with open(workdir / "sim.reps.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 2
     assert "bias=" in capsys.readouterr().out
 
@@ -252,9 +259,32 @@ def test_mixture_single_component_posterior_ones(workdir):
     path = discrete_csv(workdir)
     assert main(["mixture", "--data", str(path), "--p", "1",
                  "--output", "mix.json"]) == 0
-    rows = list(csv.DictReader(open(workdir / "mix.posterior.csv")))
+    with open(workdir / "mix.posterior.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 60
     assert all(float(r["post_0"]) == 1.0 for r in rows)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), p=st.integers(min_value=1, max_value=3))
+def test_posterior_csv_matches_row_loop_oracle(tmp_path_factory, data, p):
+    # The posterior values are drawn, so the written file sees -0.0 and
+    # subnormals that a fitted posterior would not produce.
+    workdir = tmp_path_factory.mktemp("mix")
+    path = discrete_csv(workdir)
+    post = np.array(data.draw(st.lists(
+        st.lists(st.one_of(st.floats(min_value=0.0, max_value=1.0),
+                           st.sampled_from([-0.0, 5e-324])),
+                 min_size=p, max_size=p),
+        min_size=60, max_size=60)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "posterior_suffstat", lambda model, d: post)
+        assert main(["mixture", "--data", str(path), "--p", str(p),
+                     "--output", str(workdir / "mix.json")]) == 0
+    oracles.rowwise_write_posterior(load_csv(path).cluster_labels, post,
+                                    workdir / "rows.csv")
+    assert ((workdir / "mix.posterior.csv").read_bytes()
+            == (workdir / "rows.csv").read_bytes())
 
 
 def test_mixture_p_exceeding_clusters_exit_one(workdir, capsys):
@@ -330,6 +360,29 @@ def test_check_unbalanced_panel_exit_two(workdir, capsys):
     )
     assert main(["check-equivalence", "--panel", str(path)]) == 2
     assert "balanced" in capsys.readouterr().err
+
+
+_PANEL_OK = "unit,time,y,w,x0\nu0,t0,1.0,1,0.2\nu0,t1,2.0,0,0.1\n"
+
+
+@pytest.mark.parametrize("rows, flags, message", [
+    ("", ["--covariate-cols", "nope"], "missing column 'nope'"),
+    ("u1,t0,1.5\n", [], "row 4: column 'w' value None is not numeric"),
+    ("u1,t0,1.5,1\n", [], "row 4: missing covariate 'x0'"),
+    (",t0,1.5,1,0.0\n", [], "row 4: empty unit label"),
+    ("u1,,1.5,1,0.0\n", [], "row 4: empty time label"),
+    ("u1,t0,1.5,2,0.0\n", [], "row 4: treatment must be 0 or 1, got 2.0"),
+    ("u1,t0,abc,1,0.0\n", [], "row 4: column 'y' value 'abc' is not "
+                               "numeric"),
+    ("u1,t0,1.5,1,nan\n", [], "row 4: covariate 'x0' is not finite"),
+], ids=["absent-covariate", "short-row", "short-row-covariate", "empty-unit",
+        "empty-time", "treatment-2", "non-numeric-outcome", "nan-covariate"])
+def test_check_bad_panel_exit_one(workdir, capsys, rows, flags, message):
+    path = workdir / "bad.csv"
+    path.write_text(_PANEL_OK + rows + "u1,t1,2.5,0,0.3\n")
+    assert main(["check-equivalence", "--panel", str(path), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: load: ") and message in err
 
 
 def test_check_requires_exactly_one_input(demo_csv, panel_csv):

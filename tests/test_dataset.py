@@ -1,5 +1,7 @@
 """Container, CSV round-trip, and validation behavior."""
 
+import csv
+import dataclasses
 import math
 import time
 
@@ -12,7 +14,9 @@ from clusterdr import (
     CsvSchema,
     Dataset,
     InputError,
+    PanelData,
     load_csv,
+    load_panel_csv,
     validate,
     write_csv,
 )
@@ -250,6 +254,66 @@ def test_write_csv_matches_row_loop_oracle(tmp_path_factory, data, n, k):
     header = ["y", "w", "cluster"] + [f"x{j + 1}" for j in range(k)]
     oracles.rowwise_write_csv(d, want, header)
     assert got.read_bytes() == want.read_bytes()
+
+
+_PANEL_LABELS = st.one_of(
+    st.text(st.characters(min_codepoint=32, max_codepoint=0x24F),
+            min_size=1, max_size=3),
+    st.integers(min_value=-3, max_value=30).map(str),
+    st.sampled_from(["1", "01", "1.0", "1e0", " 1", "nan", "a,b", 'q"t']),
+)
+_PANEL_CELLS = st.one_of(_CELLS, st.sampled_from([-0.0, 5e-324]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(),
+       units=st.lists(_PANEL_LABELS, min_size=1, max_size=4, unique=True),
+       times=st.lists(_PANEL_LABELS, min_size=1, max_size=4, unique=True),
+       k=st.integers(min_value=0, max_value=3),
+       names=st.sampled_from([("unit", "time", "y", "w"),
+                              ("firm", "year", "out", "treat")]))
+def test_load_panel_csv_matches_dictreader_oracle(tmp_path_factory, data,
+                                                  units, times, k, names):
+    unit, time_, outcome, treatment = names
+    xnames = [f"x{j}" for j in range(k)]
+    covariates = data.draw(st.one_of(
+        st.none(), st.just(xnames[::-1]),
+        st.lists(st.sampled_from(xnames), unique=True) if k else st.just([]),
+    ))
+    extra = ["note"] if covariates is not None else []
+    header = data.draw(st.permutations([*names, *xnames, *extra]))
+    cells = data.draw(st.permutations(
+        [(u, t) for u in units for t in times]))
+    rows = []
+    for u, t in cells:
+        value = {unit: u, time_: t, "note": data.draw(st.text(max_size=3)),
+                 outcome: repr(data.draw(st.one_of(_PANEL_CELLS,
+                                                   st.just(math.nan)))),
+                 treatment: data.draw(st.sampled_from(["0", "1", "1.0"]))}
+        value.update({c: repr(data.draw(_PANEL_CELLS)) for c in xnames})
+        row = [value[col] for col in header]
+        if data.draw(st.booleans()):
+            row.append("extra field")
+        rows.append(row)
+        if data.draw(st.integers(min_value=0, max_value=4)) == 0:
+            rows.append([])
+    path = tmp_path_factory.mktemp("panel") / "panel.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    kwargs = dict(unit=unit, time=time_, outcome=outcome,
+                  treatment=treatment, covariates=covariates)
+    got = load_panel_csv(path, **kwargs)
+    want = oracles.dictreader_load_panel(path, **kwargs)
+    for f in dataclasses.fields(PanelData):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            # bytes equality: NaN-aware and tells -0.0 from 0.0
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), f.name
+            assert a.tobytes() == b.tobytes(), f.name
+        else:
+            assert a == b, f.name
 
 
 def test_validate_scales_to_many_clusters():

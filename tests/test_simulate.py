@@ -8,10 +8,13 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusterdr import (
     EstimatorConfig,
     InputError,
+    McReport,
     NuisanceConfig,
     PRESET_NAMES,
     StatSpec,
@@ -21,6 +24,8 @@ from clusterdr import (
     monte_carlo,
 )
 from clusterdr.simulate import _run_one_rep
+
+import oracles
 
 
 def test_all_presets_generate():
@@ -210,6 +215,32 @@ def test_per_rep_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "rep,tau_hat,se,truth,covered"
     assert len(lines) == 5
+
+
+_REP_VALUES = st.one_of(
+    st.floats(allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, math.nan]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), reps=st.integers(min_value=1, max_value=12))
+def test_per_rep_csv_matches_row_loop_oracle(tmp_path_factory, data, reps):
+    def column(values):
+        return np.array(data.draw(st.lists(values, min_size=reps,
+                                           max_size=reps)), dtype=float)
+
+    rep = McReport(
+        reps=reps, bias=0.0, rmse=0.0, coverage=math.nan,
+        mean_se=math.nan, mc_sd=0.0, tau_hat=column(_REP_VALUES),
+        se=column(_REP_VALUES), truth=column(_REP_VALUES),
+        covered=column(st.sampled_from([0.0, 1.0, math.nan])), failures=[],
+    )
+    out = tmp_path_factory.mktemp("reps")
+    rep.write_per_rep_csv(out / "columns.csv")
+    oracles.rowwise_write_per_rep(rep, out / "rows.csv")
+    assert ((out / "columns.csv").read_bytes()
+            == (out / "rows.csv").read_bytes())
 
 
 def test_report_dict_cleans_nans():
