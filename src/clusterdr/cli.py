@@ -123,6 +123,10 @@ def _new_body(command: str, cfg: dict) -> dict:
 
 
 def _write_report(body: dict, output: str, extra_meta: dict = None) -> Path:
+    """Write ``{"body": body, "meta": meta}`` as sorted-key, two-space
+    JSON, the canonical body bytes nested one level deep, so the body is
+    encoded once. Indenting after each newline is exact because JSON
+    escapes every newline inside a string."""
     body_bytes = canonical_body_bytes(body)
     meta = {
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
@@ -131,12 +135,19 @@ def _write_report(body: dict, output: str, extra_meta: dict = None) -> Path:
     if extra_meta:
         meta.update(extra_meta)
     payload = {"body": body, "meta": meta}
-    errors = list(Draft202012Validator(_schema("report")).iter_errors(payload))
-    if errors:
-        raise EstimationError(f"report: malformed output: {errors[0].message}")
-    path = Path(output)
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2,
-                               allow_nan=False) + "\n")
+    with _stage("report"):
+        errors = list(
+            Draft202012Validator(_schema("report")).iter_errors(payload))
+        if errors:
+            raise EstimationError(f"malformed output: {errors[0].message}")
+        meta_bytes = json.dumps(meta, sort_keys=True, indent=2,
+                                allow_nan=False).encode("utf-8")
+        path = Path(output)
+        path.write_bytes(b'{\n  "body": '
+                         + body_bytes[:-1].replace(b"\n", b"\n  ")
+                         + b',\n  "meta": '
+                         + meta_bytes.replace(b"\n", b"\n  ")
+                         + b"\n}\n")
     return path
 
 
@@ -296,7 +307,8 @@ def cmd_simulate(args) -> int:
     body["mc"] = rep.to_dict()
     out = Path(cfg["output"])
     per_rep = out.with_suffix(".reps.csv")
-    rep.write_per_rep_csv(per_rep)
+    with _stage("report"):
+        rep.write_per_rep_csv(per_rep)
     path = _write_report(body, cfg["output"],
                          extra_meta={"per_rep_csv": str(per_rep)})
     cov = "n/a" if rep.to_dict()["coverage"] is None else f"{rep.coverage:.3f}"
@@ -357,7 +369,8 @@ def cmd_select(args) -> int:
     ]
     out = Path(cfg["output"])
     spec_path = out.with_suffix(".statspec.json")
-    spec_path.write_text(sel_spec.to_json() + "\n")
+    with _stage("report"):
+        spec_path.write_text(sel_spec.to_json() + "\n")
     path = _write_report(body, cfg["output"],
                          extra_meta={"statspec_path": str(spec_path)})
     if not res.selected:
@@ -415,14 +428,15 @@ def cmd_mixture(args) -> int:
         model = em_fit(d, p=cfg["p"], **em_kwargs)
         post = posterior_suffstat(model, d)
     body["model"] = model.to_dict()
-    body["posterior"] = [[float(v) for v in row] for row in post]
+    body["posterior"] = post.tolist()
 
     out = Path(cfg["output"])
     post_path = out.with_suffix(".posterior.csv")
-    write_table(
-        post_path, ["cluster"] + [f"post_{j}" for j in range(model.p)],
-        [d.cluster_labels, *(map(repr, col) for col in post.T.tolist())],
-    )
+    with _stage("report"):
+        write_table(
+            post_path, ["cluster"] + [f"post_{j}" for j in range(model.p)],
+            [d.cluster_labels, *(map(repr, col) for col in post.T.tolist())],
+        )
 
     meta = {"posterior_csv": str(post_path)}
     if cfg["estimate"]:

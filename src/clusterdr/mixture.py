@@ -30,14 +30,26 @@ _DEFAULT_SUPPORT_CAP = 512
 
 
 def _unit_cells(d: Dataset):
-    """Distinct (x, w) cells in sorted order, as tuples of float
-    covariates and an int treatment, plus the cell index per unit."""
-    rows, unit_cell = np.unique(
-        np.column_stack([d.x, d.w]), axis=0, return_inverse=True
-    )
-    cells = [tuple(row[:-1]) + (int(row[-1]),) for row in rows.tolist()]
-    # numpy 2.0.0 returns the inverse of an axis-0 unique as a column.
-    return cells, unit_cell.reshape(-1)
+    """Distinct (x, w) cells in lexicographic order, as tuples of float
+    covariates and an int treatment, plus the cell index per unit.
+
+    Each column is coded by a 1-D ``np.unique``. The cell ranks so far
+    and the next column's codes combine in mixed radix and are ranked
+    again, so a key stays below n squared. Zeros of either sign share a
+    cell, whose value is +0.0.
+    """
+    unit_cell = np.zeros(d.n, dtype=np.int64)
+    columns = []  # per column, its value in each cell so far
+    for col in (*d.x.T, d.w):
+        values, code = np.unique(col, return_inverse=True)
+        keys, unit_cell = np.unique(unit_cell * len(values) + code,
+                                    return_inverse=True)
+        columns = ([c[keys // len(values)] for c in columns]
+                   + [values[keys % len(values)]])
+    *x_cols, w_col = columns
+    cells = list(zip(*((c + 0.0).tolist() for c in x_cols),
+                     map(int, w_col.tolist())))
+    return cells, unit_cell
 
 
 def _enumerate_cells(d: Dataset, support_cap: int):

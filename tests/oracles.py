@@ -8,6 +8,7 @@ code paths it checks. Tests compare library output against these.
 from __future__ import annotations
 
 import csv
+import json
 import math
 from collections import defaultdict
 
@@ -185,6 +186,24 @@ def naive_mixture_posterior(pi, pmfs, cluster_cells):
             prod *= pmfs[k][cell]
         joint[k] = prod
     return joint / joint.sum()
+
+
+def axis0_unique_cells(x, w):
+    """Distinct (x, w) rows by one ``np.unique(axis=0)`` over the stacked
+    matrix: (cell tuples of float covariates and an int treatment, cell
+    index per unit). A cell's zero keeps the sign of whichever row the
+    sort puts first."""
+    rows, unit_cell = np.unique(np.column_stack([x, w]), axis=0,
+                                return_inverse=True)
+    cells = [tuple(row[:-1]) + (int(row[-1]),) for row in rows.tolist()]
+    return cells, unit_cell.reshape(-1)
+
+
+def dumps_report(body, meta):
+    """A report file's bytes: the whole payload through one sorted-key,
+    two-space ``json.dumps``."""
+    return (json.dumps({"body": body, "meta": meta}, sort_keys=True,
+                       indent=2, allow_nan=False) + "\n").encode("utf-8")
 
 
 def cluster_warnings(w, labels):

@@ -8,6 +8,7 @@ seed, plus a ``meta`` block for wall-clock facts.
 
 import csv
 import dataclasses
+import hashlib
 import inspect
 import json
 from importlib import resources
@@ -389,6 +390,57 @@ def test_check_requires_exactly_one_input(demo_csv, panel_csv):
     assert main(["check-equivalence"]) == 1
     assert main(["check-equivalence", "--data", str(demo_csv),
                  "--panel", str(panel_csv)]) == 1
+
+
+# --- reports ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    lambda demo, disc: ["estimate", "--data", demo],
+    lambda demo, disc: ["simulate", "--preset", "mundlak-linear", "--c", "40",
+                        "--reps", "2"],
+    lambda demo, disc: ["select", "--data", demo, "--stop-after-k", "1"],
+    lambda demo, disc: ["mixture", "--data", disc, "--p", "1"],
+    lambda demo, disc: ["check-equivalence", "--data", demo],
+], ids=["estimate", "simulate", "select", "mixture", "check-equivalence"])
+def test_output_in_missing_directory_exit_one(argv, demo_csv, workdir,
+                                              capsys):
+    args = argv(str(demo_csv), str(discrete_csv(workdir)))
+    assert main(args + ["--output", "missing/out.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: report: ") and "Traceback" not in err
+    assert not (workdir / "missing").exists()
+
+
+_TEXT = st.text(alphabet=st.sampled_from(
+    ["a", "Z", " ", "\n", "\r", "\t", '"', "\\", "/", "é", "€", "\u2028",
+     "\U0001f600", "\x00"]), max_size=6)
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), _TEXT,
+              st.floats(allow_nan=False, allow_infinity=False),
+              st.sampled_from([0.0, -0.0, 5e-324, -5e-324])),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=25)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fields=st.dictionaries(_TEXT, _JSON, max_size=5),
+       config=st.dictionaries(_TEXT, _JSON, max_size=3),
+       extra_meta=st.dictionaries(
+           st.sampled_from(["per_rep_csv", "posterior_csv",
+                            "statspec_path"]), _TEXT, max_size=3))
+def test_report_file_matches_one_dumps_oracle(tmp_path_factory, fields,
+                                              config, extra_meta):
+    body = {**fields, "command": "mixture", "config": config,
+            "config_hash": 64 * "0", "seed": 0}
+    path = tmp_path_factory.mktemp("report") / "r.json"
+    cli._write_report(body, str(path), extra_meta)
+    written = path.read_bytes()
+    meta = json.loads(written)["meta"]
+    assert written == oracles.dumps_report(body, meta)
+    assert (meta["body_sha256"]
+            == hashlib.sha256(canonical_body_bytes(body)).hexdigest())
 
 
 # --- config resolution -------------------------------------------------------

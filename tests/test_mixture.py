@@ -1,7 +1,12 @@
 """Mixture-of-cluster-types fitting and posterior summaries."""
 
+import math
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusterdr import (
     Dataset,
@@ -17,6 +22,7 @@ from clusterdr import (
     overlap_set,
     posterior_suffstat,
 )
+from clusterdr.mixture import _enumerate_cells, _unit_cells
 
 import oracles
 
@@ -104,6 +110,56 @@ def test_component_and_support_bounds():
     )
     with pytest.raises(InputError, match="discrete"):
         em_fit(cont, p=2, seed=0)
+
+
+# Covariate values whose order or identity a sort could get wrong: both
+# zeros, the smallest subnormals, negatives and the extremes.
+_CELL_VALUES = [-0.0, 0.0, 5e-324, -5e-324, -2.5, -1.0, 1.0, 3.0, 1e300,
+                -1e300]
+
+
+def cells_dataset(data, k, n):
+    x = np.array([
+        data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+        for pool in (data.draw(st.lists(st.sampled_from(_CELL_VALUES),
+                                        min_size=1, max_size=4))
+                     for _ in range(k))
+    ]).T.reshape(n, k)
+    w = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return Dataset(np.zeros(n), np.array(w), x, [str(i % 3) for i in range(n)])
+
+
+def assert_cells_match_oracle(d):
+    cells, unit_cell = _unit_cells(d)
+    want_cells, want_unit_cell = oracles.axis0_unique_cells(d.x, d.w)
+    assert np.array_equal(unit_cell, want_unit_cell)
+    assert cells == want_cells
+    for cell in cells:
+        assert [type(v) for v in cell] == [float] * d.k + [int]
+        # zeros of either sign share a cell, reported as +0.0
+        assert all(math.copysign(1.0, v) == 1.0 for v in cell if v == 0.0)
+    return cells
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), k=st.integers(min_value=1, max_value=3),
+       n=st.integers(min_value=1, max_value=40))
+def test_unit_cells_match_axis0_unique_oracle(data, k, n):
+    d = cells_dataset(data, k, n)
+    cells = assert_cells_match_oracle(d)
+    cap = len(cells) - 1
+    with pytest.raises(InputError, match=re.escape(
+            f"more than {cap} distinct (x, w) cells; mixture fitting needs "
+            "discrete covariates")):
+        _enumerate_cells(d, cap)
+    assert _enumerate_cells(d, len(cells))[0] == cells
+
+
+def test_unit_cells_single_cell_and_signed_zero():
+    d = Dataset(np.zeros(6), np.ones(6, dtype=int),
+                np.array([[-0.0, 2.0], [0.0, 2.0]] * 3), ["a", "b"] * 3)
+    cells = assert_cells_match_oracle(d)
+    assert cells == [(0.0, 2.0, 1)]
 
 
 def test_out_of_support_cell_rejected():
