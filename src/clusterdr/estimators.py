@@ -266,10 +266,10 @@ def fit_nuisances(
     Demmel, Grigori, Hoemmen & Langou 2012), so a fold's training
     system is the stack of the other folds' triangles, which
     :func:`~clusterdr.glm.wls_fit` solves with the training rows'
-    column norms and rank rule. Each fold's propensity fit starts from
-    the previous fold's coefficients, or from zero when that fit ran
-    into separation or a pivot of the training design's R factor is at
-    or below ``1e-6 * max(largest column norm, 1)``.
+    column norms and rank rule. The propensity model is
+    :func:`~clusterdr.glm.logistic_fit` on the training rows, which
+    drops columns by the same rule; each fold's fit starts from the
+    previous fold's coefficients unless that fit ran into separation.
     """
     cfg = cfg or NuisanceConfig()
     if folds.fold_of_cluster.shape[0] != d.c:
@@ -287,16 +287,12 @@ def fit_nuisances(
     m, treat, parent = _outcome_system(d, s_bar, cfg, size_cols)
     p = m.shape[1] - 1
     design_e = _propensity_design(d, s_bar, cfg, size_cols)
-    q = design_e.shape[1]
 
     fold_of_unit = folds.fold_of_cluster[d.cluster_index]
     tests = [fold_of_unit == fold for fold in range(folds.L)]
     tri = [np.linalg.qr(m[test], mode="r") for test in tests]
-    tri_e = [np.linalg.qr(design_e[test], mode="r") for test in tests]
 
-    mu0 = np.empty(d.n)
-    mu1 = np.empty(d.n)
-    e = np.empty(d.n)
+    mu0, mu1, e = np.empty((3, d.n))
     start = None
     for fold, test in enumerate(tests):
         train = ~test
@@ -316,14 +312,6 @@ def fit_nuisances(
         rows = m[test, :p]
         mu0[test] = rows @ coef0
         mu1[test] = rows @ coef1
-        # A warm start keeps its component along any direction the
-        # training rows do not identify, so it is used only when every
-        # pivot of their design clears the guard.
-        stack = np.vstack(tri_e[:fold] + tri_e[fold + 1:])
-        pivots = np.abs(np.diagonal(np.linalg.qr(stack, mode="r")))
-        col_norm = np.linalg.norm(stack, axis=0).max()
-        if pivots.size < q or np.any(pivots <= 1e-6 * max(col_norm, 1.0)):
-            start = None
         pfit = logistic_fit(design_e[train], w_train, ridge=cfg.ridge,
                             start=start)
         start = None if pfit.separation_detected else pfit.coefficients

@@ -1,11 +1,11 @@
 """Weighted least squares, logistic regression, fold assignment, and a
 group-penalized multinomial classifier used for statistic selection.
 
-All fits are plain numpy. Least squares has one kernel, an unpivoted
-Householder QR of the weighted system, which also resolves rank
-deficiency deterministically: columns are examined left to right and a
-column that adds nothing to the span of those already kept is dropped,
-so of two duplicated columns the later one goes.
+All fits are plain numpy. Least squares and logistic regression share
+one rank rule, an unpivoted Householder QR of the design rows: columns
+are examined left to right and one that adds nothing to the span of
+those already kept is dropped, so of two duplicated columns the later
+one goes. Both fits then run on the kept columns only.
 """
 
 from __future__ import annotations
@@ -50,7 +50,8 @@ class WlsFit:
 
 @dataclass(frozen=True)
 class LogisticFit:
-    """Logistic regression result from damped Newton iterations."""
+    """Logistic regression result from damped Newton iterations; each
+    column in ``columns_dropped`` has an exact zero coefficient."""
 
     coefficients: np.ndarray
     converged: bool
@@ -58,6 +59,7 @@ class LogisticFit:
     max_abs_score: float
     separation_detected: bool
     ridge: float
+    columns_dropped: tuple
 
 
 @dataclass(frozen=True)
@@ -80,20 +82,54 @@ def _as_design(design) -> np.ndarray:
     return design
 
 
+def _rank_rule(a: np.ndarray, b=None):
+    """Drop the columns of ``a`` that its rows do not identify.
+
+    ``[a | b]`` (``a`` alone when ``b`` is None) gets one unpivoted
+    Householder QR. Its diagonal entry |R_jj| is the norm of column j's
+    residual against the columns before it, so the first column with
+    |R_jj| at or below ``1e-9 * max(largest column norm, 1)`` is dropped
+    and the kept columns are factored again; with fewer rows than
+    columns, every column past the rank is dropped. Returns (kept,
+    dropped, R of the kept columns and ``b``, max(largest column norm, 1)).
+    """
+    n, p = a.shape
+    sq_norms = np.einsum("ij,ij->j", a, a)
+    scale = max(math.sqrt(sq_norms.max(initial=0.0)), 1.0)
+    tol = 1e-9 * scale
+    kept = list(range(p))
+    dropped: list = []
+    tail = np.empty((n, 0)) if b is None else b[:, None]
+    while True:
+        # LAPACK factors column-major storage; building it so saves a copy.
+        ab = np.empty((n, len(kept) + tail.shape[1]), order="F")
+        ab[:, : len(kept)] = a[:, kept]
+        ab[:, len(kept):] = tail
+        r = np.linalg.qr(ab, mode="r")
+        diag = np.abs(np.diagonal(r))[: len(kept)]
+        small = np.flatnonzero(diag <= tol)
+        if not small.size:
+            break
+        # Later columns were measured against this one's residual
+        # direction, so only the first small pivot is final.
+        dropped.append(kept.pop(int(small[0])))
+    # With n rows, R has no pivot past column n - 1: those columns lie in
+    # the span of the n kept before them.
+    rank = diag.size
+    dropped.extend(kept[rank:])
+    return kept[:rank], tuple(dropped), r, scale
+
+
 def wls_fit(design, response, weights=None) -> WlsFit:
     """Solve weighted least squares with deterministic rank handling.
 
     Weights are non-negative per-row multipliers on squared residuals;
     ``None`` means ordinary least squares. The weighted system
-    ``[A | b]`` gets one unpivoted Householder QR. Its diagonal entry
-    |R_jj| is the norm of column j's residual against the columns before
-    it, so the first column with |R_jj| at or below
-    ``1e-9 * max(largest column norm, 1)`` is dropped and the kept
-    columns are factored again; with fewer rows than columns, every
-    column past the rank is dropped. The kept triangle then gives the
-    coefficients. On the retained columns the weighted residuals are
-    orthogonal to the design up to
-    ``1e-8 * (1 + ||response||)``.
+    ``[A | b]`` gets one QR, which drops the columns its rows do not
+    identify (the rule shared with :func:`logistic_fit`, see
+    ``_rank_rule``); the kept triangle then gives the coefficients. On
+    the retained columns the weighted residuals are orthogonal to the
+    design up to ``1e-8 * (1 + ||response||)``.
 
     Any system with the same normal equations gives the same fit, so a
     caller holding R factors of blocks of ``[A | b]``'s rows may pass
@@ -108,9 +144,7 @@ def wls_fit(design, response, weights=None) -> WlsFit:
         raise InputError(f"response has shape {b.shape}, expected ({n},)")
     if not np.all(np.isfinite(b)):
         raise InputError("response contains non-finite values")
-    if weights is None:
-        a_s, b_s = a, b
-    else:
+    if weights is not None:
         wt = np.asarray(weights, dtype=float)
         if wt.shape != (n,):
             raise InputError(f"weights have shape {wt.shape}, expected ({n},)")
@@ -119,38 +153,14 @@ def wls_fit(design, response, weights=None) -> WlsFit:
         if not np.any(wt > 0):
             raise InputError("all weights are zero")
         root = np.sqrt(wt)
-        a_s = a * root[:, None]
-        b_s = b * root
-    sq_norms = np.einsum("ij,ij->j", a_s, a_s)
-    tol = 1e-9 * max(math.sqrt(sq_norms.max(initial=0.0)), 1.0)
-    kept = list(range(p))
-    dropped: list = []
-    while True:
-        # LAPACK factors column-major storage; building it so saves a copy.
-        ab = np.empty((n, len(kept) + 1), order="F")
-        ab[:, :-1] = a_s[:, kept]
-        ab[:, -1] = b_s
-        r = np.linalg.qr(ab, mode="r")
-        diag = np.abs(np.diagonal(r))[: len(kept)]
-        small = np.flatnonzero(diag <= tol)
-        if not small.size:
-            break
-        # Later columns were measured against this one's residual
-        # direction, so only the first small pivot is final.
-        dropped.append(kept.pop(int(small[0])))
-    # With n rows, R has no pivot past column n - 1: those columns lie in
-    # the span of the n kept before them.
-    rank = diag.size
-    dropped.extend(kept[rank:])
-    kept = kept[:rank]
+        a = a * root[:, None]
+        b = b * root
+    kept, dropped, r, _ = _rank_rule(a, b)
+    rank = len(kept)
     coef = np.zeros(p)
     if kept:
         coef[kept] = np.linalg.solve(r[:rank, :rank], r[:rank, -1])
-    return WlsFit(
-        coefficients=coef,
-        rank=rank,
-        columns_dropped=tuple(dropped),
-    )
+    return WlsFit(coefficients=coef, rank=rank, columns_dropped=dropped)
 
 
 def _sigmoid(eta: np.ndarray) -> np.ndarray:
@@ -158,37 +168,32 @@ def _sigmoid(eta: np.ndarray) -> np.ndarray:
     return np.where(eta >= 0.0, 1.0, z) / (1.0 + z)
 
 
-def _prob_loglik(eta, y, wt, beta, ridge):
+def _prob_loglik(eta, y, beta, ridge):
     """Probabilities and penalized log-likelihood at ``eta`` from one
     ``exp(-|eta|)``."""
     z = np.exp(-np.abs(eta))
     prob = np.where(eta >= 0.0, 1.0, z) / (1.0 + z)
     # log(1 + exp(eta)) = max(eta, 0) + log1p(exp(-|eta|))
     terms = y * eta - np.maximum(eta, 0.0) - np.log1p(z)
-    ll = float(wt @ terms) - 0.5 * ridge * float(beta @ beta)
+    ll = float(terms.sum()) - 0.5 * ridge * float(beta @ beta)
     return prob, ll
 
 
-def _separated(prob) -> bool:
-    """A probability has left the open interval (1e-10, 1 - 1e-10)."""
-    return (prob.min(initial=1.0) <= _PROB_FLOOR
-            or prob.max(initial=0.0) >= 1.0 - _PROB_FLOOR)
-
-
-def _irls(a, y, wt, tol, max_iter, ridge, start):
+def _irls(a, y, tol, max_iter, ridge, start):
     p = a.shape[1]
     beta = np.zeros(p) if start is None else start.copy()
-    prob, ll = _prob_loglik(a @ beta, y, wt, beta, ridge)
+    prob, ll = _prob_loglik(a @ beta, y, beta, ridge)
     separation = False
-    max_abs_score = math.inf
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        separation = separation or _separated(prob)
-        score = a.T @ (wt * (y - prob)) - ridge * beta
+    # ``iterations`` counts the Newton steps taken before this check;
+    # separation: a probability left the open interval (1e-10, 1 - 1e-10)
+    for iterations in range(max_iter + 1):
+        separation = (separation or prob.min(initial=1.0) <= _PROB_FLOOR
+                      or prob.max(initial=0.0) >= 1.0 - _PROB_FLOOR)
+        score = a.T @ (y - prob) - ridge * beta
         max_abs_score = float(np.max(np.abs(score))) if p else 0.0
-        if max_abs_score < tol:
-            return beta, True, iterations - 1, max_abs_score, separation
-        d = wt * prob * (1.0 - prob)
+        if max_abs_score < tol or iterations == max_iter:
+            break
+        d = prob * (1.0 - prob)
         h = (a * d[:, None]).T @ a
         if ridge > 0.0:
             h = h + ridge * np.eye(p)
@@ -202,22 +207,17 @@ def _irls(a, y, wt, tol, max_iter, ridge, start):
         for _ in range(40):
             beta_new = beta + scale * step
             eta_new = a @ beta_new
-            prob_new, ll_new = _prob_loglik(eta_new, y, wt, beta_new, ridge)
+            prob_new, ll_new = _prob_loglik(eta_new, y, beta_new, ridge)
             if ll_new >= ll - 1e-12 * (1.0 + abs(ll)):
                 break
             scale *= 0.5
         beta, prob, ll = beta_new, prob_new, ll_new
-    separation = separation or _separated(prob)
-    score = a.T @ (wt * (y - prob)) - ridge * beta
-    max_abs_score = float(np.max(np.abs(score))) if p else 0.0
-    converged = max_abs_score < tol
-    return beta, converged, iterations, max_abs_score, separation
+    return beta, max_abs_score < tol, iterations, max_abs_score, separation
 
 
 def logistic_fit(
     design,
     labels,
-    weights=None,
     tol: float = 1e-8,
     max_iter: int = 100,
     ridge: float = 0.0,
@@ -225,59 +225,76 @@ def logistic_fit(
 ) -> LogisticFit:
     """Fit a binary logistic regression by damped Newton steps.
 
+    The design rows' R factor drops the columns they do not identify
+    by the rule :func:`wls_fit` uses (see ``_rank_rule``): Newton runs
+    on the kept columns only, and a dropped column's coefficient is an
+    exact zero, listed in ``columns_dropped``. So no coefficient is
+    left where ``start`` put it for want of data.
+
     Newton starts from ``start`` (one coefficient per design column,
-    e.g. a fit on overlapping data) or from zero when it is ``None``;
-    ``iterations`` counts the steps taken from there. Convergence means
-    the largest absolute score entry falls below ``tol``. When ``ridge``
-    is zero and the fit runs into separation (a fitted probability
-    leaving the open interval (1e-10, 1 - 1e-10), the start included),
-    the fit restarts once from zero with ridge 1e-6; the result still
-    reports ``separation_detected``. Newton never moves the start along
-    a direction the design rows do not identify, so on a rank-deficient
-    design the fit depends on ``start``.
+    e.g. a fit on overlapping data; entries of dropped columns are
+    ignored) or from zero when it is ``None`` or a pivot of the kept
+    columns' R factor is at or below ``1e-6 * max(largest column norm,
+    1)``; ``iterations`` counts the steps taken from there. Convergence
+    means the largest absolute score entry falls below ``tol``. When
+    ``ridge`` is zero and the fit runs into separation (a fitted
+    probability leaving the open interval (1e-10, 1 - 1e-10), the start
+    included), the fit restarts once from zero with ridge 1e-6; the
+    result still reports ``separation_detected``.
     """
     a = _as_design(design)
     y = np.asarray(labels, dtype=float)
-    n = a.shape[0]
+    n, p = a.shape
     if y.shape != (n,):
         raise InputError(f"labels have shape {y.shape}, expected ({n},)")
     if not np.all((y == 0.0) | (y == 1.0)):
         raise InputError("labels must be 0 or 1")
-    if weights is None:
-        wt = np.ones(n)
-    else:
-        wt = np.asarray(weights, dtype=float)
-        if wt.shape != (n,):
-            raise InputError(f"weights have shape {wt.shape}, expected ({n},)")
-        if not np.all(np.isfinite(wt)) or np.any(wt < 0):
-            raise InputError("weights must be finite and non-negative")
     if ridge < 0:
         raise InputError("ridge must be >= 0")
+    if max_iter < 0:
+        raise InputError("max_iter must be >= 0")
     if start is not None:
         start = np.asarray(start, dtype=float)
-        if start.shape != (a.shape[1],):
-            raise InputError(f"start has shape {start.shape}, expected "
-                             f"({a.shape[1]},)")
+        if start.shape != (p,):
+            raise InputError(f"start has shape {start.shape}, expected ({p},)")
         if not np.all(np.isfinite(start)):
             raise InputError("start contains non-finite values")
 
+    # R factors of row blocks stack to the rows' R factor (TSQR), so the
+    # rule needs no copy of the rows; blocks also factor faster.
+    tri = [np.linalg.qr(a[i:i + 8192], mode="r")
+           for i in range(0, max(n, 1), 8192)]
+    kept, dropped, r, scale = _rank_rule(np.vstack(tri))
+    if dropped:
+        a = a[:, kept]
+    if start is not None:
+        start = start[kept]
+        # Along a direction the rows barely identify, where the fit
+        # stops depends on the start: held-out probabilities moved by
+        # up to 0.03 between warm and cold starts at design condition
+        # numbers near 5e8.
+        if np.any(np.abs(np.diagonal(r)) <= 1e-6 * scale):
+            start = None
     beta, converged, iters, max_score, separation = _irls(
-        a, y, wt, tol, max_iter, ridge, start
+        a, y, tol, max_iter, ridge, start
     )
     effective_ridge = ridge
     if separation and ridge == 0.0:
         effective_ridge = 1e-6
         beta, converged, iters, max_score, _ = _irls(
-            a, y, wt, tol, max_iter, effective_ridge, None
+            a, y, tol, max_iter, effective_ridge, None
         )
         separation = True
+    coef = np.zeros(p)
+    coef[kept] = beta
     return LogisticFit(
-        coefficients=beta,
+        coefficients=coef,
         converged=converged,
         iterations=iters,
         max_abs_score=max_score,
         separation_detected=separation,
         ridge=effective_ridge,
+        columns_dropped=dropped,
     )
 
 
@@ -341,7 +358,6 @@ class PathPoint:
 
     lam: float
     selected: tuple
-    group_norms: np.ndarray
     coefficients: np.ndarray
     converged: bool
     iterations: int
@@ -359,7 +375,6 @@ class GroupLassoResult:
     """
 
     selected: tuple
-    group_norms: np.ndarray
     lam: float
     path: tuple
     lambda_max: float
@@ -533,8 +548,8 @@ def multinomial_group_lasso(
         norms = np.linalg.norm(coef[1:], axis=1)
         sel = tuple(int(j) for j in np.flatnonzero(norms > 0.0))
         path.append(PathPoint(lam=float(lam_k), selected=sel,
-                              group_norms=norms, coefficients=coef,
-                              converged=converged, iterations=iters))
+                              coefficients=coef, converged=converged,
+                              iterations=iters))
         if stop_after_k is not None and len(sel) >= stop_after_k:
             break
 
@@ -543,7 +558,6 @@ def multinomial_group_lasso(
         final = next((point for point in path if point.lam == lam), final)
     return GroupLassoResult(
         selected=final.selected,
-        group_norms=final.group_norms,
         lam=final.lam,
         path=tuple(path),
         lambda_max=lambda_max,

@@ -84,7 +84,6 @@ class MixtureModel:
     ll_path: tuple
     n_iter: int
     converged: bool
-    restarts: int
 
     def to_dict(self) -> dict:
         return {
@@ -190,7 +189,6 @@ def em_fit(
             ll_path=tuple(path),
             n_iter=iters,
             converged=converged,
-            restarts=restarts,
         )
         if best is None or candidate.loglik > best.loglik:
             best = candidate

@@ -86,16 +86,13 @@ class DgpConfig:
 class GenerateResult:
     """One synthetic draw plus everything needed to score an estimator.
 
-    ``truth`` holds the per-unit treatment effect, ``true_e`` the
-    assignment probability each unit was treated with, ``p_cluster``
-    the per-cluster probabilities, and ``u`` the latent draws.
+    ``truth`` holds the per-unit treatment effect and ``true_e`` the
+    assignment probability each unit was treated with.
     """
 
     dataset: Dataset
     truth: np.ndarray
     true_e: np.ndarray
-    p_cluster: np.ndarray
-    u: np.ndarray
 
     def tau_tilde(self, mask: Optional[np.ndarray] = None) -> float:
         """Average effect over retained units (all units by default)."""
@@ -431,14 +428,15 @@ def generate(cfg: DgpConfig, seed=None) -> GenerateResult:
     names = [str(j) for j in range(cfg.c)]
     labels = [names[j] for j in idx.tolist()]
     d = Dataset(y, w, x, labels)
-    return GenerateResult(
-        dataset=d, truth=effect, true_e=p_unit, p_cluster=p_cluster, u=u
-    )
+    return GenerateResult(dataset=d, truth=effect, true_e=p_unit)
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo
 # ---------------------------------------------------------------------------
+
+
+_METHODS = ("dr", "fe", "mundlak", "weighted-fe", "qte-diff")
 
 
 @dataclass(frozen=True)
@@ -465,6 +463,8 @@ class EstimatorConfig:
     nuisance: NuisanceConfig = field(default_factory=NuisanceConfig)
 
     def __post_init__(self):
+        if self.method not in _METHODS:
+            raise InputError(f"unknown method {self.method!r}")
         if self.use_true_propensity and self.method not in (
                 "weighted-fe", "qte-diff"):
             raise InputError(f"use_true_propensity applies to weighted-fe "
@@ -563,8 +563,6 @@ def _run_one_rep(cfg: DgpConfig, est: EstimatorConfig, child_seq):
         q0 = qte_estimate(d, nu, a, est.q, arm=0)
         return q1 - q0, math.nan, res.tau_tilde(a), math.nan
 
-    if method != "dr":
-        raise InputError(f"unknown method {method!r}")
     a = overlap_set(nu.e, est.eta)
     out = dr_estimate(d, nu, a, eta=est.eta)
     truth = res.tau_tilde(a)

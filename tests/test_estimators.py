@@ -21,10 +21,12 @@ from clusterdr import (
     fe_ols,
     fit_nuisances,
     generate,
+    logistic_fit,
     make_panel,
     mundlak_ols,
     mundlak_spec,
     overlap_set,
+    predict_proba,
     psi,
     qte_estimate,
     twoway_mundlak_check,
@@ -262,7 +264,7 @@ def record_calls(monkeypatch, name):
     (None, False, (), 1e-10),
     (1e-4, False, (), 1e-10),
     (1e-8, True, (), 1e-7),
-    (1e-13, True, (5, 9), 1e-10),
+    (1e-13, False, (5, 9), 1e-10),
 ])
 def test_stacked_triangles_and_warm_start_guard(monkeypatch, scale, cold,
                                                 dropped, atol):
@@ -270,8 +272,10 @@ def test_stacked_triangles_and_warm_start_guard(monkeypatch, scale, cold,
     # cluster-level perturbation of that size. Its pivot in the R factor
     # of the training rows is then about scale / 5 of the largest column
     # norm. The QR rank rule drops the column and its treatment
-    # interaction (columns 5 and 9) only below its 1e-9 threshold, and
-    # the propensity warm start is refused below the 1e-6 guard. A kept
+    # interaction (columns 5 and 9) from the outcome model, and the
+    # column itself (column 4) from the propensity model, only below its
+    # 1e-9 threshold; logistic_fit ignores the warm start it is handed
+    # when a kept column's pivot is below its 1e-6 guard. A kept
     # near-duplicate has coefficients of order 1 / scale, so two
     # evaluations of the same fit differ by about 1e-16 / scale.
     d = clustered_data(3, np.full(30, 6), 1)
@@ -294,8 +298,18 @@ def test_stacked_triangles_and_warm_start_guard(monkeypatch, scale, cold,
     assert len(shapes) == L
     assert all(rows <= (L - 1) * (p + 1) and cols == p
                for rows, cols in shapes)
+    assert [res.columns_dropped for _, _, res in pcalls] == (
+        [(4,) if dropped else ()] * L)
+    # every fold after the first is handed the previous fold's fit; a
+    # fit that ignored it is the cold fit to the bit
     starts = [kwargs["start"] for _, kwargs, _ in pcalls]
-    assert [start is None for start in starts] == [True] + [cold] * (L - 1)
+    assert [start is None for start in starts] == [True] + [False] * (L - 1)
+    same_as_cold = [
+        np.array_equal(res.coefficients,
+                       logistic_fit(*args, ridge=0.0).coefficients)
+        for args, _, res in pcalls[1:]
+    ]
+    assert same_as_cold == [cold] * (L - 1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -369,11 +383,12 @@ def test_fold_after_separated_fit_starts_cold(monkeypatch):
     assert np.array_equal(starts[2], calls[1][2].coefficients)
 
 
-def test_rank_deficient_training_design_starts_cold(monkeypatch):
+def test_rank_deficient_training_design_drops_column(monkeypatch):
     # Cluster 3 is the only one of size 9 and sits in fold 3, so fold 3's
-    # training rows never see its size indicator. A warm start from
-    # fold 2's fit would carry that indicator's coefficient into fold
-    # 3's predictions; a cold start leaves it at zero, as the oracle does.
+    # training rows never see its size indicator. Fold 2's fit does, and
+    # its coefficients are fold 3's warm start; the rank rule drops the
+    # indicator, so none of that coefficient reaches fold 3's
+    # predictions, which match the oracle's cold fit.
     sizes = np.full(20, 6)
     sizes[3] = 9
     d = clustered_data(21, sizes, 1)
@@ -382,9 +397,114 @@ def test_rank_deficient_training_design_starts_cold(monkeypatch):
     calls = record_calls(monkeypatch, "logistic_fit")
     assert_matches_perfold_oracle(d, s_bar, folds)
     starts = [kwargs["start"] for _, kwargs, _ in calls]
-    assert starts[0] is None and starts[3] is None
-    assert starts[1] is not None and starts[2] is not None
-    assert calls[2][2].coefficients[-1] != 0.0
+    assert starts[0] is None
+    assert np.array_equal(starts[3], calls[2][2].coefficients)
+    assert starts[3][-1] != 0.0
+    fit = calls[3][2]
+    assert fit.columns_dropped == (fit.coefficients.size - 1,)
+    assert fit.coefficients[-1] == 0.0
+    assert [res.columns_dropped for _, _, res in calls[:3]] == [()] * 3
+
+
+def propensity_rows(d, s_bar):
+    """The default propensity design, written out: intercept, covariates,
+    summaries, and indicators for all but the smallest cluster size."""
+    unit_size = d.n_c[d.cluster_index]
+    sizes = np.unique(d.n_c)[1:]
+    return np.column_stack([np.ones(d.n), d.x, s_bar]
+                           + [(unit_size == s).astype(float) for s in sizes])
+
+
+def assert_start_free_propensities(d, s_bar, folds):
+    """Cross-fit, then check each fold's propensity fit against a cold
+    fit and against a cold fit on the design without its dropped
+    columns; return each fold's (start handed in, fit)."""
+    with pytest.MonkeyPatch.context() as mp:
+        calls = record_calls(mp, "logistic_fit")
+        nu = fit_nuisances(d, s_bar, folds)
+    design = propensity_rows(d, s_bar)
+    w = d.w.astype(float)
+    fold_of_unit = folds.fold_of_cluster[d.cluster_index]
+    out = []
+    for fold, (_, kwargs, fit) in enumerate(calls):
+        test = fold_of_unit == fold
+        train = ~test
+        cold = logistic_fit(design[train], w[train])
+        cold_e = predict_proba(cold, design[test])
+        # held-out e does not depend on the start
+        np.testing.assert_allclose(nu.e[test], cold_e, rtol=0.0, atol=1e-8)
+        # ... and is that of the design without the dropped columns
+        kept = [j for j in range(design.shape[1])
+                if j not in fit.columns_dropped]
+        sub = logistic_fit(design[train][:, kept], w[train])
+        assert sub.columns_dropped == ()
+        np.testing.assert_allclose(predict_proba(sub, design[test][:, kept]),
+                                   cold_e, rtol=0.0, atol=1e-12)
+        # one rank rule for both nuisance models
+        assert fit.columns_dropped == cold.columns_dropped == wls_fit(
+            design[train], w[train]).columns_dropped
+        out.append((kwargs["start"], fit))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       c=st.integers(min_value=40, max_value=80),
+       k=st.integers(min_value=1, max_value=2),
+       L=st.integers(min_value=3, max_value=5),
+       kind=st.sampled_from(["absent-size", "smallest-size-absent",
+                             "duplicate-summary"]))
+def test_rank_deficient_propensity_fit_ignores_start(seed, c, k, L, kind):
+    # Three ways for a training propensity design to lose rank:
+    # - absent-size: the three clusters of size 9 are held out in the
+    #   last fold, so that fold's training rows have an all-zero
+    #   indicator;
+    # - smallest-size-absent: every cluster of the smallest size 4 is
+    #   held out in the last fold, so the other indicators sum to the
+    #   intercept there and the last one is dropped;
+    # - duplicate-summary: a summary column appears twice, so its copy
+    #   is dropped in every fold.
+    # As in test_fit_nuisances_matches_perfold_oracle, at least 26
+    # training clusters keep the fit well determined.
+    fold_of_cluster = np.random.default_rng(seed).permutation(
+        np.arange(c) % L)
+    last = np.flatnonzero(fold_of_cluster == L - 1)
+    sizes = 5 + np.arange(c) % 3
+    if kind == "absent-size":
+        sizes[last[:3]] = 9
+    elif kind == "smallest-size-absent":
+        sizes[last[: len(last) // 2]] = 4
+    d = clustered_data(seed, sizes, k)
+    s_bar = build_suffstats(d, mundlak_spec(d.k))
+    if kind == "duplicate-summary":
+        s_bar = np.column_stack([s_bar, s_bar[:, 1]])
+    folds = FoldAssignment(fold_of_cluster=fold_of_cluster, L=L, seed=seed)
+    fits = assert_start_free_propensities(d, s_bar, folds)
+    if kind == "duplicate-summary":
+        want = [(d.k + s_bar.shape[1],)] * L
+    else:
+        want = [()] * (L - 1) + [(fits[0][1].coefficients.size - 1,)]
+    assert [fit.columns_dropped for _, fit in fits] == want
+    start, _ = fits[-1]
+    if kind != "duplicate-summary" and start is not None:
+        # the warm start does carry a coefficient for the dropped column
+        assert start[want[-1][0]] != 0.0
+
+
+def test_absent_size_indicator_seed_2_regression():
+    # The draw that showed the propensity fit had no rank rule: with
+    # c = 12 clusters of sizes 4-6 and L = 2, fold 0's training rows
+    # have no cluster of size 6 and fold 1's none of size 5. Fold 0's
+    # fit gives the size-5 indicator -0.71; as fold 1's warm start,
+    # before the rank rule, that moved held-out e by 0.18.
+    d = clustered_data(2, 4 + np.arange(12) % 3, 1)
+    s_bar = build_suffstats(d, mundlak_spec(d.k))
+    fits = assert_start_free_propensities(d, s_bar,
+                                          cross_fit_folds(d.c, 2, seed=2))
+    assert [fit.columns_dropped for _, fit in fits] == [(5,), (4,)]
+    start, fit = fits[1]
+    assert start[4] == pytest.approx(-0.7108, abs=1e-4)
+    assert fit.coefficients[4] == 0.0
 
 
 def test_fold_mismatch_rejected():
