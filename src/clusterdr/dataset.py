@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain, islice
 from operator import itemgetter
 from typing import Optional, Sequence
@@ -29,7 +31,8 @@ __all__ = [
     "validate",
 ]
 
-# Rows parsed per chunk by load_csv; bounds the memory held as row lists.
+# Rows per chunk of the reader that decides files the one-pass parse
+# refuses; bounds the memory held as row lists.
 _CHUNK_ROWS = 512
 
 
@@ -288,6 +291,91 @@ def _raise_first_bad_cell(rows: list, first_row: int, outcome: str,
                 )
 
 
+def _has_information_separators(path) -> bool:
+    """Whether the file holds any of U+001C..U+001F. numpy strips them
+    around a number as whitespace, where ``float()`` refuses the cell.
+    In any ASCII-compatible encoding they are the bytes 0x1C..0x1F."""
+    with open(path, "rb") as raw:
+        return any(sep in block
+                   for block in iter(partial(raw.read, 1 << 20), b"")
+                   for sep in b"\x1c\x1d\x1e\x1f")
+
+
+def _parse_whole(path, fh, cols: list, n_labels: int):
+    """Parse the rest of ``fh`` in one C-level pass of ``np.loadtxt``.
+
+    ``cols`` are the file columns of outcome, treatment, the
+    ``n_labels`` label roles and the covariates, in that order. Returns
+    ``(y, w, label_lists, x)`` as :func:`read_units` does, or None when
+    numpy refuses the file, a value fails a check or no rows came back.
+    numpy converts floats with the routine behind ``float()``, so a
+    value both accept is bit-identical. Files that numpy refuses
+    (``1_0``, non-ASCII digits, short rows) and files that it would
+    read differently are left to the chunked reader.
+    """
+    if _has_information_separators(path):
+        return None
+    dtype = [(f"f{j}", "O" if 2 <= j < 2 + n_labels else "f8")
+             for j in range(len(cols))]
+    try:
+        with warnings.catch_warnings():
+            # A file without data rows is refused below instead.
+            warnings.filterwarnings(
+                "ignore", "loadtxt: input contained no data", UserWarning)
+            units = np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"',
+                               comments=None, usecols=cols, ndmin=1)
+    except ValueError:  # a refused cell or row: the chunked reader names it
+        return None
+    fields = [units[name] for name in units.dtype.names]
+    w = fields[1]
+    labels = fields[2:2 + n_labels]
+    x = np.empty((units.shape[0], len(cols) - 2 - n_labels))
+    for j, col in enumerate(fields[2 + n_labels:]):
+        x[:, j] = col
+    if (not units.shape[0]
+            or not np.all((w == 0.0) | (w == 1.0))
+            or any((lab == "").any() for lab in labels)
+            or not np.all(np.isfinite(x))):
+        return None
+    return (np.ascontiguousarray(fields[0]), np.ascontiguousarray(w),
+            [lab.tolist() for lab in labels], x)
+
+
+def _read_chunks(path, reader, outcome: str, treatment: str, labels: dict,
+                 covariates: list, pos: dict) -> tuple:
+    """Read the rows after the header from ``reader`` in chunks of
+    ``_CHUNK_ROWS`` rows, each parsed column by column, and raise the
+    first bad cell's error; see :func:`read_units`."""
+    take = itemgetter(*(pos[col] for col in
+                        [outcome, treatment, *labels.values(), *covariates]))
+    parts = []
+    row_num = 2
+    while True:
+        chunk, error = [], None
+        try:
+            chunk.extend(islice(reader, _CHUNK_ROWS))
+        except csv.Error as exc:
+            error = exc
+        rows = [row for row in chunk if row]
+        if rows:
+            parsed = _parse_columns(rows, take, len(labels), len(covariates))
+            if parsed is None:
+                _raise_first_bad_cell(rows, row_num, outcome, treatment,
+                                      labels, covariates, pos)
+            parts.append(parsed)
+            row_num += len(rows)
+        if error is not None:
+            raise InputError(f"row {row_num}: {error}")
+        if not chunk:
+            break
+    if not parts:
+        raise InputError(f"{path}: no data rows")
+    ys, ws, labs, xs = zip(*parts)
+    x = np.ascontiguousarray(np.concatenate(xs, axis=1).T)
+    return (np.concatenate(ys), np.concatenate(ws),
+            [list(chain.from_iterable(col)) for col in zip(*labs)], x)
+
+
 def read_units(path, outcome: str, treatment: str, labels: dict,
                covariates: Optional[Sequence[str]] = None) -> tuple:
     """Read one row per unit from a CSV file.
@@ -298,17 +386,24 @@ def read_units(path, outcome: str, treatment: str, labels: dict,
     vectors, one list of label strings per role of ``labels``, and the
     (n, k) covariates.
 
-    The file is streamed in chunks of ``_CHUNK_ROWS`` rows, each parsed
-    column by column. Blank lines are skipped and not counted in row
-    numbers; extra fields are ignored; of duplicate header names the
-    last column wins. Raises :class:`InputError` on a missing column, a
-    non-numeric cell, a treatment other than 0/1, an empty label, or a
-    missing or non-finite covariate, naming the first bad cell's 1-based
-    row (the header is row 1). NaN outcomes load successfully.
+    The rows after the header get one C-level parse (``np.loadtxt``).
+    Only when that parse refuses the file is it read again by the
+    chunked reader, ``_CHUNK_ROWS`` rows at a time, which decides every
+    refused file and names the first bad cell's row. Blank lines are
+    skipped and not counted in row numbers; extra fields are ignored;
+    of duplicate header names the last column wins. Raises
+    :class:`InputError` on a missing column, a non-numeric cell, a
+    treatment other than 0/1, an empty label, a missing or non-finite
+    covariate, or a row the ``csv`` module cannot read, naming the first
+    bad cell's 1-based row (the header is row 1). NaN outcomes load
+    successfully.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        try:
+            header = next(reader, None)
+        except csv.Error as exc:
+            raise InputError(f"row 1: {exc}") from None
         if header is None:
             raise InputError(f"{path}: empty file")
         roles = [outcome, treatment, *labels.values()]
@@ -319,28 +414,15 @@ def read_units(path, outcome: str, treatment: str, labels: dict,
                 raise InputError(f"{path}: missing column {col!r}")
 
         pos = {name: i for i, name in enumerate(header)}
-        take = itemgetter(*(pos[col] for col in roles + covariates))
-        parts = []
-        row_num = 2
-        while True:
-            chunk = list(islice(reader, _CHUNK_ROWS))
-            if not chunk:
-                break
-            rows = [row for row in chunk if row]
-            if not rows:
-                continue
-            parsed = _parse_columns(rows, take, len(labels), len(covariates))
-            if parsed is None:
-                _raise_first_bad_cell(rows, row_num, outcome, treatment,
-                                      labels, covariates, pos)
-            parts.append(parsed)
-            row_num += len(rows)
-    if not parts:
-        raise InputError(f"{path}: no data rows")
-    ys, ws, labs, xs = zip(*parts)
-    x = np.ascontiguousarray(np.concatenate(xs, axis=1).T)
-    return (np.concatenate(ys), np.concatenate(ws),
-            [list(chain.from_iterable(col)) for col in zip(*labs)], x)
+        cols = [pos[col] for col in roles + covariates]
+        units = _parse_whole(path, fh, cols, len(labels))
+        if units is None:
+            fh.seek(0)
+            reader = csv.reader(fh)
+            next(reader)
+            units = _read_chunks(path, reader, outcome, treatment, labels,
+                                 covariates, pos)
+    return units
 
 
 def load_csv(path, schema: Optional[CsvSchema] = None) -> Dataset:

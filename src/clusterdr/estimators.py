@@ -505,7 +505,7 @@ def make_panel(y, w, x, unit_labels, time_labels) -> PanelData:
 def load_panel_csv(path, unit: str = "unit", time: str = "time",
                    outcome: str = "y", treatment: str = "w",
                    covariates: Optional[list] = None) -> PanelData:
-    """Read a long-form panel CSV through ``load_csv``'s chunked reader
+    """Read a long-form panel CSV through ``load_csv``'s reader
     (``read_units``, same row-numbered errors), then check balance with
     :func:`make_panel`. ``covariates=None`` means every other column."""
     y, w, (units, times), x = read_units(

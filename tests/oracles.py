@@ -398,3 +398,102 @@ def perfold_fit_nuisances(d, s_bar, folds, cfg=None):
         pfit = logistic_fit(design_e[train], w[train], ridge=cfg.ridge)
         e[test] = predict_proba(pfit, design_e[test])
     return mu0, mu1, e, dropped
+
+
+def chunked_read_units(path, outcome, treatment, labels, covariates=None):
+    """The unit reader as it was before the one-pass parse: ``csv.reader``
+    in chunks of 512 rows, each chunk parsed column by column with
+    ``float``, and on any bad cell a row-major scan that raises the
+    first bad cell's error. Kept verbatim as the reference for every
+    accepted spelling and every error text."""
+    import itertools
+    from operator import itemgetter
+
+    from clusterdr import InputError
+
+    def parse_float(text, row, column):
+        try:
+            return float(text)
+        except (TypeError, ValueError):
+            raise InputError(
+                f"row {row}: column {column!r} value {text!r} is not numeric"
+            ) from None
+
+    def parse_columns(rows, take, n_labels, n_cov):
+        m = len(rows)
+        try:
+            cols = list(zip(*map(take, rows)))
+            y = np.fromiter(map(float, cols[0]), dtype=float, count=m)
+            w = np.fromiter(map(float, cols[1]), dtype=float, count=m)
+            x = np.empty((n_cov, m))
+            for j, col in enumerate(cols[2 + n_labels:]):
+                x[j] = np.fromiter(map(float, col), dtype=float, count=m)
+        except (IndexError, ValueError):
+            return None
+        labs = cols[2:2 + n_labels]
+        if (any("" in lab for lab in labs)
+                or not np.all((w == 0.0) | (w == 1.0))
+                or not np.all(np.isfinite(x))):
+            return None
+        return y, w, labs, x
+
+    def raise_first_bad_cell(rows, first_row, pos):
+        for row_num, row in enumerate(rows, start=first_row):
+            cell = {col: row[i] if i < len(row) else None
+                    for col, i in pos.items()}
+            parse_float(cell[outcome], row_num, outcome)
+            w_val = parse_float(cell[treatment], row_num, treatment)
+            if w_val not in (0.0, 1.0):
+                raise InputError(
+                    f"row {row_num}: treatment must be 0 or 1, got {w_val}"
+                )
+            for role, col in labels.items():
+                if cell[col] is None or cell[col] == "":
+                    raise InputError(f"row {row_num}: empty {role} label")
+            for col in covariates:
+                text = cell[col]
+                if text is None or text == "":
+                    raise InputError(
+                        f"row {row_num}: missing covariate {col!r}"
+                    )
+                val = parse_float(text, row_num, col)
+                if math.isnan(val) or math.isinf(val):
+                    raise InputError(
+                        f"row {row_num}: covariate {col!r} is not finite"
+                    )
+
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise InputError(f"{path}: empty file")
+        roles = [outcome, treatment, *labels.values()]
+        covariates = ([h for h in header if h not in roles]
+                      if covariates is None else list(covariates))
+        for col in roles + covariates:
+            if col not in header:
+                raise InputError(f"{path}: missing column {col!r}")
+
+        pos = {name: i for i, name in enumerate(header)}
+        take = itemgetter(*(pos[col] for col in roles + covariates))
+        parts = []
+        row_num = 2
+        while True:
+            chunk = list(itertools.islice(reader, 512))
+            if not chunk:
+                break
+            rows = [row for row in chunk if row]
+            if not rows:
+                continue
+            parsed = parse_columns(rows, take, len(labels), len(covariates))
+            if parsed is None:
+                raise_first_bad_cell(rows, row_num, pos)
+            parts.append(parsed)
+            row_num += len(rows)
+    if not parts:
+        raise InputError(f"{path}: no data rows")
+    ys, ws, labs, xs = zip(*parts)
+    x = np.ascontiguousarray(np.concatenate(xs, axis=1).T)
+    return (np.concatenate(ys), np.concatenate(ws),
+            [list(itertools.chain.from_iterable(col)) for col in zip(*labs)],
+            x)

@@ -11,6 +11,7 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -384,6 +385,40 @@ def test_check_bad_panel_exit_one(workdir, capsys, rows, flags, message):
     assert main(["check-equivalence", "--panel", str(path), *flags]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: load: ") and message in err
+
+
+@pytest.mark.parametrize("rows, message", [
+    (None, "empty file"),
+    ("", "no data rows"),
+    ("\n\r\n\n", "no data rows"),
+], ids=["zero-bytes", "header-only", "header-and-blank-lines"])
+@pytest.mark.parametrize("command, flag, header", [
+    ("estimate", "--data", "y,w,cluster,x1\n"),
+    ("check-equivalence", "--panel", "unit,time,y,w,x0\n"),
+], ids=["estimate", "panel"])
+def test_empty_input_exits_one_without_warning(workdir, capsys, command, flag,
+                                               header, rows, message):
+    path = workdir / "empty.csv"
+    path.write_text("" if rows is None else header + rows, newline="")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, flag, str(path)]) == 1
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err == f"error: load: {path}: {message}\n"
+
+
+def test_unreadable_csv_row_exits_one(workdir, capsys):
+    # the bad x1 cell sends the file to the chunked reader, and the csv
+    # module refuses the long label before it
+    long = "c" * (csv.field_size_limit() + 1)
+    path = workdir / "long.csv"
+    path.write_text(f"y,w,cluster,x1\n1,1,a,0.5\n2,0,{long},0.3\n"
+                    "3,1,b,oops\n")
+    assert main(["estimate", "--data", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: load: row 3: field larger than field limit")
+    assert "Traceback" not in err
 
 
 def test_check_requires_exactly_one_input(demo_csv, panel_csv):

@@ -15,12 +15,20 @@ from clusterdr import (
     Dataset,
     InputError,
     PanelData,
+    dgp_preset,
+    generate,
     load_csv,
     load_panel_csv,
     validate,
     write_csv,
 )
-from clusterdr.dataset import _CHUNK_ROWS, group_means, intern_labels
+from clusterdr import dataset
+from clusterdr.dataset import (
+    _CHUNK_ROWS,
+    group_means,
+    intern_labels,
+    read_units,
+)
 
 import oracles
 
@@ -393,3 +401,244 @@ def test_load_csv_accepted_variants(tmp_path):
     # covariates x1, x2, x2 with the last x2 column read twice
     assert d.x.tolist() == [[0.5, 7.0, 7.0], [1000.0, -0.0, -0.0]]
     assert d.x.flags.c_contiguous
+
+
+# --- one-pass parse against the chunked reader ------------------------------
+
+# Spellings float() accepts (numpy refuses 1_0 and non-ASCII digits, so
+# those files take the chunked reader), then spellings of bad cells.
+_GOOD_CELLS = {
+    "y": ["nan", "-nan", "NaN", "inf", "-Infinity", "1e400", "5e-324", " 1",
+          "1 ", "+1", "\t0", ".5", "1.", "007", "1_0", "\u0661", "\xa01",
+          "\u30001"],
+    "w": ["0", "1", "1.0", "-0", "+1", " 1", "1 ", "0.0", "1e0", "0_0",
+          "\u0661"],
+    "x": ["0", "-0.0", "5e-324", "1e300", " 1", "+1", ".5", "007", "1_0",
+          "\u0661", "\xa01 "],
+    "label": ["a", "b", "007", "1", "1.0", "a,b", 'q"t', '"', 'x""', "x\ny",
+              "a\r\nb", "c\rd", " a ", "a ", "#c", "a#", " ", "\xe9", "\x85",
+              "1_0"],
+}
+_BAD_CELLS = ["", " ", "oops", "0x10", "2", "0.5", "inf", "nan", "\x1c1",
+              "1\x1f", "1\x00", '"', "a,b", "x\ny"]
+_LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def _unit_files(draw):
+    """A header and rows of drawn spellings, each cell written bare or
+    quoted, with blank, whitespace-only, short and long rows, and
+    sometimes 600 good rows around them to cross the 512-row chunk."""
+    n_labels = draw(st.sampled_from([1, 2]))
+    label_cols = ["cluster"] if n_labels == 1 else ["unit", "time"]
+    names = ["y", "w", *label_cols, "x1", "x2"]
+    header = draw(st.permutations(names))
+    header += draw(st.lists(st.sampled_from(names + ["note"]), max_size=2))
+    covariates = draw(st.sampled_from([
+        None, None, None, [], ["x2", "x1"], ["x1", "x1"],
+        ["x1", label_cols[0]],
+    ]))
+    end = draw(_LINE_ENDS)
+
+    def cell(text):
+        # mostly as csv.writer would write it, sometimes bare regardless
+        special = any(ch in text for ch in ',"\r\n')
+        if draw(st.integers(min_value=0, max_value=7 if special else 1)):
+            return '"' + text.replace('"', '""') + '"'
+        return text
+
+    def line(values):
+        return ",".join(map(cell, values))
+
+    def good_row(i):
+        value = {"y": f"{i}.5", "w": str(i % 2), "x1": str(i), "x2": "-0.0",
+                 "note": "n"}
+        value.update({col: f"g{i % 7}" for col in label_cols})
+        return ",".join(value[col] for col in header)
+
+    def spelling(col):
+        if draw(st.integers(min_value=0, max_value=15)) == 0:
+            return draw(st.sampled_from(_BAD_CELLS))
+        kind = ("label" if col in label_cols or col == "note"
+                else col[0])
+        if kind == "label" and draw(st.booleans()):
+            return draw(st.text(st.sampled_from(
+                ["a", "1", " ", ",", '"', "\n", "\r", "#", "\xe9"]),
+                min_size=1, max_size=4))
+        if kind in "xy" and draw(st.booleans()):
+            return repr(draw(st.floats(allow_nan=kind == "y",
+                                       allow_infinity=kind == "y")))
+        return draw(st.sampled_from(_GOOD_CELLS[kind]))
+
+    lines = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        kind = draw(st.sampled_from(["row"] * 12 + ["blank"] * 3
+                                    + ["space", "short", "long"]))
+        if kind == "blank":
+            lines.append("")
+            continue
+        if kind == "space":
+            lines.append(draw(st.sampled_from([" ", "\t", "  "])))
+            continue
+        values = [spelling(col) for col in header]
+        if kind == "short":
+            values = values[:draw(st.integers(0, len(values) - 1))]
+        if kind == "long":
+            values += [spelling("note")
+                       for _ in range(draw(st.integers(1, 2)))]
+        lines.append(line(values))
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        cut = draw(st.integers(min_value=0, max_value=len(lines)))
+        lines[cut:cut] = [good_row(i) for i in range(600)]
+    text = end.join([line(header)] + lines)
+    if lines and draw(st.booleans()):
+        text += end
+    return text, {col: col for col in label_cols}, covariates
+
+
+def _same_units(path, labels, covariates):
+    kwargs = dict(outcome="y", treatment="w", labels=labels,
+                  covariates=covariates)
+    try:
+        want = oracles.chunked_read_units(path, **kwargs)
+    except InputError as exc:
+        with pytest.raises(InputError) as got:
+            read_units(path, **kwargs)
+        assert str(got.value) == str(exc)
+        return
+    got = read_units(path, **kwargs)
+    for i in (0, 1, 3):
+        a, b = got[i], want[i]
+        assert (a.dtype, a.shape, a.flags.c_contiguous) == \
+            (b.dtype, b.shape, b.flags.c_contiguous)
+        assert a.tobytes() == b.tobytes()
+    assert got[2] == want[2]
+
+
+@pytest.mark.parametrize("text", [
+    "y,w,cluster,x1\n1_0,1,a,0\n",
+    "y,w,cluster,x1\n 1 ,+1,a, 2\t\n",
+    "y,w,cluster,x1\nnan,1,a,0\n-nan,0,a,0\ninf,1,a,-0.0\n",
+    "y,w,cluster,x1\n-Infinity,1,a,5e-324\n1e400,0,a,0\n",
+    "y,w,cluster,x1\n1,1,a,1e400\n",
+    "y,w,cluster,x1\n\u0661,1,a,0\n",
+    "y,w,cluster,x1\n\u30001,1,a,\xa02\n",
+    "y,w,cluster,x1\n\x1c1,1,a,0\n",
+    "y,w,cluster,x1\n1,1,a,0\x1f\n",
+    "y,w,cluster,x1\n1,1,a\x1eb,0\n",
+    'y,w,cluster,x1\n1,1,"a,""b""\nc",0\n2,0,"",1\n',
+    'y,w,cluster,x1\n1,1,"a",0\n2,0,a"b,1\n3,1,"a"b,2\n',
+    "y,w,cluster,x1\n1,1,a,0\n\n   \n",
+    "y,w,cluster,x1\n1,1,a,0\n\n\n2,0,b,1\n",
+    "y,w,cluster,x1\r\n1,1,a,0\r\n\r\n2,0,b,1\r\n",
+    "y,w,cluster,x1\r1,1,a,0\r2,0,b,1\r",
+    "y,w,cluster,x1\n1,1,a,0,extra,fields\n",
+    "y,w,cluster,x1\n1,1,a\n",
+    "y,w,cluster,x1,x1\n1,1,a,0.5\n",
+    "y,w,cluster,x1,x1\n1,1,a,x,0.5\n",
+    "y,w,cluster,x1\n1,1,007,0\n2,0,7,0\n3,1,#c,0\n4,0, a ,0\n",
+    '"y","w","clu\nster",x1\n1,1,a,0\n',
+], ids=["underscore", "spaces-plus", "nan-inf", "infinity-subnormal",
+        "covariate-1e400", "arabic-digit", "unicode-spaces", "fs-before-y",
+        "us-after-x", "rs-in-label", "quoted-escapes", "quote-mid-field",
+        "whitespace-line", "blank-lines", "crlf", "cr", "extra-fields",
+        "short-row", "duplicate-header", "duplicate-header-bad",
+        "label-spellings", "quoted-newline-header"])
+def test_read_units_spellings_match_chunked_reader(tmp_path, text):
+    path = tmp_path / "units.csv"
+    path.write_text(text, newline="")
+    cluster = "clu\nster" if text.startswith('"y"') else "cluster"
+    _same_units(path, {"cluster": cluster}, None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=_unit_files())
+def test_read_units_matches_chunked_reader(tmp_path_factory, drawn):
+    text, labels, covariates = drawn
+    path = tmp_path_factory.mktemp("units") / "units.csv"
+    path.write_text(text, newline="")
+    _same_units(path, labels, covariates)
+
+
+def test_label_past_csv_field_limit(tmp_path):
+    limit = csv.field_size_limit()
+    long = "c" * (limit + 1)
+    path = tmp_path / "long.csv"
+    # the one-pass parse has no field limit
+    path.write_text(f"y,w,cluster,x1\n1,1,{long},0.5\n2,0,b,0.25\n")
+    assert load_csv(path).cluster_labels == [long, "b"]
+    # a bad cell sends the file to the chunked reader, which names the
+    # row it cannot read, or an earlier bad cell
+    good = [f"{i}.5,{i % 2},g{i % 3},{i}" for i in range(600)]
+    path.write_text("y,w,cluster,x1\n" + "\n".join(
+        good + ["", f"1,1,{long},0.5", "2,0,b,oops"]) + "\n")
+    with pytest.raises(InputError, match=rf"^row 602: field larger than "
+                                         rf"field limit \({limit}\)$"):
+        load_csv(path)
+    path.write_text("y,w,cluster,x1\n" + "\n".join(
+        good + ["2,0,b,oops", f"1,1,{long},0.5"]) + "\n")
+    with pytest.raises(InputError, match="^row 602: column 'x1' value 'oops'"):
+        load_csv(path)
+    path.write_text(f"y,w,cluster,{long}\n1,1,a,0.5\n")
+    with pytest.raises(InputError, match="^row 1: field larger than"):
+        load_csv(path)
+    assert csv.field_size_limit() == limit
+
+
+def _refuse_chunked_reader(*args, **kwargs):
+    raise AssertionError("the one-pass parse refused the file")
+
+
+@pytest.mark.parametrize("preset", ["nonlinear-u", "separated-mixture"])
+def test_generated_csv_takes_the_one_pass_parse(tmp_path, preset):
+    d = generate(dgp_preset(preset, c=40, n_c=5), seed=3).dataset
+    path = tmp_path / "input.csv"
+    write_csv(d, path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataset, "_read_chunks", _refuse_chunked_reader)
+        got = load_csv(path)
+    for name in ("y", "w", "x", "cluster_index"):
+        assert getattr(got, name).tobytes() == getattr(d, name).tobytes()
+    assert got.cluster_labels == d.cluster_labels
+
+
+_WRITTEN_LABELS = st.text(
+    st.sampled_from(["a", "Z", "0", " ", ",", '"', "\n", "\r", "#", "'",
+                     "\xe9", " "]),
+    min_size=1, max_size=5,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(),
+       units=st.lists(_WRITTEN_LABELS, min_size=1, max_size=4, unique=True),
+       n_times=st.integers(min_value=1, max_value=3))
+def test_write_csv_output_takes_the_one_pass_parse(tmp_path_factory, data,
+                                                   units, n_times):
+    """write_csv output with labels holding commas, quotes and newlines
+    loads through load_csv and load_panel_csv without the chunked
+    reader: the panel reads the cluster column as units and x1 as
+    periods."""
+    n = len(units) * n_times
+    y = data.draw(st.lists(st.one_of(_CELLS, st.just(math.nan)),
+                           min_size=n, max_size=n))
+    w = data.draw(st.lists(st.integers(min_value=0, max_value=1),
+                           min_size=n, max_size=n))
+    x2 = data.draw(st.lists(_CELLS, min_size=n, max_size=n))
+    cells = data.draw(st.permutations(
+        [(u, t) for u in units for t in range(n_times)]))
+    x = np.array([[float(t), v] for (_, t), v in zip(cells, x2)])
+    d = Dataset(np.array(y), np.array(w), x, [u for u, _ in cells])
+    path = tmp_path_factory.mktemp("written") / "units.csv"
+    write_csv(d, path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataset, "_read_chunks", _refuse_chunked_reader)
+        got = load_csv(path)
+        panel = load_panel_csv(path, unit="cluster", time="x1",
+                               covariates=["x2"])
+    for name in ("y", "w", "x", "cluster_index"):
+        assert getattr(got, name).tobytes() == getattr(d, name).tobytes()
+    assert got.cluster_labels == d.cluster_labels
+    assert (panel.n_units, panel.n_periods) == (len(units), n_times)
+    assert panel.y.tobytes() == d.y.tobytes()
+    assert panel.x[:, 0].tobytes() == d.x[:, 1].tobytes()
