@@ -304,6 +304,9 @@ def _has_information_separators(path) -> bool:
 def _parse_whole(path, fh, cols: list, n_labels: int):
     """Parse the rest of ``fh`` in one C-level pass of ``np.loadtxt``.
 
+    ``fh`` must be seekable: the file at ``path`` is read again, from
+    the start, for the check of U+001C..U+001F.
+
     ``cols`` are the file columns of outcome, treatment, the
     ``n_labels`` label roles and the covariates, in that order. Returns
     ``(y, w, label_lists, x)`` as :func:`read_units` does, or None when
@@ -313,8 +316,6 @@ def _parse_whole(path, fh, cols: list, n_labels: int):
     (``1_0``, non-ASCII digits, short rows) and files that it would
     read differently are left to the chunked reader.
     """
-    if _has_information_separators(path):
-        return None
     dtype = [(f"f{j}", "O" if 2 <= j < 2 + n_labels else "f8")
              for j in range(len(cols))]
     try:
@@ -335,7 +336,8 @@ def _parse_whole(path, fh, cols: list, n_labels: int):
     if (not units.shape[0]
             or not np.all((w == 0.0) | (w == 1.0))
             or any((lab == "").any() for lab in labels)
-            or not np.all(np.isfinite(x))):
+            or not np.all(np.isfinite(x))
+            or _has_information_separators(path)):
         return None
     return (np.ascontiguousarray(fields[0]), np.ascontiguousarray(w),
             [lab.tolist() for lab in labels], x)
@@ -389,7 +391,8 @@ def read_units(path, outcome: str, treatment: str, labels: dict,
     The rows after the header get one C-level parse (``np.loadtxt``).
     Only when that parse refuses the file is it read again by the
     chunked reader, ``_CHUNK_ROWS`` rows at a time, which decides every
-    refused file and names the first bad cell's row. Blank lines are
+    refused file and names the first bad cell's row. A file that cannot
+    be read twice (a pipe) goes to the chunked reader only. Blank lines are
     skipped and not counted in row numbers; extra fields are ignored;
     of duplicate header names the last column wins. Raises
     :class:`InputError` on a missing column, a non-numeric cell, a
@@ -415,14 +418,16 @@ def read_units(path, outcome: str, treatment: str, labels: dict,
 
         pos = {name: i for i, name in enumerate(header)}
         cols = [pos[col] for col in roles + covariates]
-        units = _parse_whole(path, fh, cols, len(labels))
-        if units is None:
+        # A pipe cannot be read twice, so it goes to the chunked reader.
+        if fh.seekable():
+            units = _parse_whole(path, fh, cols, len(labels))
+            if units is not None:
+                return units
             fh.seek(0)
             reader = csv.reader(fh)
             next(reader)
-            units = _read_chunks(path, reader, outcome, treatment, labels,
-                                 covariates, pos)
-    return units
+        return _read_chunks(path, reader, outcome, treatment, labels,
+                            covariates, pos)
 
 
 def load_csv(path, schema: Optional[CsvSchema] = None) -> Dataset:

@@ -3,6 +3,8 @@
 import csv
 import dataclasses
 import math
+import os
+import threading
 import time
 
 import numpy as np
@@ -583,6 +585,63 @@ def test_label_past_csv_field_limit(tmp_path):
     with pytest.raises(InputError, match="^row 1: field larger than"):
         load_csv(path)
     assert csv.field_size_limit() == limit
+
+
+def _read_through_pipe(text, read):
+    """Return ``read(path)`` for a ``/dev/fd`` path of a pipe that a
+    thread fills with ``text``."""
+    r, w = os.pipe()
+
+    def feed():
+        view = memoryview(text.encode())
+        try:
+            while view:
+                view = view[os.write(w, view):]
+        except BrokenPipeError:  # the reader stopped at a bad cell
+            pass
+        finally:
+            os.close(w)
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        return read(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+        writer.join()
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("bad", [None, "x1", "y"])
+def test_read_units_from_a_pipe(tmp_path, bad):
+    """A pipe is read once, by the chunked reader, to the same arrays
+    and the same row-numbered errors as the file: far more rows than
+    one buffer, and a bad cell past the first chunk."""
+    rows = [f'{i}.25,{i % 2},"g,{i % 7}",{i % 11}e-3' for i in range(3000)]
+    if bad == "x1":
+        rows[1500] = '1,1,"a",oops'
+    elif bad == "y":
+        rows[700] = '1_0,1,"a",0'
+    text = "y,w,cluster,x1\n" + "\n".join(rows) + "\n"
+    path = tmp_path / "units.csv"
+    path.write_text(text, newline="")
+
+    def read(source):
+        try:
+            return read_units(source, "y", "w", {"cluster": "cluster"})
+        except InputError as exc:
+            return str(exc)
+
+    want = read(path)
+    got = _read_through_pipe(text, read)
+    if bad == "x1":
+        assert want == "row 1502: column 'x1' value 'oops' is not numeric"
+        assert got == want
+        return
+    assert got[2] == want[2]
+    for i in (0, 1, 3):
+        assert got[i].tobytes() == want[i].tobytes()
+    assert len(got[0]) == 3000
 
 
 def _refuse_chunked_reader(*args, **kwargs):
