@@ -12,7 +12,11 @@ Options resolve as: explicit command-line flag, then config file, then
 the ``"default"`` in the command's config schema
 (``schemas/<command>.config.json`` and the shared ``schemas/defs.json``),
 which is the one place CLI defaults are written. Config files are
-schema-checked before and after the merge, with unknown keys rejected.
+schema-checked before and after the merge, with unknown keys rejected,
+by ``_schema_errors``: an in-repo Draft 2020-12 checker of the keywords
+those schemas use, so starting a command imports no schema library. It
+reports jsonschema's messages, except that an ``integer`` must be a JSON
+integer (``2``, not ``2.0``).
 The effective config is embedded in the body and hashed, without the
 output path and ``threads``: the thread count is accepted so that old
 configs stay valid, and ignored.
@@ -26,6 +30,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import numbers
+import operator
+import re
 import sys
 from contextlib import contextmanager
 from datetime import datetime, timezone
@@ -33,7 +40,6 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from .dataset import CsvSchema, load_csv, validate, write_table
 from .estimators import (
@@ -89,23 +95,121 @@ def _schema(name: str) -> dict:
     return _SCHEMAS[name]
 
 
+# Keywords that annotate a schema and constrain nothing.
+_ANNOTATIONS = frozenset({"default", "description", "$schema", "$id", "$defs"})
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "null": lambda v: v is None,
+    "number": lambda v: (isinstance(v, numbers.Number)
+                         and not isinstance(v, bool)),
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+}
+# The numeric bounds: each fails when ``test(instance, bound)`` holds.
+_BOUNDS = {
+    "minimum": (operator.lt, "less than the minimum of"),
+    "maximum": (operator.gt, "greater than the maximum of"),
+    "exclusiveMinimum": (operator.le, "less than or equal to the minimum of"),
+    "exclusiveMaximum": (operator.ge,
+                         "greater than or equal to the maximum of"),
+}
+_KEYWORDS = _ANNOTATIONS | _BOUNDS.keys() | {
+    "$ref", "type", "enum", "properties", "additionalProperties", "required",
+    "items", "minItems", "minLength", "pattern", "oneOf"}
+
+
+def _schema_errors(schema: dict, instance, defs: dict, path: tuple = ()):
+    """Yield ``(path, message)`` for each way ``instance`` breaks the
+    Draft 2020-12 ``schema``, whose ``$ref``s name entries of ``defs``.
+
+    Errors come in schema keyword order, with the absolute path and the
+    message text of jsonschema 4.26's ``Draft202012Validator``. The one
+    difference: an ``integer`` is an ``int`` (not a ``bool``), so ``2.0``
+    is not one. A keyword that no shipped schema uses raises
+    ``ValueError`` rather than go unchecked.
+    """
+    if not _KEYWORDS.issuperset(schema):
+        raise ValueError(f"schema keywords not supported: "
+                         f"{sorted(set(schema) - _KEYWORDS)}")
+    for key, want in schema.items():
+        if key in _ANNOTATIONS:
+            continue
+        if key == "$ref" and want.startswith("#/$defs/"):
+            yield from _schema_errors(defs[want[len("#/$defs/"):]], instance,
+                                      defs, path)
+        elif key == "type":
+            if not _TYPES[want](instance):
+                yield path, f"{instance!r} is not of type {want!r}"
+        elif key == "enum":
+            if instance not in want:
+                yield path, f"{instance!r} is not one of {want!r}"
+        elif key == "oneOf":
+            valid = [sub for sub in want if next(
+                _schema_errors(sub, instance, defs, path), None) is None]
+            if not valid:
+                yield path, (f"{instance!r} is not valid under any of the "
+                             "given schemas")
+            elif len(valid) > 1:
+                yield path, (f"{instance!r} is valid under each of "
+                             + ", ".join(map(repr, valid[1:] + valid[:1])))
+        elif key == "properties":
+            if isinstance(instance, dict):
+                for name, sub in want.items():
+                    if name in instance:
+                        yield from _schema_errors(sub, instance[name], defs,
+                                                  path + (name,))
+        elif key == "additionalProperties" and want is False:
+            known = schema.get("properties", {})
+            extra = (sorted((k for k in instance if k not in known), key=str)
+                     if isinstance(instance, dict) else [])
+            if extra:
+                yield path, ("Additional properties are not allowed "
+                             f"({', '.join(map(repr, extra))} "
+                             f"{'was' if len(extra) == 1 else 'were'} "
+                             "unexpected)")
+        elif key == "required":
+            if isinstance(instance, dict):
+                for name in want:
+                    if name not in instance:
+                        yield path, f"{name!r} is a required property"
+        elif key == "items":
+            if isinstance(instance, list):
+                for i, item in enumerate(instance):
+                    yield from _schema_errors(want, item, defs, path + (i,))
+        elif key in ("minItems", "minLength"):
+            if (isinstance(instance, list if key == "minItems" else str)
+                    and len(instance) < want):
+                yield path, (f"{instance!r} should be non-empty" if want == 1
+                             else f"{instance!r} is too short")
+        elif key in _BOUNDS:
+            test, text = _BOUNDS[key]
+            if _TYPES["number"](instance) and test(instance, want):
+                yield path, f"{instance!r} is {text} {want!r}"
+        elif key == "pattern":
+            if isinstance(instance, str) and not re.search(want, instance):
+                yield path, f"{instance!r} does not match {want!r}"
+        else:
+            raise ValueError(f"schema keyword {key!r}: {want!r} is not "
+                             "supported")
+
+
 def _validate_config(cfg: dict, command: str, partial: bool) -> None:
     """Schema-check a config dict; ``partial`` skips required keys.
 
     The raw config file is checked partially (flags may still fill
-    required options); the merged config is checked in full.
+    required options); the merged config is checked in full. Of all
+    errors, the one first by path, then by message, is reported.
     """
-    doc = dict(_schema(f"{command}.config"))
+    doc = _schema(f"{command}.config")
     if partial:
-        doc.pop("required", None)
-    errors = sorted(
-        Draft202012Validator(doc).iter_errors(cfg),
-        key=lambda e: (list(map(str, e.absolute_path)), e.message),
-    )
-    if errors:
-        err = errors[0]
-        where = "/".join(str(p) for p in err.absolute_path) or "top level"
-        raise InputError(f"config ({command}): {where}: {err.message}")
+        doc = {k: v for k, v in doc.items() if k != "required"}
+    err = min(_schema_errors(doc, cfg, doc["$defs"]), default=None,
+              key=lambda e: (list(map(str, e[0])), e[1]))
+    if err is not None:
+        where = "/".join(map(str, err[0])) or "top level"
+        raise InputError(f"config ({command}): {where}: {err[1]}")
 
 
 def _hashable_config(cfg: dict) -> dict:
@@ -136,10 +240,10 @@ def _write_report(body: dict, output: str, extra_meta: dict = None) -> Path:
         meta.update(extra_meta)
     payload = {"body": body, "meta": meta}
     with _stage("report"):
-        errors = list(
-            Draft202012Validator(_schema("report")).iter_errors(payload))
-        if errors:
-            raise EstimationError(f"malformed output: {errors[0].message}")
+        doc = _schema("report")
+        err = next(_schema_errors(doc, payload, doc["$defs"]), None)
+        if err is not None:
+            raise EstimationError(f"malformed output: {err[1]}")
         meta_bytes = json.dumps(meta, sort_keys=True, indent=2,
                                 allow_nan=False).encode("utf-8")
         path = Path(output)

@@ -398,36 +398,40 @@ def read_units(path, outcome: str, treatment: str, labels: dict,
     :class:`InputError` on a missing column, a non-numeric cell, a
     treatment other than 0/1, an empty label, a missing or non-finite
     covariate, or a row the ``csv`` module cannot read, naming the first
-    bad cell's 1-based row (the header is row 1). NaN outcomes load
-    successfully.
+    bad cell's 1-based row (the header is row 1), and on bytes that are
+    not text in the locale's encoding. NaN outcomes load successfully.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-        except csv.Error as exc:
-            raise InputError(f"row 1: {exc}") from None
-        if header is None:
-            raise InputError(f"{path}: empty file")
-        roles = [outcome, treatment, *labels.values()]
-        covariates = ([h for h in header if h not in roles]
-                      if covariates is None else list(covariates))
-        for col in roles + covariates:
-            if col not in header:
-                raise InputError(f"{path}: missing column {col!r}")
-
-        pos = {name: i for i, name in enumerate(header)}
-        cols = [pos[col] for col in roles + covariates]
-        # A pipe cannot be read twice, so it goes to the chunked reader.
-        if fh.seekable():
-            units = _parse_whole(path, fh, cols, len(labels))
-            if units is not None:
-                return units
-            fh.seek(0)
+    try:
+        with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            next(reader)
-        return _read_chunks(path, reader, outcome, treatment, labels,
-                            covariates, pos)
+            try:
+                header = next(reader, None)
+            except csv.Error as exc:
+                raise InputError(f"row 1: {exc}") from None
+            if header is None:
+                raise InputError(f"{path}: empty file")
+            roles = [outcome, treatment, *labels.values()]
+            covariates = ([h for h in header if h not in roles]
+                          if covariates is None else list(covariates))
+            for col in roles + covariates:
+                if col not in header:
+                    raise InputError(f"{path}: missing column {col!r}")
+
+            pos = {name: i for i, name in enumerate(header)}
+            cols = [pos[col] for col in roles + covariates]
+            # A pipe cannot be read twice, so it goes to the chunked reader.
+            if fh.seekable():
+                units = _parse_whole(path, fh, cols, len(labels))
+                if units is not None:
+                    return units
+                fh.seek(0)
+                reader = csv.reader(fh)
+                next(reader)
+            return _read_chunks(path, reader, outcome, treatment, labels,
+                                covariates, pos)
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not valid {exc.encoding} text "
+                         f"({exc.reason})") from None
 
 
 def load_csv(path, schema: Optional[CsvSchema] = None) -> Dataset:

@@ -11,8 +11,12 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import os
+import subprocess
+import sys
 import warnings
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -768,3 +772,263 @@ def test_simulate_unknown_choice_exit_one(flag, capsys):
     assert main(args + [flag, "no-such-name"]) == 1
     err = capsys.readouterr().err
     assert f"argument {flag}: invalid choice: 'no-such-name'" in err
+
+
+# --- schema checking ---------------------------------------------------------
+# ``cli._schema_errors`` replaces jsonschema at run time; jsonschema stays
+# as the oracle of the tests below.
+
+SCHEMA_NAMES = ["estimate.config", "simulate.config", "select.config",
+                "mixture.config", "check-equivalence.config", "report"]
+
+
+def _json_integer(checker, instance):
+    return isinstance(instance, int) and not isinstance(instance, bool)
+
+
+def _oracle():
+    """Draft 2020-12 with the one intended difference: an integral float
+    (``2.0``) is not an ``integer``."""
+    validators = pytest.importorskip("jsonschema.validators")
+    base = validators.Draft202012Validator
+    return validators.extend(base, type_checker=base.TYPE_CHECKER.redefine(
+        "integer", _json_integer))
+
+
+_ANY = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 3), st.text("ab", max_size=2),
+    st.sampled_from([0.0, 1.0, -0.5, 2.5, float("nan"), float("inf")]),
+    st.just([]), st.just({}), st.just([None]), st.just({"kind": 1}))
+
+
+def _near_bound(bound):
+    """Numbers on and beside ``bound``, ints and floats, and booleans."""
+    values = [bound, bound - 1, bound + 1, bound - 1e-9, bound + 1e-9,
+              float(bound), True, False]
+    if float(bound).is_integer():
+        values += [int(bound), int(bound) - 1, int(bound) + 1]
+    return st.sampled_from(values)
+
+
+def _near(schema, defs, off):
+    """Instances that ``schema`` accepts (``off`` false), or instances
+    off it in one or more places: the wrong type, a bound or its
+    neighbour, an empty string or list, an unknown key, a missing
+    required key, a bad list item or property at any depth."""
+    if "$ref" in schema:
+        schema = defs[schema["$ref"].rsplit("/", 1)[1]]
+    good = [_near(sub, defs, off) for sub in schema.get("oneOf", [])]
+    bad = [_ANY]
+    if "enum" in schema:
+        good.append(st.sampled_from(schema["enum"]))
+        bad.append(st.just("no-such-kind"))
+    kind = schema.get("type")
+    if kind == "object":
+        props = {name: _near(sub, defs, False)
+                 for name, sub in schema.get("properties", {}).items()}
+        required = schema.get("required", [])
+
+        def dicts(props, changed=()):
+            fixed = [k for k in props if k in required or k in changed]
+            return st.fixed_dictionaries(
+                {k: props[k] for k in fixed},
+                optional={k: v for k, v in props.items() if k not in fixed})
+
+        good.append(dicts(props))
+        bad.append(dicts({**props, "zz_unknown": _ANY}, ["zz_unknown"]))
+        if required:
+            bad.append(dicts({k: v for k, v in props.items()
+                              if k != required[0]}))
+        if props:
+            bad.append(st.lists(st.sampled_from(sorted(props)), min_size=1,
+                                unique=True).flatmap(lambda keys: dicts(
+                {**props, **{k: _near(schema["properties"][k], defs, True)
+                             for k in keys}}, keys)))
+    elif kind == "array":
+        item = schema["items"]
+        good.append(st.lists(_near(item, defs, False), min_size=1,
+                             max_size=3))
+        bad.append(st.just([]))
+        bad.append(st.tuples(good[-1], _near(item, defs, True)).map(
+            lambda t: t[0] + [t[1]]))
+    elif kind == "string":
+        good.append(st.sampled_from(["a", "out.json", 64 * "0", 64 * "f"]))
+        bad.append(st.sampled_from(["", 63 * "0", 64 * "0" + "\n", 64 * "g"]))
+    elif kind in ("number", "integer"):
+        bounds = ("minimum", "maximum", "exclusiveMinimum",
+                  "exclusiveMaximum")
+        bad += [_near_bound(schema[k]) for k in bounds if k in schema]
+        if kind == "integer":
+            good.append(st.integers(schema.get("minimum"), 2**64))
+        else:
+            good.append(st.floats(
+                schema.get("minimum", schema.get("exclusiveMinimum")),
+                schema.get("maximum", schema.get("exclusiveMaximum")),
+                allow_nan=False, exclude_min="exclusiveMinimum" in schema,
+                exclude_max="exclusiveMaximum" in schema))
+    elif kind == "boolean":
+        good.append(st.booleans())
+    elif kind == "null":
+        good.append(st.none())
+    if off:
+        return st.one_of(*good[:len(schema.get("oneOf", []))], *bad)
+    return st.one_of(good)
+
+
+@pytest.mark.parametrize("name, partial", [
+    (name, partial) for name in SCHEMA_NAMES for partial in (False, True)
+    if not (partial and name == "report")])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_schema_errors_match_jsonschema(name, partial, data):
+    doc = cli._schema(name)
+    if partial:
+        doc = {k: v for k, v in doc.items() if k != "required"}
+    instance = data.draw(_near(doc, doc["$defs"], data.draw(st.booleans())))
+    want = [(tuple(e.absolute_path), e.message)
+            for e in _oracle()(doc).iter_errors(instance)]
+    got = list(cli._schema_errors(doc, instance, doc["$defs"]))
+    assert got == want
+    if name == "report" or not isinstance(instance, dict):
+        return
+    command = name.split(".")[0]
+    if not want:
+        cli._validate_config(instance, command, partial)
+        return
+    path, message = sorted(want, key=lambda e: (list(map(str, e[0])),
+                                                e[1]))[0]
+    where = "/".join(map(str, path)) or "top level"
+    with pytest.raises(cli.InputError) as exc:
+        cli._validate_config(instance, command, partial)
+    assert str(exc.value) == f"config ({command}): {where}: {message}"
+
+
+def _subschemas(schema):
+    """``schema`` and every subschema in it."""
+    yield schema
+    subs = [*schema.get("properties", {}).values(),
+            *schema.get("$defs", {}).values(), *schema.get("oneOf", [])]
+    if isinstance(schema.get("items"), dict):
+        subs.append(schema["items"])
+    for sub in subs:
+        yield from _subschemas(sub)
+
+
+def _shipped_schemas():
+    pkg = resources.files("clusterdr").joinpath("schemas")
+    return {name: json.loads(pkg.joinpath(f"{name}.json").read_text())
+            for name in SCHEMA_NAMES + ["defs"]}
+
+
+def test_shipped_schemas_use_exactly_the_implemented_keywords():
+    used = set()
+    for name, doc in _shipped_schemas().items():
+        keywords = set().union(*_subschemas(doc))
+        assert keywords <= cli._KEYWORDS, name
+        used |= keywords
+    assert used == cli._KEYWORDS
+
+
+def test_every_subschema_matches_jsonschema_near_its_bounds():
+    """Each subschema of each shipped schema, on each bound of it and
+    beside it, as an int, a float and a bool, and on values of every
+    JSON type (``$`` matches before a final newline, as in ``re``)."""
+    defs = cli._schema("report")["$defs"]
+    probes = [None, True, False, 0, 1, -1, 0.0, 0.5, 1.5, "", "a", [], [1],
+              {}, {"kind": "treatment-mean"}, 2**64, float("nan"), 64 * "0",
+              64 * "0" + "\n", 64 * "0" + "\n\n"]
+    checked = 0
+    for doc in _shipped_schemas().values():
+        for sub in _subschemas(doc):
+            values = list(probes)
+            for key in ("minimum", "maximum", "exclusiveMinimum",
+                        "exclusiveMaximum"):
+                if key in sub:
+                    b = sub[key]
+                    values += [b, b - 1, b + 1, b - 1e-9, b + 1e-9, float(b),
+                               int(b), int(b) - 1, int(b) + 1]
+            oracle = _oracle()({**sub, "$defs": defs})
+            for value in values:
+                want = [(tuple(e.absolute_path), e.message)
+                        for e in oracle.iter_errors(value)]
+                assert list(cli._schema_errors(sub, value, defs)) == want
+                checked += 1
+    assert checked > 2000
+
+
+@pytest.mark.parametrize("schema, instance", [
+    ({"oneOf": [{"type": "number"}, {"minimum": 0}, {"type": "integer"}]}, 1),
+    ({"additionalProperties": False, "properties": {"a": {}}},
+     {"b": 1, 2: 0, "a": 0, "c": [2]}),
+    ({"type": "string", "minLength": 2}, "a"),
+    ({"items": {"type": "string"}, "minItems": 2}, [1]),
+    ({"enum": ["a", None]}, False),
+])
+def test_schema_errors_match_jsonschema_beyond_shipped_forms(schema,
+                                                            instance):
+    want = [(tuple(e.absolute_path), e.message)
+            for e in _oracle()(schema).iter_errors(instance)]
+    assert want
+    assert list(cli._schema_errors(schema, instance, {})) == want
+
+
+@pytest.mark.parametrize("schema, instance", [
+    ({"anyOf": [{"type": "null"}]}, None),
+    ({"type": "string", "format": "date"}, "2026-01-01"),
+    ({"properties": {"a": {"format": "date"}}}, {"a": 1}),
+    ({"oneOf": [{"type": "null", "anyOf": []}, {"type": "string"}]}, "a"),
+    ({"additionalProperties": {"type": "string"}}, {"a": "b"}),
+    ({"$ref": "other.json#/$defs/x"}, 1),
+])
+def test_unsupported_schema_keyword_raises(schema, instance):
+    with pytest.raises(ValueError, match="not supported"):
+        list(cli._schema_errors(schema, instance, {}))
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    ("estimate", {"seed": 1.0}, "seed: 1.0 is not of type 'integer'"),
+    ("estimate", {"L": 5.0}, "L: 5.0 is not of type 'integer'"),
+    ("simulate", {"reps": 2.0}, "reps: 2.0 is not of type 'integer'"),
+    ("select", {"stop_after_k": 2.0},
+     "stop_after_k: 2.0 is not valid under any of the given schemas"),
+])
+def test_integral_float_for_integer_key_exits_one(command, cfg, message,
+                                                  demo_csv, workdir, capsys):
+    (workdir / "cfg.json").write_text(json.dumps(cfg))
+    inputs = (["--preset", "randomized"] if command == "simulate"
+              else ["--data", str(demo_csv)])
+    assert main([command, "--config", "cfg.json", *inputs]) == 1
+    assert capsys.readouterr().err == f"error: config ({command}): {message}\n"
+
+
+def test_cli_job_does_not_import_jsonschema(demo_csv, workdir):
+    script = ("import sys\n"
+              "import clusterdr.cli\n"
+              "code = clusterdr.cli.main(['select', '--data', sys.argv[1],\n"
+              "                           '--stop-after-k', '1'])\n"
+              "assert code == 0, code\n"
+              "assert 'jsonschema' not in sys.modules\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    subprocess.run([sys.executable, "-c", script, str(demo_csv)], env=env,
+                   cwd=workdir, check=True, capture_output=True)
+    assert (workdir / "select_report.json").is_file()
+
+
+# --- input encoding ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("command, flag, text", [
+    ("estimate", "--data", b"y,w,cluster,x1\n1,1,caf\xe9,0.5\n2,0,b,0.3\n"),
+    ("estimate", "--data", b"y,w,cluster,x\xe91\n1,1,a,0.5\n2,0,b,0.3\n"),
+    ("check-equivalence", "--panel",
+     b"unit,time,y,w,x0\nu\xe9,t0,1,1,0.5\nu\xe9,t1,2,0,0.3\n"),
+], ids=["estimate-row", "estimate-header", "panel"])
+def test_csv_that_is_not_utf8_exits_one(workdir, capsys, command, flag, text):
+    path = workdir / "latin1.csv"
+    path.write_bytes(text)
+    assert main([command, flag, str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: load: {path}: not valid utf-8 text "
+        "(invalid continuation byte)\n")

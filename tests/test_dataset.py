@@ -589,11 +589,11 @@ def test_label_past_csv_field_limit(tmp_path):
 
 def _read_through_pipe(text, read):
     """Return ``read(path)`` for a ``/dev/fd`` path of a pipe that a
-    thread fills with ``text``."""
+    thread fills with ``text`` (``str``, or ``bytes`` as they are)."""
     r, w = os.pipe()
 
     def feed():
-        view = memoryview(text.encode())
+        view = memoryview(text if isinstance(text, bytes) else text.encode())
         try:
             while view:
                 view = view[os.write(w, view):]
@@ -642,6 +642,28 @@ def test_read_units_from_a_pipe(tmp_path, bad):
     for i in (0, 1, 3):
         assert got[i].tobytes() == want[i].tobytes()
     assert len(got[0]) == 3000
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("row", [1, 2999])
+def test_read_units_not_utf8_from_file_and_pipe(tmp_path, row):
+    """Bytes that are not UTF-8, early and past the first buffer, end in
+    one InputError naming the path and the encoding, from the file (both
+    parsers) and from a pipe (the chunked reader)."""
+    rows = [f"{i}.5,{i % 2},g{i % 7},{i}".encode() for i in range(3000)]
+    rows[row] = b"1,1,caf\xe9,0.5"
+    data = b"y,w,cluster,x1\n" + b"\n".join(rows) + b"\n"
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(data)
+
+    def read(source):
+        with pytest.raises(InputError) as exc:
+            read_units(source, "y", "w", {"cluster": "cluster"})
+        return str(exc.value).replace(str(source), "<path>")
+
+    want = "<path>: not valid utf-8 text (invalid continuation byte)"
+    assert read(path) == want
+    assert _read_through_pipe(data, read) == want
 
 
 def _refuse_chunked_reader(*args, **kwargs):
