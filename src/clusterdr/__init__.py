@@ -77,7 +77,6 @@ from .suffstats import (
     build_suffstats,
     mundlak_spec,
     overlap_set,
-    register_transform,
     resolve_transform,
 )
 

@@ -349,8 +349,8 @@ def cmd_estimate(args) -> int:
     with _stage("design"):
         spec = _spec_from_config(cfg["statspec"], d.k)
         s_bar = build_suffstats(d, spec)
-    folds = cross_fit_folds(d.c, cfg["L"], cfg["seed"])
     with _stage("nuisance"):
+        folds = cross_fit_folds(d.c, cfg["L"], cfg["seed"])
         nu = fit_nuisances(d, s_bar, folds, NuisanceConfig(**cfg["nuisance"]))
     with _stage("estimate"):
         a = overlap_set(nu.e, cfg["eta"])

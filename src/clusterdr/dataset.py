@@ -10,12 +10,12 @@ contiguous arrays.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import warnings
+from array import array
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, islice
-from operator import itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -30,11 +30,6 @@ __all__ = [
     "write_csv",
     "validate",
 ]
-
-# Rows per chunk of the reader that decides files the one-pass parse
-# refuses; bounds the memory held as row lists.
-_CHUNK_ROWS = 512
-
 
 def intern_labels(labels) -> tuple:
     """Dense int64 ids for a sequence of hashable labels, numbered in
@@ -233,88 +228,81 @@ def _parse_float(text: str, row: int, column: str) -> float:
         ) from None
 
 
-def _parse_columns(rows: list, take, n_labels: int, n_cov: int):
-    """Parse one chunk of rows column by column.
+def _read_rows(path, reader, outcome: str, treatment: str, labels: dict,
+               covariates: list, pos: dict) -> tuple:
+    """Read the rows after the header from ``reader`` one at a time,
+    applying each cell's rule once, and raise the first bad cell's
+    error; see :func:`read_units`.
 
-    Returns (y, w, one label column per role, x with one row per
-    covariate), or None when any cell is bad or missing.
+    Cells are checked in row-major order and, within a row, outcome,
+    treatment, labels, covariates. A cell past the end of a short row
+    reads as missing.
     """
-    m = len(rows)
+    y, w, x = array("d"), array("d"), array("d")
+    label_lists = [[] for _ in labels]
+    label_at = [(role, pos[col]) for role, col in labels.items()]
+    cov_at = [(col, pos[col]) for col in covariates]
+    width = max(pos.values()) + 1
+    row_num = 1
     try:
-        cols = list(zip(*map(take, rows)))
-        y = np.fromiter(map(float, cols[0]), dtype=float, count=m)
-        w = np.fromiter(map(float, cols[1]), dtype=float, count=m)
-        x = np.empty((n_cov, m))
-        for j, col in enumerate(cols[2 + n_labels:]):
-            x[j] = np.fromiter(map(float, col), dtype=float, count=m)
-    except (IndexError, ValueError):
-        return None
-    labels = cols[2:2 + n_labels]
-    if (any("" in lab for lab in labels)
-            or not np.all((w == 0.0) | (w == 1.0))
-            or not np.all(np.isfinite(x))):
-        return None
-    return y, w, labels, x
-
-
-def _raise_first_bad_cell(rows: list, first_row: int, outcome: str,
-                          treatment: str, labels: dict, covariates: list,
-                          pos: dict) -> None:
-    """Raise the error of the first bad cell in ``rows``, in row-major
-    order and, within a row, outcome, treatment, labels, covariates.
-
-    Only called on a chunk that :func:`_parse_columns` rejected, so it
-    always raises. A cell past the end of a short row reads as missing.
-    """
-    for row_num, row in enumerate(rows, start=first_row):
-        cell = {col: row[i] if i < len(row) else None
-                for col, i in pos.items()}
-        _parse_float(cell[outcome], row_num, outcome)
-        w_val = _parse_float(cell[treatment], row_num, treatment)
-        if w_val not in (0.0, 1.0):
-            raise InputError(
-                f"row {row_num}: treatment must be 0 or 1, got {w_val}"
-            )
-        for role, col in labels.items():
-            if cell[col] is None or cell[col] == "":
-                raise InputError(f"row {row_num}: empty {role} label")
-        for col in covariates:
-            text = cell[col]
-            if text is None or text == "":
+        for row in filter(None, reader):
+            row_num += 1
+            row += [None] * (width - len(row))
+            y.append(_parse_float(row[pos[outcome]], row_num, outcome))
+            w_val = _parse_float(row[pos[treatment]], row_num, treatment)
+            if w_val not in (0.0, 1.0):
                 raise InputError(
-                    f"row {row_num}: missing covariate {col!r}"
+                    f"row {row_num}: treatment must be 0 or 1, got {w_val}"
                 )
-            val = _parse_float(text, row_num, col)
-            if math.isnan(val) or math.isinf(val):
-                raise InputError(
-                    f"row {row_num}: covariate {col!r} is not finite"
-                )
+            w.append(w_val)
+            for (role, i), out in zip(label_at, label_lists):
+                if not row[i]:
+                    raise InputError(f"row {row_num}: empty {role} label")
+                out.append(row[i])
+            for col, i in cov_at:
+                if not row[i]:
+                    raise InputError(
+                        f"row {row_num}: missing covariate {col!r}"
+                    )
+                val = _parse_float(row[i], row_num, col)
+                if not math.isfinite(val):
+                    raise InputError(
+                        f"row {row_num}: covariate {col!r} is not finite"
+                    )
+                x.append(val)
+    except csv.Error as exc:
+        raise InputError(f"row {row_num + 1}: {exc}") from None
+    if row_num == 1:
+        raise InputError(f"{path}: no data rows")
+    return (np.array(y), np.array(w), label_lists,
+            np.array(x).reshape(row_num - 1, len(covariates)))
 
 
-def _has_information_separators(path) -> bool:
-    """Whether the file holds any of U+001C..U+001F. numpy strips them
-    around a number as whitespace, where ``float()`` refuses the cell.
-    In any ASCII-compatible encoding they are the bytes 0x1C..0x1F."""
-    with open(path, "rb") as raw:
-        return any(sep in block
-                   for block in iter(partial(raw.read, 1 << 20), b"")
-                   for sep in b"\x1c\x1d\x1e\x1f")
+def _has_information_separators(raw) -> bool:
+    """Whether the binary handle ``raw``, read from its start, holds any
+    of U+001C..U+001F. numpy strips them around a number as whitespace,
+    where ``float()`` refuses the cell. In any ASCII-compatible encoding
+    they are the bytes 0x1C..0x1F."""
+    raw.seek(0)
+    return any(sep in block
+               for block in iter(partial(raw.read, 1 << 20), b"")
+               for sep in b"\x1c\x1d\x1e\x1f")
 
 
-def _parse_whole(path, fh, cols: list, n_labels: int):
-    """Parse the rest of ``fh`` in one C-level pass of ``np.loadtxt``.
-
-    ``fh`` must be seekable: the file at ``path`` is read again, from
-    the start, for the check of U+001C..U+001F.
+def _parse_whole(fh, cols: list, n_labels: int):
+    """Parse the rest of the text handle ``fh`` in one C-level pass of
+    ``np.loadtxt``, then scan its bytes (``fh.buffer``, which must be
+    seekable) from the start for U+001C..U+001F.
 
     ``cols`` are the file columns of outcome, treatment, the
     ``n_labels`` label roles and the covariates, in that order. Returns
     ``(y, w, label_lists, x)`` as :func:`read_units` does, or None when
-    numpy refuses the file, a value fails a check or no rows came back.
-    numpy converts floats with the routine behind ``float()``, so a
-    value both accept is bit-identical. Files that numpy refuses
-    (``1_0``, non-ASCII digits, short rows) and files that it would
-    read differently are left to the chunked reader.
+    numpy refuses the input, a value fails a check, the input holds one
+    of those separators or no rows came back. numpy converts floats
+    with the routine behind ``float()``, so a value both accept is
+    bit-identical. Input that numpy refuses (``1_0``, non-ASCII digits,
+    short rows) and input that it would read differently are left to
+    the row reader.
     """
     dtype = [(f"f{j}", "O" if 2 <= j < 2 + n_labels else "f8")
              for j in range(len(cols))]
@@ -325,7 +313,7 @@ def _parse_whole(path, fh, cols: list, n_labels: int):
                 "ignore", "loadtxt: input contained no data", UserWarning)
             units = np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"',
                                comments=None, usecols=cols, ndmin=1)
-    except ValueError:  # a refused cell or row: the chunked reader names it
+    except ValueError:  # a refused cell or row: the row reader names it
         return None
     fields = [units[name] for name in units.dtype.names]
     w = fields[1]
@@ -337,45 +325,10 @@ def _parse_whole(path, fh, cols: list, n_labels: int):
             or not np.all((w == 0.0) | (w == 1.0))
             or any((lab == "").any() for lab in labels)
             or not np.all(np.isfinite(x))
-            or _has_information_separators(path)):
+            or _has_information_separators(fh.buffer)):
         return None
     return (np.ascontiguousarray(fields[0]), np.ascontiguousarray(w),
             [lab.tolist() for lab in labels], x)
-
-
-def _read_chunks(path, reader, outcome: str, treatment: str, labels: dict,
-                 covariates: list, pos: dict) -> tuple:
-    """Read the rows after the header from ``reader`` in chunks of
-    ``_CHUNK_ROWS`` rows, each parsed column by column, and raise the
-    first bad cell's error; see :func:`read_units`."""
-    take = itemgetter(*(pos[col] for col in
-                        [outcome, treatment, *labels.values(), *covariates]))
-    parts = []
-    row_num = 2
-    while True:
-        chunk, error = [], None
-        try:
-            chunk.extend(islice(reader, _CHUNK_ROWS))
-        except csv.Error as exc:
-            error = exc
-        rows = [row for row in chunk if row]
-        if rows:
-            parsed = _parse_columns(rows, take, len(labels), len(covariates))
-            if parsed is None:
-                _raise_first_bad_cell(rows, row_num, outcome, treatment,
-                                      labels, covariates, pos)
-            parts.append(parsed)
-            row_num += len(rows)
-        if error is not None:
-            raise InputError(f"row {row_num}: {error}")
-        if not chunk:
-            break
-    if not parts:
-        raise InputError(f"{path}: no data rows")
-    ys, ws, labs, xs = zip(*parts)
-    x = np.ascontiguousarray(np.concatenate(xs, axis=1).T)
-    return (np.concatenate(ys), np.concatenate(ws),
-            [list(chain.from_iterable(col)) for col in zip(*labs)], x)
 
 
 def read_units(path, outcome: str, treatment: str, labels: dict,
@@ -388,21 +341,24 @@ def read_units(path, outcome: str, treatment: str, labels: dict,
     vectors, one list of label strings per role of ``labels``, and the
     (n, k) covariates.
 
-    The rows after the header get one C-level parse (``np.loadtxt``).
-    Only when that parse refuses the file is it read again by the
-    chunked reader, ``_CHUNK_ROWS`` rows at a time, which decides every
-    refused file and names the first bad cell's row. A file that cannot
-    be read twice (a pipe) goes to the chunked reader only. Blank lines are
-    skipped and not counted in row numbers; extra fields are ignored;
-    of duplicate header names the last column wins. Raises
-    :class:`InputError` on a missing column, a non-numeric cell, a
-    treatment other than 0/1, an empty label, a missing or non-finite
-    covariate, or a row the ``csv`` module cannot read, naming the first
-    bad cell's 1-based row (the header is row 1), and on bytes that are
-    not text in the locale's encoding. NaN outcomes load successfully.
+    Every input is read through one seekable handle: a file as it is,
+    and input that cannot seek (a pipe) once into memory, whole. The
+    rows after the header get one C-level parse (``np.loadtxt``). Only
+    when that parse refuses the input is it read again from the start
+    by the row reader, which decides every refused input and names the
+    first bad cell's row. Blank lines are skipped and not counted in row
+    numbers; extra fields are ignored; of duplicate header names the
+    last column wins. Raises :class:`InputError` on a missing column, a
+    non-numeric cell, a treatment other than 0/1, an empty label, a
+    missing or non-finite covariate, or a row the ``csv`` module cannot
+    read, naming the first bad cell's 1-based row (the header is row 1),
+    and on bytes that are not text in the locale's encoding. NaN
+    outcomes load successfully.
     """
     try:
-        with open(path, newline="") as fh:
+        with open(path, "rb") as raw, io.TextIOWrapper(
+                raw if raw.seekable() else io.BytesIO(raw.read()),
+                newline="") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader, None)
@@ -419,16 +375,14 @@ def read_units(path, outcome: str, treatment: str, labels: dict,
 
             pos = {name: i for i, name in enumerate(header)}
             cols = [pos[col] for col in roles + covariates]
-            # A pipe cannot be read twice, so it goes to the chunked reader.
-            if fh.seekable():
-                units = _parse_whole(path, fh, cols, len(labels))
-                if units is not None:
-                    return units
-                fh.seek(0)
-                reader = csv.reader(fh)
-                next(reader)
-            return _read_chunks(path, reader, outcome, treatment, labels,
-                                covariates, pos)
+            units = _parse_whole(fh, cols, len(labels))
+            if units is not None:
+                return units
+            fh.seek(0)
+            reader = csv.reader(fh)
+            next(reader)
+            return _read_rows(path, reader, outcome, treatment, labels,
+                              covariates, pos)
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not valid {exc.encoding} text "
                          f"({exc.reason})") from None

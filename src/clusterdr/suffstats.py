@@ -24,7 +24,6 @@ __all__ = [
     "build_suffstats",
     "mundlak_spec",
     "overlap_set",
-    "register_transform",
     "resolve_transform",
 ]
 
@@ -36,19 +35,11 @@ _KINDS = (
     "custom-transform",
 )
 
-# tag -> fn(x, w) -> (n,) vector of per-unit values
-_TRANSFORMS: dict = {}
-
-
-def register_transform(tag: str, fn: Callable) -> None:
-    """Register a named per-unit map ``fn(x, w) -> values``.
-
-    ``x`` is the (n, k) covariate matrix and ``w`` the (n,) treatment
-    vector; the result must be a length-n vector.
-    """
-    if not tag or not isinstance(tag, str):
-        raise InputError("transform tag must be a non-empty string")
-    _TRANSFORMS[tag] = fn
+def _check_index(j: int, k: int) -> None:
+    if not 0 <= j < k:
+        raise InputError(
+            f"term references covariate {j} but dataset has {k} covariates"
+        )
 
 
 def _builtin_transform(base: str, j: int) -> Callable:
@@ -56,30 +47,27 @@ def _builtin_transform(base: str, j: int) -> Callable:
         return lambda x, w: np.log(np.clip(x[:, j], 1e-12, None))
     if base == "square":
         return lambda x, w: x[:, j] ** 2
-    if base == "clip":
-        return lambda x, w: np.clip(x[:, j], -3.0, 3.0)
-    raise InputError(f"unknown built-in transform {base!r}")
+    return lambda x, w: np.clip(x[:, j], -3.0, 3.0)
 
 
-def resolve_transform(tag: str) -> Callable:
-    """Look up a transform by tag.
+def resolve_transform(tag: str, k: int) -> Callable:
+    """Look up a transform by tag for a dataset with ``k`` covariates.
 
-    Tags of the form ``log:j``, ``square:j``, ``clip:j`` (j a covariate
-    index) are built in: natural log of the covariate floored at 1e-12,
-    its square, and the covariate winsorized to [-3, 3]. Anything else
-    must have been registered with :func:`register_transform`.
+    Tags have the form ``log:j``, ``square:j`` or ``clip:j``, where
+    ``0 <= j < k`` is a covariate index: the natural log of the
+    covariate floored at 1e-12, its square, and the covariate winsorized
+    to [-3, 3]. The result maps ``(x, w)`` to the length-n vector of
+    per-unit values.
     """
-    if tag in _TRANSFORMS:
-        return _TRANSFORMS[tag]
-    if ":" in tag:
-        base, _, idx = tag.partition(":")
-        if base in ("log", "square", "clip"):
-            try:
-                j = int(idx)
-            except ValueError:
-                raise InputError(f"bad covariate index in tag {tag!r}") from None
-            return _builtin_transform(base, j)
-    raise InputError(f"unknown transform tag {tag!r}")
+    base, sep, idx = tag.partition(":")
+    if not sep or base not in ("log", "square", "clip"):
+        raise InputError(f"unknown transform tag {tag!r}")
+    try:
+        j = int(idx)
+    except ValueError:
+        raise InputError(f"bad covariate index in tag {tag!r}") from None
+    _check_index(j, k)
+    return _builtin_transform(base, j)
 
 
 @dataclass(frozen=True)
@@ -88,7 +76,8 @@ class Term:
 
     ``kind`` selects the per-unit value; ``j`` and ``k2`` are zero-based
     covariate indices where the kind needs them, and ``tag`` names a
-    registered transform for ``custom-transform`` terms.
+    built-in transform (:func:`resolve_transform`) for
+    ``custom-transform`` terms.
     """
 
     kind: str
@@ -130,29 +119,16 @@ class Term:
         if self.kind == "treatment-mean":
             return d.w.astype(float)
         if self.kind == "covariate-mean":
-            self._check_index(self.j, d.k)
+            _check_index(self.j, d.k)
             return d.x[:, self.j]
         if self.kind == "covariate-second-moment":
-            self._check_index(self.j, d.k)
-            self._check_index(self.k2, d.k)
+            _check_index(self.j, d.k)
+            _check_index(self.k2, d.k)
             return d.x[:, self.j] * d.x[:, self.k2]
         if self.kind == "covariate-treatment-interaction":
-            self._check_index(self.j, d.k)
+            _check_index(self.j, d.k)
             return d.x[:, self.j] * d.w
-        vals = np.asarray(resolve_transform(self.tag)(d.x, d.w), dtype=float)
-        if vals.shape != (d.n,):
-            raise InputError(
-                f"transform {self.tag!r} returned shape {vals.shape}, "
-                f"expected ({d.n},)"
-            )
-        return vals
-
-    @staticmethod
-    def _check_index(j: int, k: int) -> None:
-        if j >= k:
-            raise InputError(
-                f"term references covariate {j} but dataset has {k} covariates"
-            )
+        return resolve_transform(self.tag, d.k)(d.x, d.w)
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind}

@@ -137,6 +137,38 @@ def test_estimate_eta_none_disables_trimming(demo_csv, workdir):
     assert body["result"]["eta"] is None
 
 
+@pytest.mark.parametrize("data, flags, message", [
+    ("one.csv", [], "cannot split 1 clusters into 5 folds"),
+    ("demo.csv", ["--L", "31"], "cannot split 30 clusters into 31 folds"),
+], ids=["one-cluster", "L-past-clusters"])
+def test_estimate_fewer_clusters_than_folds_exits_one(data, flags, message,
+                                                      demo_csv, workdir,
+                                                      capsys):
+    (workdir / "one.csv").write_text("y,w,cluster,x1\n1,1,a,0.5\n2,0,a,0.3\n")
+    assert main(["estimate", "--data", data, *flags]) == 1
+    assert capsys.readouterr().err == f"error: nuisance: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["estimate", "select", "simulate"])
+@pytest.mark.parametrize("tag", ["log:9", "square:-1"])
+def test_transform_tag_past_covariates_exits_one(command, tag, demo_csv,
+                                                 workdir, capsys):
+    spec = {"terms": [{"kind": "custom-transform", "tag": tag}]}
+    j = tag.partition(":")[2]
+    if command == "simulate":
+        cfg = {"estimator": {"statspec": spec}}
+        inputs, k = ["--preset", "randomized", "--c", "40", "--reps", "2"], 1
+    else:
+        cfg = {"statspec" if command == "estimate" else "candidates": spec}
+        inputs, k = ["--data", str(demo_csv)], 3
+    (workdir / "cfg.json").write_text(json.dumps(cfg))
+    assert main([command, "--config", "cfg.json", *inputs]) == 1
+    message = f"term references covariate {j} but dataset has {k} covariates"
+    assert capsys.readouterr().err == (
+        f"error: design: {message}\n" if command != "simulate" else
+        f"error: simulate: every rep failed; rep 0: InputError: {message}\n")
+
+
 # --- simulate ---------------------------------------------------------------
 
 
@@ -413,7 +445,7 @@ def test_empty_input_exits_one_without_warning(workdir, capsys, command, flag,
 
 
 def test_unreadable_csv_row_exits_one(workdir, capsys):
-    # the bad x1 cell sends the file to the chunked reader, and the csv
+    # the bad x1 cell sends the file to the row reader, and the csv
     # module refuses the long label before it
     long = "c" * (csv.field_size_limit() + 1)
     path = workdir / "long.csv"

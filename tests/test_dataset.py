@@ -26,7 +26,6 @@ from clusterdr import (
 )
 from clusterdr import dataset
 from clusterdr.dataset import (
-    _CHUNK_ROWS,
     group_means,
     intern_labels,
     read_units,
@@ -366,21 +365,21 @@ def test_load_csv_error_cells(tmp_path, text, message):
 
 
 def test_load_csv_bad_cell_past_first_chunk(tmp_path):
-    n = 2 * _CHUNK_ROWS + 100
+    n = 2 * 512 + 100
     lines = [f"{i}.5,{i % 2},c{i % 7},{i}" for i in range(n)]
-    lines[_CHUNK_ROWS + 50] = "1.0,1,a,"
-    lines[_CHUNK_ROWS + 60] = "oops,1,a,1.0"
+    lines[512 + 50] = "1.0,1,a,"
+    lines[512 + 60] = "oops,1,a,1.0"
     path = tmp_path / "big.csv"
     path.write_text("y,w,cluster,x1\n" + "\n".join(lines) + "\n")
     with pytest.raises(InputError,
-                       match=f"^row {_CHUNK_ROWS + 52}: missing covariate"):
+                       match=f"^row {512 + 52}: missing covariate"):
         load_csv(path)
-    del lines[_CHUNK_ROWS + 50]
+    del lines[512 + 50]
     path.write_text("y,w,cluster,x1\n" + "\n".join(lines) + "\n")
     with pytest.raises(InputError,
-                       match=f"^row {_CHUNK_ROWS + 61}: column 'y'"):
+                       match=f"^row {512 + 61}: column 'y'"):
         load_csv(path)
-    del lines[_CHUNK_ROWS + 59]
+    del lines[512 + 59]
     path.write_text("y,w,cluster,x1\n" + "\n".join(lines) + "\n")
     d = load_csv(path)
     assert d.n == n - 2 and d.c == 7
@@ -408,7 +407,7 @@ def test_load_csv_accepted_variants(tmp_path):
 # --- one-pass parse against the chunked reader ------------------------------
 
 # Spellings float() accepts (numpy refuses 1_0 and non-ASCII digits, so
-# those files take the chunked reader), then spellings of bad cells.
+# those files take the row reader), then spellings of bad cells.
 _GOOD_CELLS = {
     "y": ["nan", "-nan", "NaN", "inf", "-Infinity", "1e400", "5e-324", " 1",
           "1 ", "+1", "\t0", ".5", "1.", "007", "1_0", "\u0661", "\xa01",
@@ -569,8 +568,8 @@ def test_label_past_csv_field_limit(tmp_path):
     # the one-pass parse has no field limit
     path.write_text(f"y,w,cluster,x1\n1,1,{long},0.5\n2,0,b,0.25\n")
     assert load_csv(path).cluster_labels == [long, "b"]
-    # a bad cell sends the file to the chunked reader, which names the
-    # row it cannot read, or an earlier bad cell
+    # a bad cell sends the file to the row reader, which names the row
+    # it cannot read, or an earlier bad cell
     good = [f"{i}.5,{i % 2},g{i % 3},{i}" for i in range(600)]
     path.write_text("y,w,cluster,x1\n" + "\n".join(
         good + ["", f"1,1,{long},0.5", "2,0,b,oops"]) + "\n")
@@ -597,7 +596,7 @@ def _read_through_pipe(text, read):
         try:
             while view:
                 view = view[os.write(w, view):]
-        except BrokenPipeError:  # the reader stopped at a bad cell
+        except BrokenPipeError:  # the reader closed the pipe early
             pass
         finally:
             os.close(w)
@@ -614,9 +613,9 @@ def _read_through_pipe(text, read):
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
 @pytest.mark.parametrize("bad", [None, "x1", "y"])
 def test_read_units_from_a_pipe(tmp_path, bad):
-    """A pipe is read once, by the chunked reader, to the same arrays
-    and the same row-numbered errors as the file: far more rows than
-    one buffer, and a bad cell past the first chunk."""
+    """A pipe is held in memory and parsed like the file, to the same
+    arrays and the same row-numbered errors: far more rows than one
+    buffer, and a bad cell past the first 512 rows."""
     rows = [f'{i}.25,{i % 2},"g,{i % 7}",{i % 11}e-3' for i in range(3000)]
     if bad == "x1":
         rows[1500] = '1,1,"a",oops'
@@ -649,7 +648,7 @@ def test_read_units_from_a_pipe(tmp_path, bad):
 def test_read_units_not_utf8_from_file_and_pipe(tmp_path, row):
     """Bytes that are not UTF-8, early and past the first buffer, end in
     one InputError naming the path and the encoding, from the file (both
-    parsers) and from a pipe (the chunked reader)."""
+    parsers) and from a pipe."""
     rows = [f"{i}.5,{i % 2},g{i % 7},{i}".encode() for i in range(3000)]
     rows[row] = b"1,1,caf\xe9,0.5"
     data = b"y,w,cluster,x1\n" + b"\n".join(rows) + b"\n"
@@ -666,7 +665,7 @@ def test_read_units_not_utf8_from_file_and_pipe(tmp_path, row):
     assert _read_through_pipe(data, read) == want
 
 
-def _refuse_chunked_reader(*args, **kwargs):
+def _refuse_row_reader(*args, **kwargs):
     raise AssertionError("the one-pass parse refused the file")
 
 
@@ -676,11 +675,37 @@ def test_generated_csv_takes_the_one_pass_parse(tmp_path, preset):
     path = tmp_path / "input.csv"
     write_csv(d, path)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dataset, "_read_chunks", _refuse_chunked_reader)
+        mp.setattr(dataset, "_read_rows", _refuse_row_reader)
         got = load_csv(path)
     for name in ("y", "w", "x", "cluster_index"):
         assert getattr(got, name).tobytes() == getattr(d, name).tobytes()
     assert got.cluster_labels == d.cluster_labels
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("long_label", [False, True])
+def test_pipe_takes_the_one_pass_parse(tmp_path, long_label):
+    """A pipe is parsed once like a file, without the row reader, so a
+    label longer than the csv module's field limit loads through it to
+    the file's labels."""
+    rows = [f'{i}.25,{i % 2},"g,{i % 7}",{i % 11}e-3' for i in range(3000)]
+    if long_label:
+        rows[1500] = f"1,1,{'c' * (csv.field_size_limit() + 1)},0.5"
+    text = "y,w,cluster,x1\n" + "\n".join(rows) + "\n"
+    path = tmp_path / "units.csv"
+    path.write_text(text, newline="")
+
+    def read(source):
+        return read_units(source, "y", "w", {"cluster": "cluster"})
+
+    want = read(path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataset, "_read_rows", _refuse_row_reader)
+        got = _read_through_pipe(text, read)
+    assert got[2] == want[2]
+    for i in (0, 1, 3):
+        assert got[i].tobytes() == want[i].tobytes()
+    assert len(got[0]) == 3000
 
 
 _WRITTEN_LABELS = st.text(
@@ -697,9 +722,8 @@ _WRITTEN_LABELS = st.text(
 def test_write_csv_output_takes_the_one_pass_parse(tmp_path_factory, data,
                                                    units, n_times):
     """write_csv output with labels holding commas, quotes and newlines
-    loads through load_csv and load_panel_csv without the chunked
-    reader: the panel reads the cluster column as units and x1 as
-    periods."""
+    loads through load_csv and load_panel_csv without the row reader:
+    the panel reads the cluster column as units and x1 as periods."""
     n = len(units) * n_times
     y = data.draw(st.lists(st.one_of(_CELLS, st.just(math.nan)),
                            min_size=n, max_size=n))
@@ -713,7 +737,7 @@ def test_write_csv_output_takes_the_one_pass_parse(tmp_path_factory, data,
     path = tmp_path_factory.mktemp("written") / "units.csv"
     write_csv(d, path)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dataset, "_read_chunks", _refuse_chunked_reader)
+        mp.setattr(dataset, "_read_rows", _refuse_row_reader)
         got = load_csv(path)
         panel = load_panel_csv(path, unit="cluster", time="x1",
                                covariates=["x2"])

@@ -13,7 +13,6 @@ from clusterdr import (
     build_suffstats,
     mundlak_spec,
     overlap_set,
-    register_transform,
     resolve_transform,
 )
 
@@ -119,28 +118,27 @@ def test_out_of_range_covariate_index():
 def test_builtin_transforms():
     d = Dataset(np.zeros(2), np.array([0, 1]),
                 np.array([[4.0, -9.0], [1.0, 2.0]]), ["a", "a"])
-    log_vals = resolve_transform("log:0")(d.x, d.w)
+    log_vals = resolve_transform("log:0", d.k)(d.x, d.w)
     assert log_vals == pytest.approx(np.log([4.0, 1.0]))
-    sq = resolve_transform("square:1")(d.x, d.w)
+    sq = resolve_transform("square:1", d.k)(d.x, d.w)
     assert sq.tolist() == [81.0, 4.0]
-    clip = resolve_transform("clip:1")(d.x, d.w)
+    clip = resolve_transform("clip:1", d.k)(d.x, d.w)
     assert clip.tolist() == [-3.0, 2.0]
     with pytest.raises(InputError):
-        resolve_transform("no-such-tag")
+        resolve_transform("no-such-tag", d.k)
     with pytest.raises(InputError):
-        resolve_transform("log:zz")
+        resolve_transform("log:zz", d.k)
 
 
 def test_registered_transform_used_in_spec():
-    register_transform("abs-x0", lambda x, w: np.abs(x[:, 0]))
     d = Dataset(np.zeros(2), np.array([0, 1]),
                 np.array([[-2.0], [4.0]]), ["a", "a"])
     s_bar = build_suffstats(
-        d, StatSpec(terms=(Term("custom-transform", tag="abs-x0"),))
+        d, StatSpec(terms=(Term("custom-transform", tag="square:0"),))
     )
-    assert s_bar[:, 0].tolist() == [3.0, 3.0]
+    assert s_bar[:, 0].tolist() == [10.0, 10.0]
     # and the tag survives serialization
-    spec = StatSpec(terms=(Term("custom-transform", tag="abs-x0"),))
+    spec = StatSpec(terms=(Term("custom-transform", tag="square:0"),))
     assert StatSpec.from_json(spec.to_json()) == spec
 
 
