@@ -19,12 +19,9 @@ from .dataset import (
 )
 from .estimators import (
     DrResult,
-    FeResult,
-    MundlakResult,
     NuisanceConfig,
     NuisanceEstimates,
     PanelData,
-    TwowayCheck,
     dr_estimate,
     fe_ols,
     fit_nuisances,
@@ -45,7 +42,6 @@ from .exceptions import (
     UnbalancedPanelError,
 )
 from .glm import (
-    FoldAssignment,
     GroupLassoResult,
     LogisticFit,
     WlsFit,

@@ -316,7 +316,7 @@ def _spec_from_config(obj, k: int) -> StatSpec:
     """Build a StatSpec from an inline config object (None = default)."""
     if obj is None:
         return mundlak_spec(k)
-    return StatSpec.from_json(json.dumps(obj))
+    return StatSpec.from_dict(obj)
 
 
 @contextmanager
@@ -364,9 +364,9 @@ def cmd_estimate(args) -> int:
         with _stage("baselines"):
             e_clip = np.clip(nu.e, 1e-6, 1.0 - 1e-6)
             body["baselines"] = {
-                "fe": fe_ols(d).tau,
-                "mundlak": mundlak_ols(d).tau,
-                "weighted_fe": weighted_fe(d, e_clip).tau,
+                "fe": fe_ols(d),
+                "mundlak": mundlak_ols(d),
+                "weighted_fe": weighted_fe(d, e_clip),
             }
     path = _write_report(body, cfg["output"])
     trimmed = 1.0 - res.a_bar
@@ -398,8 +398,7 @@ def cmd_simulate(args) -> int:
         dgp = dgp_preset(cfg["preset"], **overrides)
         est = EstimatorConfig(**{
             **est_cfg,
-            "statspec": (None if spec is None
-                         else StatSpec.from_json(json.dumps(spec))),
+            "statspec": None if spec is None else StatSpec.from_dict(spec),
             "nuisance": NuisanceConfig(**est_cfg["nuisance"]),
         })
     with _stage("simulate"):
@@ -464,7 +463,7 @@ def cmd_select(args) -> int:
     body = _new_body("select", cfg)
     body["candidates"] = names
     body["selected"] = [names[j] for j in res.selected]
-    body["selected_spec"] = json.loads(sel_spec.to_json())
+    body["selected_spec"] = sel_spec.to_dict()
     body["lambda_max"] = res.lambda_max
     body["lam"] = res.lam
     body["path"] = [
@@ -474,7 +473,8 @@ def cmd_select(args) -> int:
     out = Path(cfg["output"])
     spec_path = out.with_suffix(".statspec.json")
     with _stage("report"):
-        spec_path.write_text(sel_spec.to_json() + "\n")
+        spec_path.write_text(json.dumps(sel_spec.to_dict(), sort_keys=True)
+                             + "\n")
     path = _write_report(body, cfg["output"],
                          extra_meta={"statspec_path": str(spec_path)})
     if not res.selected:
@@ -545,7 +545,7 @@ def cmd_mixture(args) -> int:
     meta = {"posterior_csv": str(post_path)}
     if cfg["estimate"]:
         with _stage("estimate"):
-            s_bar = augment_with_posterior(d, model, post)
+            s_bar = augment_with_posterior(d, post)
             folds = cross_fit_folds(d.c, cfg["L"], cfg["seed"])
             nu = fit_nuisances(d, s_bar, folds,
                                NuisanceConfig(**cfg["nuisance"]))
@@ -580,18 +580,15 @@ def cmd_check_equivalence(args) -> int:
         with _stage("load"):
             d = load_csv(cfg["data"], CsvSchema(**cfg["schema"]))
         with _stage("estimate"):
-            tau_fe = fe_ols(d).tau
-            tau_mundlak = mundlak_ols(d).tau
-        diff = abs(tau_fe - tau_mundlak)
+            tau_fe, tau_mundlak = fe_ols(d), mundlak_ols(d)
     else:
         mode = "panel"
         with _stage("load"):
             panel = load_panel_csv(cfg["panel"], **cfg["panel_schema"])
         with _stage("estimate"):
-            chk = twoway_mundlak_check(panel)
-        tau_fe, tau_mundlak, diff = (chk.tau_fe, chk.tau_mundlak,
-                                     chk.max_abs_diff)
+            tau_fe, tau_mundlak = twoway_mundlak_check(panel)
 
+    diff = abs(tau_fe - tau_mundlak)
     tolerance = _EQUIV_RTOL * (1.0 + abs(tau_fe))
     equivalent = bool(diff <= tolerance)
     body = _new_body("check-equivalence", cfg)

@@ -85,8 +85,9 @@ class Dataset:
     y : array of float, shape (n,)
         Outcomes. NaN values are permitted here and reported by
         :func:`validate`.
-    w : array of int, shape (n,)
-        Binary treatment indicators, each exactly 0 or 1.
+    w : array of 0/1 values, shape (n,)
+        Binary treatment indicators, each exactly 0 or 1, stored as
+        float64.
     x : array of float, shape (n, k)
         Covariates. Must be finite.
     cluster_labels : sequence of length n
@@ -95,7 +96,7 @@ class Dataset:
 
     def __init__(self, y, w, x, cluster_labels):
         y = np.asarray(y, dtype=float)
-        w = np.asarray(w)
+        w = np.asarray(w, dtype=float)
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             x = x.reshape(-1, 1)
@@ -114,9 +115,8 @@ class Dataset:
             raise InputError(
                 f"got {len(cluster_labels)} cluster labels, expected {n}"
             )
-        w_float = np.asarray(w, dtype=float)
-        if not np.all((w_float == 0.0) | (w_float == 1.0)):
-            bad = np.flatnonzero((w_float != 0.0) & (w_float != 1.0))[:5]
+        if not np.all((w == 0.0) | (w == 1.0)):
+            bad = np.flatnonzero((w != 0.0) & (w != 1.0))[:5]
             raise InputError(
                 f"treatment must be 0 or 1; offending rows {bad.tolist()}"
             )
@@ -131,7 +131,7 @@ class Dataset:
 
         self._y = y
         self._y.setflags(write=False)
-        self._w = w_float.astype(np.int8)
+        self._w = w
         self._w.setflags(write=False)
         self._x = x
         self._x.setflags(write=False)
@@ -298,7 +298,9 @@ def _parse_whole(fh, cols: list, n_labels: int):
     ``n_labels`` label roles and the covariates, in that order. Returns
     ``(y, w, label_lists, x)`` as :func:`read_units` does, or None when
     numpy refuses the input, a value fails a check, the input holds one
-    of those separators or no rows came back. numpy converts floats
+    of those separators or no rows came back. Bytes that are not text
+    in the handle's encoding raise numpy's ``UnicodeDecodeError``, so
+    the row reader never decodes them again. numpy converts floats
     with the routine behind ``float()``, so a value both accept is
     bit-identical. Input that numpy refuses (``1_0``, non-ASCII digits,
     short rows) and input that it would read differently are left to
@@ -313,6 +315,8 @@ def _parse_whole(fh, cols: list, n_labels: int):
                 "ignore", "loadtxt: input contained no data", UserWarning)
             units = np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"',
                                comments=None, usecols=cols, ndmin=1)
+    except UnicodeDecodeError:  # not text: read_units names the encoding
+        raise
     except ValueError:  # a refused cell or row: the row reader names it
         return None
     fields = [units[name] for name in units.dtype.names]
@@ -427,7 +431,7 @@ def write_csv(d: Dataset, path, schema: Optional[CsvSchema] = None) -> None:
     labels = d.cluster_labels
     write_table(
         path, [schema.outcome, schema.treatment, schema.cluster] + covariates,
-        [map(repr, d.y.tolist()), d.w.tolist(),
+        [map(repr, d.y.tolist()), d.w.astype(int).tolist(),
          map(labels.__getitem__, d.cluster_index.tolist()),
          *(map(repr, col) for col in d.x.T.tolist())],
     )
@@ -448,7 +452,7 @@ def validate(d: Dataset) -> ValidationReport:
             f"{nan_rows.size} NaN outcome(s), first at row {int(nan_rows[0])}"
         )
     treated = np.bincount(
-        d.cluster_index, weights=d.w.astype(float), minlength=d.c
+        d.cluster_index, weights=d.w, minlength=d.c
     )
     degenerate = np.flatnonzero((treated == 0) | (treated == d.n_c))
     report.degenerate_clusters = degenerate.tolist()

@@ -23,15 +23,12 @@ from .exceptions import (
     InputError,
     UnbalancedPanelError,
 )
-from .glm import FoldAssignment, logistic_fit, predict_proba, wls_fit
+from .glm import logistic_fit, predict_proba, wls_fit
 
 __all__ = [
     "NuisanceConfig",
     "NuisanceEstimates",
     "DrResult",
-    "FeResult",
-    "MundlakResult",
-    "TwowayCheck",
     "PanelData",
     "psi",
     "fe_ols",
@@ -76,30 +73,6 @@ def psi(y, w, mu1, mu0, e):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FeResult:
-    """Within-cluster regression: treatment coefficient and covariate
-    coefficients."""
-
-    tau: float
-    beta: np.ndarray
-
-
-@dataclass(frozen=True)
-class MundlakResult:
-    """Pooled regression with cluster means added as controls.
-
-    ``tau`` is the treatment coefficient, ``beta`` the unit covariate
-    coefficients, ``delta`` the cluster treatment-mean coefficient, and
-    ``gamma`` the cluster covariate-mean coefficients.
-    """
-
-    tau: float
-    beta: np.ndarray
-    delta: float
-    gamma: np.ndarray
-
-
 def _check_treatment_variation(w_centered: np.ndarray, what: str) -> None:
     if float(w_centered @ w_centered) <= 1e-12 * max(1, w_centered.size):
         raise DegenerateDesignError(
@@ -108,20 +81,21 @@ def _check_treatment_variation(w_centered: np.ndarray, what: str) -> None:
         )
 
 
-def _within_fit(d: Dataset, omega, what: str) -> FeResult:
-    """Least squares of y on (w, x) with one dummy per cluster, weighted
-    by ``omega`` (None: unweighted), solved without the dummies: remove
-    the ``omega``-weighted cluster means of ``[y | w | x]`` and fit the
-    residuals with the same weights."""
+def _within_fit(d: Dataset, omega, what: str) -> float:
+    """Treatment coefficient of the least squares of y on (w, x) with one
+    dummy per cluster, weighted by ``omega`` (None: unweighted), solved
+    without the dummies: remove the ``omega``-weighted cluster means of
+    ``[y | w | x]`` and fit the residuals with the same weights."""
     v = np.column_stack([d.y, d.w, d.x])
     v -= d.cluster_means(v, omega)[d.cluster_index]
     _check_treatment_variation(v[:, 1], what)
     fit = wls_fit(v[:, 1:], v[:, 0], weights=omega)
-    return FeResult(tau=float(fit.coefficients[0]), beta=fit.coefficients[1:])
+    return float(fit.coefficients[0])
 
 
-def fe_ols(d: Dataset) -> FeResult:
-    """Cluster fixed-effects regression via within-cluster demeaning.
+def fe_ols(d: Dataset) -> float:
+    """Treatment coefficient of the cluster fixed-effects regression,
+    fit by within-cluster demeaning.
 
     The unweighted case of the within-cluster fit that
     :func:`weighted_fe` runs with inverse-propensity weights; identical
@@ -131,25 +105,18 @@ def fe_ols(d: Dataset) -> FeResult:
     return _within_fit(d, None, "fixed-effects regression")
 
 
-def mundlak_ols(d: Dataset) -> MundlakResult:
-    """Pooled regression of y on (1, w, x, cluster means of w and x)."""
-    w = d.w.astype(float)
-    w_bar = d.cluster_means(w)[d.cluster_index]
+def mundlak_ols(d: Dataset) -> float:
+    """Treatment coefficient of the pooled regression of y on
+    (1, w, x, cluster means of w and x)."""
+    w_bar = d.cluster_means(d.w)[d.cluster_index]
     x_bar = d.cluster_means(d.x)[d.cluster_index, :]
-    design = np.column_stack([np.ones(d.n), w, d.x, w_bar, x_bar])
-    fit = wls_fit(design, d.y)
-    k = d.k
-    coef = fit.coefficients
-    return MundlakResult(
-        tau=float(coef[1]),
-        beta=coef[2 : 2 + k],
-        delta=float(coef[2 + k]),
-        gamma=coef[3 + k :],
-    )
+    design = np.column_stack([np.ones(d.n), d.w, d.x, w_bar, x_bar])
+    return float(wls_fit(design, d.y).coefficients[1])
 
 
-def weighted_fe(d: Dataset, e_hat: np.ndarray) -> FeResult:
-    """Fixed-effects regression weighted by inverse propensities.
+def weighted_fe(d: Dataset, e_hat: np.ndarray) -> float:
+    """Treatment coefficient of the fixed-effects regression weighted by
+    inverse propensities.
 
     The within-cluster fit of :func:`fe_ols` with unit weights 1/e
     (treated) or 1/(1-e) (control) in both the cluster means and the
@@ -215,7 +182,7 @@ def _outcome_system(d: Dataset, s_bar: np.ndarray, cfg: NuisanceConfig,
     plus the treatment columns and, for each, the column it is w times
     (the intercept for w itself), so a fit can be evaluated at w = 1
     and w = 0 without building either design."""
-    w = d.w.astype(float)
+    w = d.w
     t = s_bar.shape[1] if cfg.outcome_use_summaries else 0
     parts = [np.ones(d.n), w, d.x]
     if cfg.outcome_use_summaries:
@@ -247,17 +214,19 @@ def _propensity_design(d: Dataset, s_bar: np.ndarray, cfg: NuisanceConfig,
 def fit_nuisances(
     d: Dataset,
     s_bar: np.ndarray,
-    folds: FoldAssignment,
+    fold_of_cluster: np.ndarray,
     cfg: Optional[NuisanceConfig] = None,
 ) -> NuisanceEstimates:
     """Cross-fit outcome and propensity models over cluster folds.
 
     ``s_bar`` is the (n, t) cluster-summary matrix, row-aligned with
-    ``d`` (see :func:`~clusterdr.suffstats.build_suffstats`). For every
-    fold, models are trained on the units of all other folds and
-    predicted on the held-out fold, so no unit's predictions use its
-    own cluster. Raises when a training fold contains only one
-    treatment arm.
+    ``d`` (see :func:`~clusterdr.suffstats.build_suffstats`).
+    ``fold_of_cluster`` holds each cluster's integer fold label (see
+    :func:`~clusterdr.glm.cross_fit_folds`); the labels must cover
+    0..L-1, each by at least one cluster, with L >= 2. For every fold,
+    models are trained on the units of all other folds and predicted on
+    the held-out fold, so no unit's predictions use its own cluster.
+    Raises when a training fold contains only one treatment arm.
 
     The outcome model is fit once on both arms with treatment in the
     design, then evaluated at w=1 and w=0. ``[design | y]`` is built
@@ -272,24 +241,36 @@ def fit_nuisances(
     previous fold's coefficients unless that fit ran into separation.
     """
     cfg = cfg or NuisanceConfig()
-    if folds.fold_of_cluster.shape[0] != d.c:
+    fold_of_cluster = np.asarray(fold_of_cluster)
+    if fold_of_cluster.shape != (d.c,) or fold_of_cluster.dtype.kind != "i":
         raise InputError(
-            f"fold assignment covers {folds.fold_of_cluster.shape[0]} "
-            f"clusters, dataset has {d.c}"
+            f"fold labels have shape {fold_of_cluster.shape} and dtype "
+            f"{fold_of_cluster.dtype}, expected ({d.c},) signed integers"
+        )
+    if np.any(fold_of_cluster < 0):
+        raise InputError(f"fold label {fold_of_cluster.min()} is negative")
+    clusters_in_fold = np.bincount(fold_of_cluster)
+    L = clusters_in_fold.size
+    if L < 2:
+        raise InputError(f"need at least 2 folds, got {L}")
+    if not clusters_in_fold.all():
+        raise InputError(
+            f"folds {np.flatnonzero(clusters_in_fold == 0).tolist()} of "
+            f"0..{L - 1} have no cluster"
         )
     s_bar = np.asarray(s_bar, dtype=float)
     if s_bar.ndim != 2 or s_bar.shape[0] != d.n:
         raise InputError(
             f"summaries have shape {s_bar.shape}, expected ({d.n}, t)"
         )
-    w = d.w.astype(float)
+    w = d.w
     size_cols = _size_dummies(d)
     m, treat, parent = _outcome_system(d, s_bar, cfg, size_cols)
     p = m.shape[1] - 1
     design_e = _propensity_design(d, s_bar, cfg, size_cols)
 
-    fold_of_unit = folds.fold_of_cluster[d.cluster_index]
-    tests = [fold_of_unit == fold for fold in range(folds.L)]
+    fold_of_unit = fold_of_cluster[d.cluster_index]
+    tests = [fold_of_unit == fold for fold in range(L)]
     tri = [np.linalg.qr(m[test], mode="r") for test in tests]
 
     mu0, mu1, e = np.empty((3, d.n))
@@ -382,7 +363,7 @@ def dr_estimate(
     a_bar = float(a.mean())
     if a_bar == 0.0:
         raise EmptyOverlapError("trimming removed every unit")
-    w = d.w.astype(float)
+    w = d.w
     scores = psi(d.y, w, nu.mu1, nu.mu0, nu.e)
     tau_hat = float(np.sum(a * scores) / (d.n * a_bar))
 
@@ -514,23 +495,14 @@ def load_panel_csv(path, unit: str = "unit", time: str = "time",
     return make_panel(y, w, x, units, times)
 
 
-@dataclass(frozen=True)
-class TwowayCheck:
-    """Side-by-side treatment coefficients from the two-way within
-    transformation and the summary-augmented pooled regression."""
-
-    tau_fe: float
-    tau_mundlak: float
-    max_abs_diff: float
-
-
-def twoway_mundlak_check(p: PanelData) -> TwowayCheck:
+def twoway_mundlak_check(p: PanelData) -> tuple:
     """Compare two-way fixed effects with its summary-based twin.
 
-    The first regression demeans by unit and period; the second is a
-    pooled regression adding the unit means and the period means of
-    treatment and covariates as controls. On a balanced panel the two
-    treatment coefficients agree to machine precision.
+    Returns the treatment coefficients ``(tau_fe, tau_mundlak)``. The
+    first regression demeans by unit and period; the second is a pooled
+    regression adding the unit means and the period means of treatment
+    and covariates as controls. On a balanced panel the two agree to
+    machine precision.
     """
     v = np.column_stack([p.y, p.w, p.x])
     unit = group_means(p.unit_index, v, p.n_units)[p.unit_index]
@@ -544,9 +516,4 @@ def twoway_mundlak_check(p: PanelData) -> TwowayCheck:
     means = np.stack([unit[:, 1:], time[:, 1:]], axis=2).reshape(p.n, -1)
     design = np.column_stack([np.ones(p.n), v[:, 1:], means])
     m_fit = wls_fit(design, p.y)
-    tau_mundlak = float(m_fit.coefficients[1])
-    return TwowayCheck(
-        tau_fe=tau_fe,
-        tau_mundlak=tau_mundlak,
-        max_abs_diff=abs(tau_fe - tau_mundlak),
-    )
+    return tau_fe, float(m_fit.coefficients[1])

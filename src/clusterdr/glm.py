@@ -22,7 +22,6 @@ from .exceptions import DegenerateDesignError, EstimationError, InputError
 __all__ = [
     "WlsFit",
     "LogisticFit",
-    "FoldAssignment",
     "GroupLassoResult",
     "wls_fit",
     "logistic_fit",
@@ -60,15 +59,6 @@ class LogisticFit:
     separation_detected: bool
     ridge: float
     columns_dropped: tuple
-
-
-@dataclass(frozen=True)
-class FoldAssignment:
-    """Cluster-level fold labels for cross-fitting."""
-
-    fold_of_cluster: np.ndarray
-    L: int
-    seed: int
 
 
 def _as_design(design) -> np.ndarray:
@@ -323,12 +313,13 @@ def predict_proba(fit: LogisticFit, design) -> np.ndarray:
     return prob[0] if single else prob
 
 
-def cross_fit_folds(c: int, L: int, seed: int) -> FoldAssignment:
+def cross_fit_folds(c: int, L: int, seed: int) -> np.ndarray:
     """Deal clusters into ``L`` folds after a seeded shuffle.
 
-    Clusters are permuted by a generator seeded with ``seed`` and dealt
-    round-robin, so fold sizes differ by at most one and the assignment
-    is reproducible given (c, L, seed).
+    Returns the int64 fold label, 0..L-1, of each cluster. Clusters are
+    permuted by a generator seeded with ``seed`` and dealt round-robin,
+    so fold sizes differ by at most one and the assignment is
+    reproducible given (c, L, seed).
     """
     if L < 2:
         raise InputError(f"need at least 2 folds, got {L}")
@@ -338,7 +329,7 @@ def cross_fit_folds(c: int, L: int, seed: int) -> FoldAssignment:
     perm = rng.permutation(c)
     fold_of_cluster = np.empty(c, dtype=np.int64)
     fold_of_cluster[perm] = np.arange(c) % L
-    return FoldAssignment(fold_of_cluster=fold_of_cluster, L=L, seed=seed)
+    return fold_of_cluster
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ a learned cluster summary that plugs into the estimation pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -49,22 +48,6 @@ def _unit_cells(d: Dataset):
     *x_cols, w_col = columns
     cells = list(zip(*((c + 0.0).tolist() for c in x_cols),
                      map(int, w_col.tolist())))
-    return cells, unit_cell
-
-
-def _enumerate_cells(d: Dataset, support_cap: int):
-    """Map units to cells of the discrete (x, w) support.
-
-    Returns (sorted cell list, cell index per unit). Raises when the
-    support exceeds ``support_cap``, which is the signal that the
-    covariates are not discrete.
-    """
-    cells, unit_cell = _unit_cells(d)
-    if len(cells) > support_cap:
-        raise InputError(
-            f"more than {support_cap} distinct (x, w) cells; "
-            "mixture fitting needs discrete covariates"
-        )
     return cells, unit_cell
 
 
@@ -146,7 +129,9 @@ def em_fit(
     log-likelihood wins. The log-likelihood never decreases across
     iterations (the cell-probability floor is far below any cell that
     carries responsibility). With ``p=1`` the fit reduces to pooled
-    empirical cell frequencies.
+    empirical cell frequencies. Raises when the data hold more than
+    ``support_cap`` distinct (x, w) cells, the sign that the covariates
+    are not discrete.
     """
     if p < 1:
         raise InputError(f"need at least one component, got {p}")
@@ -156,7 +141,12 @@ def em_fit(
         )
     if restarts < 1:
         raise InputError("restarts must be >= 1")
-    cells, unit_cell = _enumerate_cells(d, support_cap)
+    cells, unit_cell = _unit_cells(d)
+    if len(cells) > support_cap:
+        raise InputError(
+            f"more than {support_cap} distinct (x, w) cells; "
+            "mixture fitting needs discrete covariates"
+        )
     counts = _counts_matrix(d, unit_cell, len(cells))
 
     best = None
@@ -220,17 +210,12 @@ def posterior_suffstat(model: MixtureModel, d: Dataset) -> np.ndarray:
     return resp
 
 
-def augment_with_posterior(
-    d: Dataset, model: MixtureModel, posterior: Optional[np.ndarray] = None
-) -> np.ndarray:
+def augment_with_posterior(d: Dataset, posterior: np.ndarray) -> np.ndarray:
     """Use mixture posteriors as the cluster summary columns.
 
-    The summary for every unit of cluster c is the posterior over
-    components given that cluster's data. Rows sum to one, so the last
-    component's column is redundant given an intercept and is omitted:
-    the result is (n, max(p - 1, 1)). ``posterior`` is
-    ``posterior_suffstat(model, d)``, computed here when not given.
+    ``posterior`` is the (c, p) array of :func:`posterior_suffstat`, and
+    the summary for every unit of cluster c is its row c. Rows sum to
+    one, so the last component's column is redundant given an intercept
+    and is omitted: the result is (n, max(p - 1, 1)).
     """
-    if posterior is None:
-        posterior = posterior_suffstat(model, d)
-    return posterior[d.cluster_index, : max(model.p - 1, 1)]
+    return posterior[d.cluster_index, : max(posterior.shape[1] - 1, 1)]

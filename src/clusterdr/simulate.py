@@ -535,11 +535,9 @@ def _run_one_rep(cfg: DgpConfig, est: EstimatorConfig, child_seq):
     method = est.method
 
     if method == "fe":
-        tau = fe_ols(d).tau
-        return tau, math.nan, res.tau_tilde(), math.nan
+        return fe_ols(d), math.nan, res.tau_tilde(), math.nan
     if method == "mundlak":
-        tau = mundlak_ols(d).tau
-        return tau, math.nan, res.tau_tilde(), math.nan
+        return mundlak_ols(d), math.nan, res.tau_tilde(), math.nan
 
     spec = mundlak_spec(d.k) if est.statspec is None else est.statspec
     s_bar = build_suffstats(d, spec)
@@ -551,7 +549,7 @@ def _run_one_rep(cfg: DgpConfig, est: EstimatorConfig, child_seq):
             e_hat = res.true_e
         else:
             e_hat = fit_nuisances(d, s_bar, folds, est.nuisance).e
-        tau = weighted_fe(d, np.clip(e_hat, 1e-6, 1 - 1e-6)).tau
+        tau = weighted_fe(d, np.clip(e_hat, 1e-6, 1 - 1e-6))
         return tau, math.nan, res.tau_tilde(), math.nan
 
     nu = fit_nuisances(d, s_bar, folds, est.nuisance)

@@ -9,7 +9,6 @@ downstream estimators condition on.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -117,7 +116,7 @@ class Term:
     def unit_values(self, d: Dataset) -> np.ndarray:
         """Per-unit value whose cluster mean is this term's column."""
         if self.kind == "treatment-mean":
-            return d.w.astype(float)
+            return d.w
         if self.kind == "covariate-mean":
             _check_index(self.j, d.k)
             return d.x[:, self.j]
@@ -176,19 +175,15 @@ class StatSpec:
     def names(self) -> list:
         return [t.name for t in self.terms]
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"terms": [t.to_dict() for t in self.terms]}, sort_keys=True
-        )
+    def to_dict(self) -> dict:
+        """The ``{"terms": [...]}`` object of a statistic specification
+        file, which :meth:`from_dict` reads back."""
+        return {"terms": [t.to_dict() for t in self.terms]}
 
     @classmethod
-    def from_json(cls, text: str) -> "StatSpec":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"bad StatSpec JSON: {exc}") from None
+    def from_dict(cls, obj: dict) -> "StatSpec":
         if not isinstance(obj, dict) or "terms" not in obj:
-            raise InputError("StatSpec JSON must be an object with 'terms'")
+            raise InputError("StatSpec must be an object with 'terms'")
         unknown = set(obj) - {"terms"}
         if unknown:
             raise InputError(f"unknown StatSpec fields {sorted(unknown)}")

@@ -384,10 +384,10 @@ def perfold_fit_nuisances(d, s_bar, folds, cfg=None):
         return np.column_stack(parts + [c[rows] for c in size_cols])
 
     design_e = np.column_stack([np.ones(d.n), d.x, s_prop] + size_cols)
-    fold_of_unit = folds.fold_of_cluster[d.cluster_index]
+    fold_of_unit = folds[d.cluster_index]
     mu0, mu1, e = np.empty(d.n), np.empty(d.n), np.empty(d.n)
     dropped = []
-    for fold in range(folds.L):
+    for fold in range(folds.max() + 1):
         test = fold_of_unit == fold
         train = ~test
         ofit = wls_fit(outcome(w[train], train), d.y[train])

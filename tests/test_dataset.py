@@ -78,6 +78,17 @@ def test_csv_round_trip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_write_csv_writes_treatment_as_integers(tmp_path):
+    # The treatment is held as float64 and written as 0/1, never 0.0/1.0.
+    d = small_dataset()
+    assert d.w.dtype == np.float64
+    path = tmp_path / "data.csv"
+    write_csv(d, path)
+    with open(path, newline="") as fh:
+        column = [row[1] for row in csv.reader(fh)]
+    assert column == ["w", "1", "0", "1", "1", "0", "0", "1"]
+
+
 def test_load_csv_schema_and_errors(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("resp,arm,site,age\n1.0,1,s1,33\n2.0,0,s2,44\n")
@@ -667,6 +678,29 @@ def test_read_units_not_utf8_from_file_and_pipe(tmp_path, row):
 
 def _refuse_row_reader(*args, **kwargs):
     raise AssertionError("the one-pass parse refused the file")
+
+
+def test_not_utf8_past_first_buffer_skips_the_row_reader(tmp_path,
+                                                         monkeypatch):
+    """numpy's decode error ends the read: the row reader does not decode
+    the file a second time, and the message is the one it would give."""
+    rows = [f"{i}.5,{i % 2},g{i % 7},{i}".encode() for i in range(3000)]
+    rows[-1] = b"1,1,caf\xe9,0.5"
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"y,w,cluster,x1\n" + b"\n".join(rows) + b"\n")
+    calls = []
+    read_rows = dataset._read_rows
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return read_rows(*args, **kwargs)
+
+    monkeypatch.setattr(dataset, "_read_rows", spy)
+    with pytest.raises(InputError) as exc:
+        read_units(path, "y", "w", {"cluster": "cluster"})
+    assert calls == []
+    assert str(exc.value) == (
+        f"{path}: not valid utf-8 text (invalid continuation byte)")
 
 
 @pytest.mark.parametrize("preset", ["nonlinear-u", "separated-mixture"])

@@ -10,7 +10,6 @@ from clusterdr import (
     DegenerateDesignError,
     EmptyOverlapError,
     EstimationError,
-    FoldAssignment,
     InputError,
     NuisanceConfig,
     UnbalancedPanelError,
@@ -99,7 +98,7 @@ def test_psi_rejects_boundary_propensities():
 
 def test_fe_matches_dummy_regression():
     d = unbalanced_dataset(seed=1)
-    got = fe_ols(d).tau
+    got = fe_ols(d)
     cluster_ids = [d.cluster_labels[i] for i in d.cluster_index]
     want = oracles.dummy_ols_fe(d.y, d.w.astype(float), d.x, cluster_ids)
     assert got == pytest.approx(want, abs=1e-10)
@@ -108,16 +107,16 @@ def test_fe_matches_dummy_regression():
 def test_mundlak_equals_fe_on_unbalanced_data():
     for seed in range(5):
         d = unbalanced_dataset(seed=seed)
-        tau_fe = fe_ols(d).tau
-        res = mundlak_ols(d)
-        assert abs(res.tau - tau_fe) <= 1e-8 * (1.0 + abs(tau_fe))
+        tau_fe = fe_ols(d)
+        tau_mu = mundlak_ols(d)
+        assert abs(tau_mu - tau_fe) <= 1e-8 * (1.0 + abs(tau_fe))
 
 
 def test_weighted_fe_matches_dummy_wls():
     d = unbalanced_dataset(seed=2)
     rng = np.random.default_rng(3)
     e = rng.uniform(0.2, 0.8, size=d.n)
-    got = weighted_fe(d, e).tau
+    got = weighted_fe(d, e)
     w = d.w.astype(float)
     omega = np.where(w == 1.0, 1.0 / e, 1.0 / (1.0 - e))
     cluster_ids = [d.cluster_labels[i] for i in d.cluster_index]
@@ -128,7 +127,7 @@ def test_weighted_fe_matches_dummy_wls():
 def test_weighted_fe_with_flat_propensity_equals_fe():
     d = unbalanced_dataset(seed=4)
     flat = np.full(d.n, 0.5)
-    assert weighted_fe(d, flat).tau == pytest.approx(fe_ols(d).tau, abs=1e-10)
+    assert weighted_fe(d, flat) == pytest.approx(fe_ols(d), abs=1e-10)
 
 
 def test_all_single_arm_clusters_raise():
@@ -368,7 +367,7 @@ def test_fold_after_separated_fit_starts_cold(monkeypatch):
     y = x + w + rng.standard_normal(idx.size)
     d = Dataset(y, w, x, [f"g{j}" for j in idx])
     s_bar = build_suffstats(d, mundlak_spec(d.k))
-    folds = FoldAssignment(fold_of_cluster=np.arange(c) % 3, L=3, seed=0)
+    folds = np.arange(c) % 3
     calls = record_calls(monkeypatch, "logistic_fit")
     assert_matches_perfold_oracle(d, s_bar, folds)
     separated = [res.separation_detected for _, _, res in calls]
@@ -376,7 +375,7 @@ def test_fold_after_separated_fit_starts_cold(monkeypatch):
     starts = [kwargs["start"] for _, kwargs, _ in calls]
     # fold 1's training design has full rank, so only the separation
     # of fold 0 makes it start cold
-    train = folds.fold_of_cluster[d.cluster_index] != 1
+    train = folds[d.cluster_index] != 1
     design = np.column_stack([np.ones(d.n), d.x, s_bar])[train]
     assert np.linalg.matrix_rank(design) == design.shape[1]
     assert starts[0] is None and starts[1] is None
@@ -393,7 +392,7 @@ def test_rank_deficient_training_design_drops_column(monkeypatch):
     sizes[3] = 9
     d = clustered_data(21, sizes, 1)
     s_bar = build_suffstats(d, mundlak_spec(d.k))
-    folds = FoldAssignment(fold_of_cluster=np.arange(20) % 4, L=4, seed=0)
+    folds = np.arange(20) % 4
     calls = record_calls(monkeypatch, "logistic_fit")
     assert_matches_perfold_oracle(d, s_bar, folds)
     starts = [kwargs["start"] for _, kwargs, _ in calls]
@@ -424,7 +423,7 @@ def assert_start_free_propensities(d, s_bar, folds):
         nu = fit_nuisances(d, s_bar, folds)
     design = propensity_rows(d, s_bar)
     w = d.w.astype(float)
-    fold_of_unit = folds.fold_of_cluster[d.cluster_index]
+    fold_of_unit = folds[d.cluster_index]
     out = []
     for fold, (_, kwargs, fit) in enumerate(calls):
         test = fold_of_unit == fold
@@ -478,8 +477,7 @@ def test_rank_deficient_propensity_fit_ignores_start(seed, c, k, L, kind):
     s_bar = build_suffstats(d, mundlak_spec(d.k))
     if kind == "duplicate-summary":
         s_bar = np.column_stack([s_bar, s_bar[:, 1]])
-    folds = FoldAssignment(fold_of_cluster=fold_of_cluster, L=L, seed=seed)
-    fits = assert_start_free_propensities(d, s_bar, folds)
+    fits = assert_start_free_propensities(d, s_bar, fold_of_cluster)
     if kind == "duplicate-summary":
         want = [(d.k + s_bar.shape[1],)] * L
     else:
@@ -512,6 +510,23 @@ def test_fold_mismatch_rejected():
     s_bar = build_suffstats(d, mundlak_spec(d.k))
     folds = cross_fit_folds(d.c + 1, 3, seed=0)
     with pytest.raises(InputError):
+        fit_nuisances(d, s_bar, folds)
+
+
+@pytest.mark.parametrize("relabel, message", [
+    (lambda f: f.astype(float), "signed integers"),
+    (lambda f: np.where(np.arange(f.size) < 4, -1, f),
+     "fold label -1 is negative"),
+    (lambda f: np.where(np.arange(f.size) < 4, 7, f),
+     r"folds \[3, 4, 5, 6\] of 0..7 have no cluster"),
+    (lambda f: np.zeros_like(f), "need at least 2 folds, got 1"),
+], ids=["dtype", "negative", "empty-fold", "one-fold"])
+def test_bad_fold_labels_rejected(relabel, message):
+    # A label outside 0..L-1 would leave its units without predictions.
+    d = generate(dgp_preset("mundlak-linear", c=40), seed=1).dataset
+    s_bar = build_suffstats(d, mundlak_spec(d.k))
+    folds = relabel(cross_fit_folds(d.c, 3, seed=0))
+    with pytest.raises(InputError, match=message):
         fit_nuisances(d, s_bar, folds)
 
 
@@ -684,10 +699,10 @@ def random_panel(seed=0, n_units=8, n_periods=4, k=2):
 def test_twoway_check_matches_dummy_oracle():
     y, w, x, unit, time = random_panel(seed=10)
     p = make_panel(y, w, x, unit, time)
-    chk = twoway_mundlak_check(p)
+    tau_fe, tau_mundlak = twoway_mundlak_check(p)
     want = oracles.dummy_ols_twoway(y, w, x, unit.tolist(), time.tolist())
-    assert chk.tau_fe == pytest.approx(want, abs=1e-9)
-    assert chk.max_abs_diff <= 1e-8 * (1.0 + abs(chk.tau_fe))
+    assert tau_fe == pytest.approx(want, abs=1e-9)
+    assert abs(tau_fe - tau_mundlak) <= 1e-8 * (1.0 + abs(tau_fe))
 
 
 def test_unbalanced_panel_rejected():
@@ -719,4 +734,4 @@ def test_panel_labels_may_be_strings():
         [f"firm-{u}" for u in unit],
         [f"q{t}" for t in time],
     ))
-    assert p1.tau_fe == pytest.approx(p2.tau_fe, abs=1e-12)
+    assert p1[0] == pytest.approx(p2[0], abs=1e-12)

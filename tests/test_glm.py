@@ -357,12 +357,13 @@ def test_logistic_input_errors():
 def test_folds_balanced_and_deterministic():
     f1 = cross_fit_folds(17, 5, seed=42)
     f2 = cross_fit_folds(17, 5, seed=42)
-    assert np.array_equal(f1.fold_of_cluster, f2.fold_of_cluster)
-    counts = np.bincount(f1.fold_of_cluster, minlength=5)
+    assert f1.dtype == np.int64
+    assert np.array_equal(f1, f2)
+    counts = np.bincount(f1, minlength=5)
     assert counts.max() - counts.min() <= 1
     assert counts.sum() == 17
     f3 = cross_fit_folds(17, 5, seed=43)
-    assert not np.array_equal(f1.fold_of_cluster, f3.fold_of_cluster)
+    assert not np.array_equal(f1, f3)
 
 
 def test_fold_bounds():
@@ -371,7 +372,7 @@ def test_fold_bounds():
     with pytest.raises(InputError):
         cross_fit_folds(3, 4, seed=0)
     f = cross_fit_folds(4, 4, seed=0)
-    assert sorted(f.fold_of_cluster.tolist()) == [0, 1, 2, 3]
+    assert sorted(f.tolist()) == [0, 1, 2, 3]
 
 
 # --------------------------------------------------------------------------

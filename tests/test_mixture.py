@@ -22,7 +22,7 @@ from clusterdr import (
     overlap_set,
     posterior_suffstat,
 )
-from clusterdr.mixture import _enumerate_cells, _unit_cells
+from clusterdr.mixture import _unit_cells
 
 import oracles
 
@@ -151,8 +151,9 @@ def test_unit_cells_match_axis0_unique_oracle(data, k, n):
     with pytest.raises(InputError, match=re.escape(
             f"more than {cap} distinct (x, w) cells; mixture fitting needs "
             "discrete covariates")):
-        _enumerate_cells(d, cap)
-    assert _enumerate_cells(d, len(cells))[0] == cells
+        em_fit(d, p=1, restarts=1, support_cap=cap)
+    assert em_fit(d, p=1, restarts=1,
+                  support_cap=len(cells)).support == tuple(cells)
 
 
 def test_unit_cells_single_cell_and_signed_zero():
@@ -178,7 +179,7 @@ def test_posterior_bridge_into_estimation():
     res = separated(seed=8, c=80, n_c=20)
     d = res.dataset
     m = em_fit(d, p=2, seed=2, restarts=3)
-    s_bar = augment_with_posterior(d, m)
+    s_bar = augment_with_posterior(d, posterior_suffstat(m, d))
     assert s_bar.shape == (d.n, 1)  # p - 1 columns
     # summary constant within cluster
     for cid in range(5):

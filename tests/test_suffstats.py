@@ -1,5 +1,7 @@
 """Statistic specifications, cluster summaries, trimming flags."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -87,20 +89,20 @@ def test_mundlak_spec_order_and_names():
 
 def test_statspec_json_round_trip():
     spec = full_kind_spec()
-    again = StatSpec.from_json(spec.to_json())
+    again = StatSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
     assert again == spec
     assert again.names == spec.names
 
 
 def test_statspec_json_rejects_unknown_fields():
     with pytest.raises(InputError):
-        StatSpec.from_json('{"terms": [{"kind": "treatment-mean"}], "x": 1}')
+        StatSpec.from_dict({"terms": [{"kind": "treatment-mean"}], "x": 1})
     with pytest.raises(InputError):
-        StatSpec.from_json('{"terms": [{"kind": "treatment-mean", "zz": 1}]}')
+        StatSpec.from_dict({"terms": [{"kind": "treatment-mean", "zz": 1}]})
     with pytest.raises(InputError):
-        StatSpec.from_json('{"terms": [{"kind": "no-such-kind"}]}')
+        StatSpec.from_dict({"terms": [{"kind": "no-such-kind"}]})
     with pytest.raises(InputError):
-        StatSpec.from_json("not json")
+        StatSpec.from_dict("not an object")
 
 
 def test_duplicate_terms_rejected():
@@ -139,7 +141,7 @@ def test_registered_transform_used_in_spec():
     assert s_bar[:, 0].tolist() == [10.0, 10.0]
     # and the tag survives serialization
     spec = StatSpec(terms=(Term("custom-transform", tag="square:0"),))
-    assert StatSpec.from_json(spec.to_json()) == spec
+    assert StatSpec.from_dict(spec.to_dict()) == spec
 
 
 def test_overlap_set_rule_and_override():
