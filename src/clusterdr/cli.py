@@ -61,6 +61,8 @@ from .suffstats import StatSpec, build_suffstats, mundlak_spec, overlap_set
 __all__ = ["main", "canonical_body_bytes", "config_hash"]
 
 _EQUIV_RTOL = 1e-8
+# How many warned cluster labels an estimate body lists.
+_FIRST_WARNED = 20
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +257,21 @@ def _write_report(body: dict, output: str, extra_meta: dict = None) -> Path:
     return path
 
 
+def _file_sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _write_xi_csv(output: str, d, res) -> tuple:
+    """Write ``res.xi`` to ``<output stem>.xi.csv``: one ``cluster,xi``
+    row per cluster in dense-id order, values as ``repr``. Returns the
+    path and the file's sha256, which the body carries."""
+    path = Path(output).with_suffix(".xi.csv")
+    with _stage("report"):
+        write_table(path, ["cluster", "xi"],
+                    [d.cluster_labels, map(repr, res.xi.tolist())])
+        return path, _file_sha256(path)
+
+
 # ---------------------------------------------------------------------------
 # Config plumbing
 # ---------------------------------------------------------------------------
@@ -356,8 +373,11 @@ def cmd_estimate(args) -> int:
         a = overlap_set(nu.e, cfg["eta"])
         res = dr_estimate(d, nu, a, eta=cfg["eta"])
 
+    labels = d.cluster_labels
+    warned = report.degenerate_clusters[:_FIRST_WARNED]
     body = _new_body("estimate", cfg)
-    body["data"] = {"n": d.n, "c": d.c, "k": d.k, "warnings": report.warnings}
+    body["data"] = {"n": d.n, "c": d.c, "k": d.k, "warnings": {
+        **report.warning_counts, "first": [labels[i] for i in warned]}}
     body["statspec"] = [t.name for t in spec.terms]
     body["result"] = res.to_dict()
     if cfg["baselines"]:
@@ -368,7 +388,10 @@ def cmd_estimate(args) -> int:
                 "mundlak": mundlak_ols(d),
                 "weighted_fe": weighted_fe(d, e_clip),
             }
-    path = _write_report(body, cfg["output"])
+    xi_path, body["result"]["xi_csv_sha256"] = _write_xi_csv(
+        cfg["output"], d, res)
+    path = _write_report(body, cfg["output"],
+                         extra_meta={"xi_csv": str(xi_path)})
     trimmed = 1.0 - res.a_bar
     print(
         f"tau_hat={res.tau_hat:.6g} se={res.se:.6g} "
@@ -412,6 +435,7 @@ def cmd_simulate(args) -> int:
     per_rep = out.with_suffix(".reps.csv")
     with _stage("report"):
         rep.write_per_rep_csv(per_rep)
+        body["per_rep_csv_sha256"] = _file_sha256(per_rep)
     path = _write_report(body, cfg["output"],
                          extra_meta={"per_rep_csv": str(per_rep)})
     cov = "n/a" if rep.to_dict()["coverage"] is None else f"{rep.coverage:.3f}"
@@ -475,6 +499,7 @@ def cmd_select(args) -> int:
     with _stage("report"):
         spec_path.write_text(json.dumps(sel_spec.to_dict(), sort_keys=True)
                              + "\n")
+        body["statspec_sha256"] = _file_sha256(spec_path)
     path = _write_report(body, cfg["output"],
                          extra_meta={"statspec_path": str(spec_path)})
     if not res.selected:
@@ -541,6 +566,7 @@ def cmd_mixture(args) -> int:
             post_path, ["cluster"] + [f"post_{j}" for j in range(model.p)],
             [d.cluster_labels, *(map(repr, col) for col in post.T.tolist())],
         )
+        body["posterior_csv_sha256"] = _file_sha256(post_path)
 
     meta = {"posterior_csv": str(post_path)}
     if cfg["estimate"]:
@@ -552,6 +578,9 @@ def cmd_mixture(args) -> int:
             a = overlap_set(nu.e, cfg["eta"])
             res = dr_estimate(d, nu, a, eta=cfg["eta"])
         body["estimate"] = res.to_dict()
+        xi_path, body["estimate"]["xi_csv_sha256"] = _write_xi_csv(
+            cfg["output"], d, res)
+        meta["xi_csv"] = str(xi_path)
 
     path = _write_report(body, cfg["output"], extra_meta=meta)
     line = (f"p={model.p} loglik={model.loglik:.6f} "

@@ -92,9 +92,31 @@ class Dataset:
         Covariates. Must be finite.
     cluster_labels : sequence of length n
         Cluster label per unit, any hashable values.
+
+    Columns are not copied where numpy allows it: a float64 ``y`` or
+    ``w`` and a 2-d float64 ``x`` are kept as given and marked
+    read-only, so the caller can no longer write to those arrays (pass
+    ``a.copy()`` to keep a writable one), and a write to an array they
+    are views of changes the dataset. Not copying keeps
+    :func:`load_csv` from holding each column twice.
     """
 
     def __init__(self, y, w, x, cluster_labels):
+        self._store(y, w, x, cluster_labels, None)
+
+    @classmethod
+    def _from_ids(cls, y, w, x, cluster_index, labels) -> "Dataset":
+        """A dataset whose clusters come as int64 dense ids, numbered
+        0..c-1 in order of first appearance, with ``labels`` the c
+        distinct labels in id order; ``y``, ``w`` and ``x`` get every
+        check of the constructor, and no label is interned."""
+        d = cls.__new__(cls)
+        d._store(y, w, x, cluster_index, labels)
+        return d
+
+    def _store(self, y, w, x, clusters, labels):
+        """Check and keep the columns; ``clusters`` are the units'
+        labels when ``labels`` is None and their dense ids otherwise."""
         y = np.asarray(y, dtype=float)
         w = np.asarray(w, dtype=float)
         x = np.asarray(x, dtype=float)
@@ -111,9 +133,9 @@ class Dataset:
             raise InputError(
                 f"covariates have {x.shape[0]} rows, expected {n}"
             )
-        if len(cluster_labels) != n:
+        if len(clusters) != n:
             raise InputError(
-                f"got {len(cluster_labels)} cluster labels, expected {n}"
+                f"got {len(clusters)} cluster labels, expected {n}"
             )
         if not np.all((w == 0.0) | (w == 1.0)):
             bad = np.flatnonzero((w != 0.0) & (w != 1.0))[:5]
@@ -126,8 +148,11 @@ class Dataset:
                 f"non-finite covariate values in rows {bad_rows.tolist()}"
             )
 
-        idx, labels_in_order = intern_labels(cluster_labels)
-        c = len(labels_in_order)
+        if labels is None:
+            idx, labels = intern_labels(clusters)
+        else:
+            idx = clusters
+        c = len(labels)
 
         self._y = y
         self._y.setflags(write=False)
@@ -137,7 +162,7 @@ class Dataset:
         self._x.setflags(write=False)
         self._cluster_index = idx
         self._cluster_index.setflags(write=False)
-        self._labels = labels_in_order
+        self._labels = labels
         self._c = c
         self._n_c = np.bincount(idx, minlength=c)
         self._n_c.setflags(write=False)
@@ -207,12 +232,15 @@ class Dataset:
 
 @dataclass
 class ValidationReport:
-    """Outcome of :func:`validate`: hard errors, advisories, and the
-    dense ids of clusters with no treatment variation."""
+    """Outcome of :func:`validate`: hard errors, advisories, the dense
+    ids of clusters with no treatment variation, and how many clusters
+    drew each kind of advisory (``single_unit``, ``all_treated``,
+    ``all_control``)."""
 
     errors: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
     degenerate_clusters: list = field(default_factory=list)
+    warning_counts: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -442,8 +470,9 @@ def validate(d: Dataset) -> ValidationReport:
 
     Errors: NaN outcomes. Warnings: clusters with a single unit, and
     clusters whose units all share one treatment arm (these are also
-    listed in ``degenerate_clusters``). Degenerate clusters stay in the
-    dataset; downstream estimators decide how to treat them.
+    listed in ``degenerate_clusters`` and counted by kind in
+    ``warning_counts``). Degenerate clusters stay in the dataset;
+    downstream estimators decide how to treat them.
     """
     report = ValidationReport()
     nan_rows = np.flatnonzero(np.isnan(d.y))
@@ -458,10 +487,15 @@ def validate(d: Dataset) -> ValidationReport:
     report.degenerate_clusters = degenerate.tolist()
     # A single-unit cluster is always single-arm, so the degenerate
     # clusters are the only ones that draw warnings.
+    sizes, treated = d.n_c[degenerate], treated[degenerate]
+    report.warning_counts = {
+        "single_unit": int(np.count_nonzero(sizes == 1)),
+        "all_treated": int(np.count_nonzero(treated == sizes)),
+        "all_control": int(np.count_nonzero(treated == 0)),
+    }
     labels = d.cluster_labels
-    for cid, size, t in zip(report.degenerate_clusters,
-                            d.n_c[degenerate].tolist(),
-                            treated[degenerate].tolist()):
+    for cid, size, t in zip(report.degenerate_clusters, sizes.tolist(),
+                            treated.tolist()):
         label = labels[cid]
         if size == 1:
             report.warnings.append(f"cluster {label!r} has a single unit")

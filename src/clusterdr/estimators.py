@@ -23,7 +23,7 @@ from .exceptions import (
     InputError,
     UnbalancedPanelError,
 )
-from .glm import logistic_fit, predict_proba, wls_fit
+from .glm import logistic_fit, predict_proba, stacked_block_r, wls_fit
 
 __all__ = [
     "NuisanceConfig",
@@ -168,9 +168,10 @@ class NuisanceEstimates:
 
 def _size_dummies(d: Dataset) -> np.ndarray:
     """Indicator columns for all but the smallest distinct cluster size."""
-    sizes = np.unique(d.n_c)
-    if sizes.size <= 1:
+    # np.unique imports numpy.ma, which equal sizes do not need.
+    if d.n_c.min() == d.n_c.max():
         return np.empty((d.n, 0))
+    sizes = np.unique(d.n_c)
     unit_size = d.n_c[d.cluster_index]
     return np.column_stack([(unit_size == s).astype(float)
                             for s in sizes[1:]])
@@ -230,10 +231,10 @@ def fit_nuisances(
 
     The outcome model is fit once on both arms with treatment in the
     design, then evaluated at w=1 and w=0. ``[design | y]`` is built
-    once and each fold's rows get one Householder QR. The R factor of
-    stacked R factors is the R factor of the stacked rows (TSQR;
-    Demmel, Grigori, Hoemmen & Langou 2012), so a fold's training
-    system is the stack of the other folds' triangles, which
+    once and each fold's rows are factored in 8,192-row blocks
+    (:func:`~clusterdr.glm.stacked_block_r`). The R factor of stacked R
+    factors is the R factor of the stacked rows (TSQR), so a fold's
+    training system is the stack of the other folds' triangles, which
     :func:`~clusterdr.glm.wls_fit` solves with the training rows'
     column norms and rank rule. The propensity model is
     :func:`~clusterdr.glm.logistic_fit` on the training rows, which
@@ -271,7 +272,7 @@ def fit_nuisances(
 
     fold_of_unit = fold_of_cluster[d.cluster_index]
     tests = [fold_of_unit == fold for fold in range(L)]
-    tri = [np.linalg.qr(m[test], mode="r") for test in tests]
+    tri = [stacked_block_r(m[test]) for test in tests]
 
     mu0, mu1, e = np.empty((3, d.n))
     start = None
@@ -311,8 +312,10 @@ class DrResult:
     """Doubly robust estimate of the average effect on retained units.
 
     ``xi`` holds the per-cluster averaged correction terms feeding the
-    variance; ``a_bar`` is the retained fraction; ``eta`` records the
-    trimming threshold the mask was built with (None for no trimming).
+    variance (left out of :meth:`to_dict`, which stays the same size
+    whatever the number of clusters); ``a_bar`` is the retained
+    fraction; ``eta`` records the trimming threshold the mask was built
+    with (None for no trimming).
     """
 
     tau_hat: float
@@ -337,7 +340,6 @@ class DrResult:
             "c": self.c,
             "L": self.L,
             "eta": self.eta,
-            "xi": [float(v) for v in self.xi],
         }
 
 

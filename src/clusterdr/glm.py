@@ -31,6 +31,9 @@ __all__ = [
 ]
 
 _PROB_FLOOR = 1e-10
+# Rows per QR block. LAPACK's QR of a taller matrix leans on BLAS
+# products whose summation order follows the thread count.
+_QR_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -110,6 +113,18 @@ def _rank_rule(a: np.ndarray, b=None):
     return kept[:rank], tuple(dropped), r, scale
 
 
+def stacked_block_r(a: np.ndarray) -> np.ndarray:
+    """R factors of the 8,192-row blocks of ``a``, stacked.
+
+    The R factor of stacked R factors is the R factor of the stacked
+    rows (TSQR; Demmel, Grigori, Hoemmen & Langou 2012), so the stack
+    has the normal equations of ``a`` in at most blocks * p rows, and
+    blocks factor faster than one tall matrix.
+    """
+    return np.vstack([np.linalg.qr(a[i:i + _QR_BLOCK], mode="r")
+                      for i in range(0, max(a.shape[0], 1), _QR_BLOCK)])
+
+
 def wls_fit(design, response, weights=None) -> WlsFit:
     """Solve weighted least squares with deterministic rank handling.
 
@@ -179,7 +194,9 @@ def _irls(a, y, tol, max_iter, ridge, start):
     for iterations in range(max_iter + 1):
         separation = (separation or prob.min(initial=1.0) <= _PROB_FLOOR
                       or prob.max(initial=0.0) >= 1.0 - _PROB_FLOOR)
-        score = a.T @ (y - prob) - ridge * beta
+        # einsum sums the rows in a fixed order; the order of a.T @ v
+        # follows the BLAS thread count.
+        score = np.einsum("ij,i->j", a, y - prob) - ridge * beta
         max_abs_score = float(np.max(np.abs(score))) if p else 0.0
         if max_abs_score < tol or iterations == max_iter:
             break
@@ -250,11 +267,8 @@ def logistic_fit(
         if not np.all(np.isfinite(start)):
             raise InputError("start contains non-finite values")
 
-    # R factors of row blocks stack to the rows' R factor (TSQR), so the
-    # rule needs no copy of the rows; blocks also factor faster.
-    tri = [np.linalg.qr(a[i:i + 8192], mode="r")
-           for i in range(0, max(n, 1), 8192)]
-    kept, dropped, r, scale = _rank_rule(np.vstack(tri))
+    # The rule runs on the stacked block triangles, not a copy of the rows.
+    kept, dropped, r, scale = _rank_rule(stacked_block_r(a))
     if dropped:
         a = a[:, kept]
     if start is not None:

@@ -425,9 +425,7 @@ def generate(cfg: DgpConfig, seed=None) -> GenerateResult:
     noise = rng.standard_normal(n) if cfg.sigma > 0 else np.zeros(n)
     y = baseline + w * effect + cfg.sigma * noise
 
-    names = [str(j) for j in range(cfg.c)]
-    labels = [names[j] for j in idx.tolist()]
-    d = Dataset(y, w, x, labels)
+    d = Dataset._from_ids(y, w, x, idx, [str(j) for j in range(cfg.c)])
     return GenerateResult(dataset=d, truth=effect, true_e=p_unit)
 
 

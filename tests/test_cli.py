@@ -27,12 +27,19 @@ from clusterdr import (
     CsvSchema,
     EstimatorConfig,
     NuisanceConfig,
+    build_suffstats,
+    cross_fit_folds,
     dgp_preset,
+    dr_estimate,
     em_fit,
+    fit_nuisances,
     generate,
     load_csv,
     load_panel_csv,
     multinomial_group_lasso,
+    mundlak_spec,
+    overlap_set,
+    validate,
 )
 from clusterdr import cli
 from clusterdr.cli import canonical_body_bytes, main
@@ -79,6 +86,14 @@ def read_report(path):
 
 def body_bytes(path):
     return canonical_body_bytes(read_report(path)["body"])
+
+
+def subprocess_env(**extra):
+    """This process's environment plus ``extra``, with this checkout's
+    package first on PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
 
 
 # --- estimate ---------------------------------------------------------------
@@ -135,6 +150,146 @@ def test_estimate_eta_none_disables_trimming(demo_csv, workdir):
     body = read_report(workdir / "estimate_report.json")["body"]
     assert body["result"]["a_bar"] == 1.0
     assert body["result"]["eta"] is None
+
+
+def key_paths(node, path=()):
+    """Every dict key path in a report body; lists count as leaves."""
+    if not isinstance(node, dict):
+        return {path}
+    return {p for key, value in node.items()
+            for p in key_paths(value, path + (key,))}
+
+
+def test_estimate_body_does_not_grow_with_clusters(workdir):
+    # Three units per cluster with a fair coin: a quarter of the clusters
+    # are single-arm, so the larger input warns about ~500 clusters.
+    bodies = []
+    for c in (200, 2000):
+        res = generate(dgp_preset("randomized", c=c, n_c=3), 4)
+        write_csv(res.dataset, workdir / f"c{c}.csv")
+        assert main(["estimate", "--data", f"c{c}.csv",
+                     "--output", f"c{c}.json"]) == 0
+        bodies.append(read_report(workdir / f"c{c}.json")["body"])
+    small, large = bodies
+    assert key_paths(small) == key_paths(large)
+    warn = large["data"]["warnings"]
+    assert set(warn) == {"single_unit", "all_treated", "all_control",
+                         "first"}
+    assert warn["all_treated"] + warn["all_control"] > 100
+    assert warn["single_unit"] == 0
+    assert warn["first"] == [str(j) for j in validate(
+        load_csv(workdir / "c2000.csv")).degenerate_clusters[:20]]
+    assert len(small["data"]["warnings"]["first"]) <= 20
+
+
+def test_estimate_warning_counts_match_validate(workdir):
+    path = workdir / "deg.csv"
+    path.write_text("y,w,cluster,x1\n"
+                    "1,1,a,0.1\n2,0,a,0.2\n3,1,b,0.3\n4,1,b,0.4\n"
+                    "5,0,c,0.5\n6,1,d,0.6\n7,0,e,0.7\n8,0,e,0.8\n"
+                    "9,1,f,0.9\n1,0,f,1.0\n2,1,g,1.1\n3,0,g,1.2\n")
+    assert main(["estimate", "--data", str(path), "--L", "2",
+                 "--eta", "none", "--output", "deg.json"]) == 0
+    warn = read_report(workdir / "deg.json")["body"]["data"]["warnings"]
+    assert warn == {"single_unit": 2, "all_treated": 2, "all_control": 2,
+                    "first": ["b", "c", "d", "e"]}
+    assert sum(warn[k] for k in ("single_unit", "all_treated",
+                                 "all_control")) == len(
+        validate(load_csv(path)).warnings)
+
+
+def read_xi_csv(path):
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["cluster", "xi"]
+    return [r[0] for r in rows[1:]], np.array([float(r[1]) for r in rows[1:]])
+
+
+def test_xi_csv_round_trips_dr_estimate(demo_csv, workdir):
+    assert main(["estimate", "--data", str(demo_csv), "--seed", "6",
+                 "--output", "est.json"]) == 0
+    report = read_report(workdir / "est.json")
+    assert report["meta"]["xi_csv"] == "est.xi.csv"
+    xi_bytes = (workdir / "est.xi.csv").read_bytes()
+    assert (report["body"]["result"]["xi_csv_sha256"]
+            == hashlib.sha256(xi_bytes).hexdigest())
+
+    d = load_csv(demo_csv)
+    nu = fit_nuisances(d, build_suffstats(d, mundlak_spec(d.k)),
+                       cross_fit_folds(d.c, 5, 6))
+    want = dr_estimate(d, nu, overlap_set(nu.e, 0.05), eta=0.05)
+    labels, xi = read_xi_csv(workdir / "est.xi.csv")
+    assert labels == d.cluster_labels
+    assert xi.tobytes() == want.xi.tobytes()
+    assert report["body"]["result"]["tau_hat"] == want.tau_hat
+
+
+def test_mixture_estimate_writes_hashed_xi_csv(workdir):
+    path = discrete_csv(workdir)
+    assert main(["mixture", "--data", str(path), "--p", "2", "--estimate",
+                 "--output", "mix.json"]) == 0
+    report = read_report(workdir / "mix.json")
+    body, meta = report["body"], report["meta"]
+    labels, xi = read_xi_csv(workdir / meta["xi_csv"])
+    assert labels == load_csv(path).cluster_labels and np.isfinite(xi).all()
+    for sha, side in ((body["estimate"]["xi_csv_sha256"], meta["xi_csv"]),
+                      (body["posterior_csv_sha256"], meta["posterior_csv"])):
+        assert sha == hashlib.sha256((workdir / side).read_bytes()).hexdigest()
+
+
+def test_side_file_hashes_of_simulate_and_select(demo_csv, workdir):
+    assert main(["simulate", "--preset", "randomized", "--c", "40",
+                 "--reps", "2", "--output", "sim.json"]) == 0
+    assert main(["select", "--data", str(demo_csv), "--stop-after-k", "1",
+                 "--output", "sel.json"]) == 0
+    for report, sha_key, meta_key in (("sim.json", "per_rep_csv_sha256",
+                                       "per_rep_csv"),
+                                      ("sel.json", "statspec_sha256",
+                                       "statspec_path")):
+        doc = read_report(workdir / report)
+        side = Path(doc["meta"][meta_key]).read_bytes()
+        assert doc["body"][sha_key] == hashlib.sha256(side).hexdigest()
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--data", "demo.csv"],
+    ["mixture", "--data", "disc.csv", "--p", "2", "--estimate"],
+], ids=["estimate", "mixture-estimate"])
+def test_unwritable_xi_csv_exits_one(argv, demo_csv, workdir, capsys):
+    discrete_csv(workdir)
+    (workdir / "out.xi.csv").mkdir()
+    assert main(argv + ["--output", "out.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: report: ") and "out.xi.csv" in err
+    assert not (workdir / "out.json").exists()
+
+
+@pytest.mark.slow
+def test_bodies_do_not_depend_on_blas_threads(workdir):
+    # 200k rows: below about 160k, a.T @ v gave the same bits whatever
+    # the thread count even where the kernels were not fixed.
+    write_csv(generate(dgp_preset("nonlinear-u", c=20000, n_c=10), 3).dataset,
+              workdir / "est.csv")
+    write_csv(generate(dgp_preset("separated-mixture", c=20000, n_c=10),
+                       3).dataset, workdir / "mix.csv")
+    jobs = {"est": ["estimate", "--data", "est.csv", "--baselines"],
+            "mix": ["mixture", "--data", "mix.csv", "--p", "2",
+                    "--estimate"]}
+    got = {}
+    for threads in ("1", "2"):
+        env = subprocess_env(OPENBLAS_NUM_THREADS=threads,
+                             OMP_NUM_THREADS=threads)
+        for name, args in jobs.items():
+            out = f"{name}{threads}.json"
+            subprocess.run([sys.executable, "-c", "import sys; from "
+                            "clusterdr.cli import main; sys.exit(main())",
+                            *args, "--seed", "3", "--output", out], env=env,
+                           cwd=workdir, check=True, capture_output=True)
+            got[name, threads] = (
+                read_report(workdir / out)["meta"]["body_sha256"],
+                (workdir / f"{name}{threads}.xi.csv").read_bytes())
+    for name in jobs:
+        assert got[name, "1"] == got[name, "2"], name
 
 
 @pytest.mark.parametrize("data, flags, message", [
@@ -1040,12 +1195,26 @@ def test_cli_job_does_not_import_jsonschema(demo_csv, workdir):
               "                           '--stop-after-k', '1'])\n"
               "assert code == 0, code\n"
               "assert 'jsonschema' not in sys.modules\n")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    subprocess.run([sys.executable, "-c", script, str(demo_csv)], env=env,
-                   cwd=workdir, check=True, capture_output=True)
+    subprocess.run([sys.executable, "-c", script, str(demo_csv)],
+                   env=subprocess_env(), cwd=workdir, check=True,
+                   capture_output=True)
     assert (workdir / "select_report.json").is_file()
+
+
+def test_equal_cluster_sizes_do_not_load_numpy_ma(demo_csv, workdir):
+    # np.unique imports numpy.ma (10-14 ms); only unequal sizes need it.
+    script = ("import sys\n"
+              "import clusterdr.cli\n"
+              "for argv in (['estimate', '--data', sys.argv[1]],\n"
+              "             ['mixture', '--data', sys.argv[2], '--p', '2',\n"
+              "              '--estimate'],\n"
+              "             ['simulate', '--preset', 'randomized', '--c', '40',\n"
+              "              '--reps', '2']):\n"
+              "    assert clusterdr.cli.main(argv) == 0, argv\n"
+              "assert 'numpy.ma' not in sys.modules\n")
+    subprocess.run([sys.executable, "-c", script, str(demo_csv),
+                    str(discrete_csv(workdir))], env=subprocess_env(),
+                   cwd=workdir, check=True, capture_output=True)
 
 
 # --- input encoding ----------------------------------------------------------

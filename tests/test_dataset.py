@@ -62,6 +62,43 @@ def test_nonfinite_covariates_rejected():
                 np.array([[1.0], [np.inf]]), ["a", "b"])
 
 
+def test_dataset_keeps_and_freezes_callers_float64_arrays():
+    # No copy: the caller's float64 arrays become the dataset's columns
+    # and can no longer be written. Inputs numpy has to convert are
+    # copied, and the caller's originals stay writable.
+    y, w, x = np.zeros(4), np.array([0.0, 1.0, 0.0, 1.0]), np.ones((4, 2))
+    w_int = np.array([0, 1, 0, 1])
+    d = Dataset(y, w, x, ["a", "a", "b", "b"])
+    assert d.y is y and d.w is w and d.x is x
+    for arr in (y, w, x):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+    d2 = Dataset(y.copy(), w_int, x.copy(), ["a", "a", "b", "b"])
+    assert w_int.flags.writeable and d2.w.dtype == np.float64
+    assert not d2.w.flags.writeable
+
+
+def test_dense_id_path_keeps_the_constructor_checks():
+    ids, labels = np.array([0, 0, 1]), ["p", "q"]
+    d = Dataset._from_ids(np.arange(3.0), np.array([1, 0, 1]),
+                          np.zeros((3, 1)), ids, labels)
+    want = Dataset(np.arange(3.0), np.array([1, 0, 1]), np.zeros((3, 1)),
+                   ["p", "p", "q"])
+    assert d.cluster_labels == want.cluster_labels
+    assert d.cluster_index.tolist() == want.cluster_index.tolist()
+    assert d.n_c.tolist() == want.n_c.tolist()
+    with pytest.raises(InputError, match="treatment must be 0 or 1"):
+        Dataset._from_ids(np.zeros(3), np.array([0, 2, 1]), np.zeros((3, 1)),
+                          ids, labels)
+    with pytest.raises(InputError, match="non-finite covariate"):
+        Dataset._from_ids(np.zeros(3), np.zeros(3),
+                          np.array([[0.0], [np.nan], [1.0]]), ids, labels)
+    with pytest.raises(InputError, match="got 2 cluster labels, expected 3"):
+        Dataset._from_ids(np.zeros(3), np.zeros(3), np.zeros((3, 1)),
+                          ids[:2], labels)
+
+
 def test_csv_round_trip(tmp_path):
     d = small_dataset()
     path = tmp_path / "data.csv"
@@ -197,6 +234,12 @@ def test_validate_matches_loop_oracle(pool, units):
     warnings, degenerate = oracles.cluster_warnings(w.tolist(), labels)
     assert report.warnings == warnings
     assert report.degenerate_clusters == degenerate
+    assert report.warning_counts == {
+        kind: sum(m.endswith(tail) if kind == "single_unit" else tail in m
+                  for m in warnings)
+        for kind, tail in (("single_unit", "has a single unit"),
+                           ("all_treated", " is all-treated ("),
+                           ("all_control", " is all-control ("))}
 
 
 @settings(max_examples=200, deadline=None)

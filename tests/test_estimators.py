@@ -566,10 +566,11 @@ def test_dr_result_serialization():
     nu, a = pipeline(d)
     out = dr_estimate(d, nu, a, eta=0.05)
     blob = out.to_dict()
+    # xi has one entry per cluster, so it goes to a side file instead.
     assert set(blob) == {"tau_hat", "se", "ci", "v_hat", "a_bar", "n", "c",
-                         "L", "eta", "xi"}
+                         "L", "eta"}
     assert blob["n"] == d.n and blob["c"] == d.c and blob["L"] == 3
-    assert len(blob["xi"]) == d.c
+    assert out.xi.shape == (d.c,)
     assert blob["ci"][0] < blob["tau_hat"] < blob["ci"][1]
 
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clusterdr import (
+    Dataset,
     EstimatorConfig,
     InputError,
     McReport,
@@ -22,6 +23,7 @@ from clusterdr import (
     dgp_preset,
     generate,
     monte_carlo,
+    write_csv,
 )
 from clusterdr.simulate import _METHODS, _run_one_rep
 
@@ -126,6 +128,20 @@ def test_generate_labels_are_cluster_ids():
     d = generate(cfg, 5).dataset
     assert d.cluster_labels == [str(j) for j in range(13)]
     assert d.cluster_index.tolist() == [j for j in range(13) for _ in "abc"]
+
+
+def test_generate_from_dense_ids_matches_label_path(tmp_path):
+    # generate skips label interning; the dataset and the CSV it writes
+    # are those of the public constructor on the string labels.
+    d = generate(dgp_preset("nonlinear-u", c=17, n_c=4), 2).dataset
+    labels = [str(j) for j in d.cluster_index.tolist()]
+    want = Dataset(d.y.copy(), d.w.copy(), d.x.copy(), labels)
+    assert d.cluster_labels == want.cluster_labels
+    assert d.n_c.tolist() == want.n_c.tolist()
+    write_csv(d, tmp_path / "ids.csv")
+    write_csv(want, tmp_path / "labels.csv")
+    assert ((tmp_path / "ids.csv").read_bytes()
+            == (tmp_path / "labels.csv").read_bytes())
 
 
 def test_baseline_methods_run():
