@@ -21,6 +21,10 @@ The effective config is embedded in the body and hashed, without the
 output path and ``threads``: the thread count is accepted so that old
 configs stay valid, and ignored.
 
+Errors are prefixed with the pipeline stage that raised them. Tables
+go to side files next to the report, hashed in the body, and each body
+is checked against its command's shape in ``schemas/report.json``.
+
 Exit codes: 0 success, 1 input or configuration problem, 2 estimation
 or numerical failure.
 """
@@ -30,6 +34,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import numbers
 import operator
 import re
@@ -56,7 +61,7 @@ from .exceptions import ClusterDrError, EstimationError, InputError
 from .glm import cross_fit_folds, multinomial_group_lasso
 from .mixture import augment_with_posterior, em_fit, posterior_suffstat
 from .simulate import EstimatorConfig, dgp_preset, monte_carlo
-from .suffstats import StatSpec, build_suffstats, mundlak_spec, overlap_set
+from .suffstats import StatSpec, build_suffstats, mundlak_spec
 
 __all__ = ["main", "canonical_body_bytes", "config_hash"]
 
@@ -257,19 +262,15 @@ def _write_report(body: dict, output: str, extra_meta: dict = None) -> Path:
     return path
 
 
-def _file_sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _write_xi_csv(output: str, d, res) -> tuple:
-    """Write ``res.xi`` to ``<output stem>.xi.csv``: one ``cluster,xi``
-    row per cluster in dense-id order, values as ``repr``. Returns the
-    path and the file's sha256, which the body carries."""
-    path = Path(output).with_suffix(".xi.csv")
+def _side_file(output: str, suffix: str, write) -> tuple:
+    """Write the side file ``<output stem><suffix>`` of a report by
+    calling ``write`` with its path, as part of the ``report`` stage.
+    Returns the path, which ``meta`` names, and the file's sha256, which
+    the body carries."""
+    path = Path(output).with_suffix(suffix)
     with _stage("report"):
-        write_table(path, ["cluster", "xi"],
-                    [d.cluster_labels, map(repr, res.xi.tolist())])
-        return path, _file_sha256(path)
+        write(path)
+        return path, hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +348,23 @@ def _stage(name: str):
         raise InputError(f"{name}: {exc}") from exc
 
 
+def _dr_block(cfg: dict, d, s_bar) -> tuple:
+    """Stages ``nuisance`` and ``estimate`` of the doubly robust
+    estimate, and its ``.xi.csv``: one ``cluster,xi`` row per cluster in
+    dense-id order, values as ``repr``. Returns the body block, which
+    holds the file's sha256, the file's path and the nuisances."""
+    with _stage("nuisance"):
+        folds = cross_fit_folds(d.c, cfg["L"], cfg["seed"])
+        nu = fit_nuisances(d, s_bar, folds, NuisanceConfig(**cfg["nuisance"]))
+    with _stage("estimate"):
+        res = dr_estimate(d, nu, eta=cfg["eta"])
+    xi_path, xi_sha = _side_file(
+        cfg["output"], ".xi.csv", lambda path: write_table(
+            path, ["cluster", "xi"],
+            [d.cluster_labels, map(repr, res.xi.tolist())]))
+    return {**res.to_dict(), "xi_csv_sha256": xi_sha}, xi_path, nu
+
+
 # ---------------------------------------------------------------------------
 # estimate
 # ---------------------------------------------------------------------------
@@ -366,12 +384,7 @@ def cmd_estimate(args) -> int:
     with _stage("design"):
         spec = _spec_from_config(cfg["statspec"], d.k)
         s_bar = build_suffstats(d, spec)
-    with _stage("nuisance"):
-        folds = cross_fit_folds(d.c, cfg["L"], cfg["seed"])
-        nu = fit_nuisances(d, s_bar, folds, NuisanceConfig(**cfg["nuisance"]))
-    with _stage("estimate"):
-        a = overlap_set(nu.e, cfg["eta"])
-        res = dr_estimate(d, nu, a, eta=cfg["eta"])
+    dr, xi_path, nu = _dr_block(cfg, d, s_bar)
 
     labels = d.cluster_labels
     warned = report.degenerate_clusters[:_FIRST_WARNED]
@@ -379,7 +392,7 @@ def cmd_estimate(args) -> int:
     body["data"] = {"n": d.n, "c": d.c, "k": d.k, "warnings": {
         **report.warning_counts, "first": [labels[i] for i in warned]}}
     body["statspec"] = [t.name for t in spec.terms]
-    body["result"] = res.to_dict()
+    body["result"] = dr
     if cfg["baselines"]:
         with _stage("baselines"):
             e_clip = np.clip(nu.e, 1e-6, 1.0 - 1e-6)
@@ -388,14 +401,12 @@ def cmd_estimate(args) -> int:
                 "mundlak": mundlak_ols(d),
                 "weighted_fe": weighted_fe(d, e_clip),
             }
-    xi_path, body["result"]["xi_csv_sha256"] = _write_xi_csv(
-        cfg["output"], d, res)
     path = _write_report(body, cfg["output"],
                          extra_meta={"xi_csv": str(xi_path)})
-    trimmed = 1.0 - res.a_bar
+    lo, hi = dr["ci"]
     print(
-        f"tau_hat={res.tau_hat:.6g} se={res.se:.6g} "
-        f"ci=[{res.ci[0]:.6g}, {res.ci[1]:.6g}] trimmed_share={trimmed:.4f} "
+        f"tau_hat={dr['tau_hat']:.6g} se={dr['se']:.6g} "
+        f"ci=[{lo:.6g}, {hi:.6g}] trimmed_share={1.0 - dr['a_bar']:.4f} "
         f"report={path}"
     )
     return 0
@@ -431,11 +442,16 @@ def cmd_simulate(args) -> int:
     body["dgp"] = dgp.to_dict()
     body["estimator"] = est.to_dict()
     body["mc"] = rep.to_dict()
-    out = Path(cfg["output"])
-    per_rep = out.with_suffix(".reps.csv")
-    with _stage("report"):
-        rep.write_per_rep_csv(per_rep)
-        body["per_rep_csv_sha256"] = _file_sha256(per_rep)
+    per_rep, body["per_rep_csv_sha256"] = _side_file(
+        cfg["output"], ".reps.csv", lambda path: write_table(
+            path, ["rep", "tau_hat", "se", "truth", "covered"], [
+                range(rep.reps),
+                map(repr, rep.tau_hat.tolist()),
+                map(repr, rep.se.tolist()),
+                map(repr, rep.truth.tolist()),
+                ["" if math.isnan(c) else int(c)
+                 for c in rep.covered.tolist()],
+            ]))
     path = _write_report(body, cfg["output"],
                          extra_meta={"per_rep_csv": str(per_rep)})
     cov = "n/a" if rep.to_dict()["coverage"] is None else f"{rep.coverage:.3f}"
@@ -494,12 +510,9 @@ def cmd_select(args) -> int:
         {"lam": pt.lam, "selected": [names[j] for j in pt.selected]}
         for pt in res.path
     ]
-    out = Path(cfg["output"])
-    spec_path = out.with_suffix(".statspec.json")
-    with _stage("report"):
-        spec_path.write_text(json.dumps(sel_spec.to_dict(), sort_keys=True)
-                             + "\n")
-        body["statspec_sha256"] = _file_sha256(spec_path)
+    spec_path, body["statspec_sha256"] = _side_file(
+        cfg["output"], ".statspec.json", lambda path: path.write_text(
+            json.dumps(sel_spec.to_dict(), sort_keys=True) + "\n"))
     path = _write_report(body, cfg["output"],
                          extra_meta={"statspec_path": str(spec_path)})
     if not res.selected:
@@ -559,27 +572,16 @@ def cmd_mixture(args) -> int:
     body["model"] = model.to_dict()
     body["posterior"] = post.tolist()
 
-    out = Path(cfg["output"])
-    post_path = out.with_suffix(".posterior.csv")
-    with _stage("report"):
-        write_table(
-            post_path, ["cluster"] + [f"post_{j}" for j in range(model.p)],
-            [d.cluster_labels, *(map(repr, col) for col in post.T.tolist())],
-        )
-        body["posterior_csv_sha256"] = _file_sha256(post_path)
+    post_path, body["posterior_csv_sha256"] = _side_file(
+        cfg["output"], ".posterior.csv", lambda path: write_table(
+            path, ["cluster"] + [f"post_{j}" for j in range(model.p)],
+            [d.cluster_labels, *(map(repr, col) for col in post.T.tolist())]))
 
     meta = {"posterior_csv": str(post_path)}
     if cfg["estimate"]:
-        with _stage("estimate"):
+        with _stage("design"):
             s_bar = augment_with_posterior(d, post)
-            folds = cross_fit_folds(d.c, cfg["L"], cfg["seed"])
-            nu = fit_nuisances(d, s_bar, folds,
-                               NuisanceConfig(**cfg["nuisance"]))
-            a = overlap_set(nu.e, cfg["eta"])
-            res = dr_estimate(d, nu, a, eta=cfg["eta"])
-        body["estimate"] = res.to_dict()
-        xi_path, body["estimate"]["xi_csv_sha256"] = _write_xi_csv(
-            cfg["output"], d, res)
+        body["estimate"], xi_path, _ = _dr_block(cfg, d, s_bar)
         meta["xi_csv"] = str(xi_path)
 
     path = _write_report(body, cfg["output"], extra_meta=meta)

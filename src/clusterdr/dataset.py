@@ -385,8 +385,11 @@ def read_units(path, outcome: str, treatment: str, labels: dict,
     missing or non-finite covariate, or a row the ``csv`` module cannot
     read, naming the first bad cell's 1-based row (the header is row 1),
     and on bytes that are not text in the locale's encoding. NaN
-    outcomes load successfully.
+    outcomes load successfully. A cell may be of any length, as it may
+    for ``np.loadtxt``: the ``csv`` module's field size limit is lifted
+    while the file is read and restored after.
     """
+    limit = csv.field_size_limit(2**31 - 1)  # fits a 32-bit C long
     try:
         with open(path, "rb") as raw, io.TextIOWrapper(
                 raw if raw.seekable() else io.BytesIO(raw.read()),
@@ -418,6 +421,8 @@ def read_units(path, outcome: str, treatment: str, labels: dict,
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not valid {exc.encoding} text "
                          f"({exc.reason})") from None
+    finally:
+        csv.field_size_limit(limit)
 
 
 def load_csv(path, schema: Optional[CsvSchema] = None) -> Dataset:

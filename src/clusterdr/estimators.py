@@ -24,6 +24,7 @@ from .exceptions import (
     UnbalancedPanelError,
 )
 from .glm import logistic_fit, predict_proba, stacked_block_r, wls_fit
+from .suffstats import overlap_set
 
 __all__ = [
     "NuisanceConfig",
@@ -311,11 +312,11 @@ def fit_nuisances(
 class DrResult:
     """Doubly robust estimate of the average effect on retained units.
 
-    ``xi`` holds the per-cluster averaged correction terms feeding the
-    variance (left out of :meth:`to_dict`, which stays the same size
-    whatever the number of clusters); ``a_bar`` is the retained
-    fraction; ``eta`` records the trimming threshold the mask was built
-    with (None for no trimming).
+    ``a`` is the 0/1 retention mask that trimming at ``eta`` gave (every
+    unit for ``eta=None``) and ``a_bar`` its mean; ``xi`` holds the
+    per-cluster averaged correction terms feeding the variance. Both
+    arrays are left out of :meth:`to_dict`, which stays the same size
+    whatever the number of units or clusters.
     """
 
     tau_hat: float
@@ -323,6 +324,7 @@ class DrResult:
     se: float
     ci: tuple
     a_bar: float
+    a: np.ndarray
     xi: np.ndarray
     n: int
     c: int
@@ -346,22 +348,20 @@ class DrResult:
 def dr_estimate(
     d: Dataset,
     nu: NuisanceEstimates,
-    a: np.ndarray,
     eta: Optional[float] = 0.05,
 ) -> DrResult:
-    """Average the doubly robust score over the units retained by the
-    0/1 mask ``a`` (see :func:`~clusterdr.suffstats.overlap_set`).
+    """Average the doubly robust score over the units that trimming at
+    ``eta`` retains (:func:`~clusterdr.suffstats.overlap_set`: kept when
+    ``eta < e < 1 - eta``; ``eta=None`` keeps every unit).
 
     The point estimate is the retained-unit mean of :func:`psi`. The
     variance comes from per-cluster means of the inverse-propensity
     correction term: their spread across clusters, scaled by the
     squared retained fraction, divided by the number of clusters.
+    Raises :class:`~clusterdr.exceptions.EmptyOverlapError` when
+    trimming removes every unit.
     """
-    a = np.asarray(a, dtype=float)
-    if a.shape != (d.n,):
-        raise InputError(f"mask has shape {a.shape}, expected ({d.n},)")
-    if not np.all((a == 0.0) | (a == 1.0)):
-        raise InputError("mask entries must be 0 or 1")
+    a = overlap_set(nu.e, eta)
     a_bar = float(a.mean())
     if a_bar == 0.0:
         raise EmptyOverlapError("trimming removed every unit")
@@ -376,17 +376,17 @@ def dr_estimate(
     v_hat = float(np.mean((xi - xi.mean()) ** 2) / a_bar**2)
     se = float(np.sqrt(v_hat / d.c))
     ci = (tau_hat - 1.96 * se, tau_hat + 1.96 * se)
-    L = int(nu.fold_of_unit.max()) + 1 if nu.fold_of_unit.size else 0
     return DrResult(
         tau_hat=tau_hat,
         v_hat=v_hat,
         se=se,
         ci=ci,
         a_bar=a_bar,
+        a=a,
         xi=xi,
         n=d.n,
         c=d.c,
-        L=L,
+        L=int(nu.fold_of_unit.max()) + 1,
         eta=eta,
     )
 

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dataset import Dataset, write_table
+from .dataset import Dataset
 from .estimators import (
     NuisanceConfig,
     dr_estimate,
@@ -516,15 +516,6 @@ class McReport:
             "failures": [list(f) for f in self.failures],
         }
 
-    def write_per_rep_csv(self, path) -> None:
-        write_table(path, ["rep", "tau_hat", "se", "truth", "covered"], [
-            range(self.tau_hat.shape[0]),
-            map(repr, self.tau_hat.tolist()),
-            map(repr, self.se.tolist()),
-            map(repr, self.truth.tolist()),
-            ["" if math.isnan(c) else int(c) for c in self.covered.tolist()],
-        ])
-
 
 def _run_one_rep(cfg: DgpConfig, est: EstimatorConfig, child_seq):
     gen_seq, fold_seq = child_seq.spawn(2)
@@ -559,9 +550,8 @@ def _run_one_rep(cfg: DgpConfig, est: EstimatorConfig, child_seq):
         q0 = qte_estimate(d, nu, a, est.q, arm=0)
         return q1 - q0, math.nan, res.tau_tilde(a), math.nan
 
-    a = overlap_set(nu.e, est.eta)
-    out = dr_estimate(d, nu, a, eta=est.eta)
-    truth = res.tau_tilde(a)
+    out = dr_estimate(d, nu, eta=est.eta)
+    truth = res.tau_tilde(out.a)
     covered = 1.0 if out.ci[0] <= truth <= out.ci[1] else 0.0
     return out.tau_hat, out.se, truth, covered
 

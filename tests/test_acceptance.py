@@ -248,7 +248,7 @@ def test_c08_formula_transcription_oracle():
         folds = cross_fit_folds(d.c, 5, seed)
         nu = fit_nuisances(d, s_bar, folds)
         a = overlap_set(nu.e, 0.05)
-        out = dr_estimate(d, nu, a, eta=0.05)
+        out = dr_estimate(d, nu, eta=0.05)
         cluster_ids = [d.cluster_labels[i] for i in d.cluster_index]
         tau_want, v_want = oracles.straight_line_dr(
             d.y, d.w.astype(int), nu.mu1, nu.mu0, nu.e,

@@ -38,7 +38,6 @@ from clusterdr import (
     load_panel_csv,
     multinomial_group_lasso,
     mundlak_spec,
-    overlap_set,
     validate,
 )
 from clusterdr import cli
@@ -217,7 +216,7 @@ def test_xi_csv_round_trips_dr_estimate(demo_csv, workdir):
     d = load_csv(demo_csv)
     nu = fit_nuisances(d, build_suffstats(d, mundlak_spec(d.k)),
                        cross_fit_folds(d.c, 5, 6))
-    want = dr_estimate(d, nu, overlap_set(nu.e, 0.05), eta=0.05)
+    want = dr_estimate(d, nu, eta=0.05)
     labels, xi = read_xi_csv(workdir / "est.xi.csv")
     assert labels == d.cluster_labels
     assert xi.tobytes() == want.xi.tobytes()
@@ -292,15 +291,19 @@ def test_bodies_do_not_depend_on_blas_threads(workdir):
         assert got[name, "1"] == got[name, "2"], name
 
 
-@pytest.mark.parametrize("data, flags, message", [
-    ("one.csv", [], "cannot split 1 clusters into 5 folds"),
-    ("demo.csv", ["--L", "31"], "cannot split 30 clusters into 31 folds"),
-], ids=["one-cluster", "L-past-clusters"])
-def test_estimate_fewer_clusters_than_folds_exits_one(data, flags, message,
-                                                      demo_csv, workdir,
-                                                      capsys):
+@pytest.mark.parametrize("argv, message", [
+    (["estimate", "--data", "one.csv"],
+     "cannot split 1 clusters into 5 folds"),
+    (["estimate", "--data", "demo.csv", "--L", "31"],
+     "cannot split 30 clusters into 31 folds"),
+    (["mixture", "--data", "disc.csv", "--p", "2", "--estimate", "--L", "61"],
+     "cannot split 60 clusters into 61 folds"),
+], ids=["one-cluster", "L-past-clusters", "mixture-L-past-clusters"])
+def test_estimate_fewer_clusters_than_folds_exits_one(argv, message, demo_csv,
+                                                      workdir, capsys):
     (workdir / "one.csv").write_text("y,w,cluster,x1\n1,1,a,0.5\n2,0,a,0.3\n")
-    assert main(["estimate", "--data", data, *flags]) == 1
+    discrete_csv(workdir)
+    assert main(argv) == 1
     assert capsys.readouterr().err == f"error: nuisance: {message}\n"
 
 
@@ -600,16 +603,16 @@ def test_empty_input_exits_one_without_warning(workdir, capsys, command, flag,
 
 
 def test_unreadable_csv_row_exits_one(workdir, capsys):
-    # the bad x1 cell sends the file to the row reader, and the csv
-    # module refuses the long label before it
+    # the bad x1 cell sends the file to the row reader, which reads the
+    # label past the csv module's default field limit before it
     long = "c" * (csv.field_size_limit() + 1)
     path = workdir / "long.csv"
     path.write_text(f"y,w,cluster,x1\n1,1,a,0.5\n2,0,{long},0.3\n"
                     "3,1,b,oops\n")
     assert main(["estimate", "--data", str(path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: load: row 3: field larger than field limit")
-    assert "Traceback" not in err
+    assert err == ("error: load: row 4: column 'x1' value 'oops' is not "
+                   "numeric\n")
 
 
 def test_check_requires_exactly_one_input(demo_csv, panel_csv):
@@ -638,6 +641,32 @@ def test_output_in_missing_directory_exit_one(argv, demo_csv, workdir,
     assert not (workdir / "missing").exists()
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["estimate", "--data", "demo.csv"], ("result", "tau_hat")),
+    (["estimate", "--data", "demo.csv"], ("statspec",)),
+    (["mixture", "--data", "disc.csv", "--p", "2", "--estimate"],
+     ("estimate", "xi_csv_sha256")),
+    (["mixture", "--data", "disc.csv", "--p-grid", "1,2"], ("grid",)),
+    (["simulate", "--preset", "randomized", "--c", "40", "--reps", "2"],
+     ("per_rep_csv_sha256",)),
+    (["select", "--data", "demo.csv", "--stop-after-k", "1"], ("lam",)),
+    (["check-equivalence", "--data", "demo.csv"], ("equivalent",)),
+], ids=["estimate-result", "estimate", "mixture-estimate", "mixture-grid",
+        "simulate", "select", "check-equivalence"])
+def test_renamed_body_field_is_malformed_output(argv, field, demo_csv,
+                                                workdir):
+    discrete_csv(workdir)
+    assert main(argv + ["--output", "out.json"]) == 0
+    body = read_report(workdir / "out.json")["body"]
+    cli._write_report(body, "again.json")
+    block = body[field[0]] if len(field) == 2 else body
+    block[field[-1] + "_renamed"] = block.pop(field[-1])
+    with pytest.raises(cli.EstimationError,
+                       match="^report: malformed output: "):
+        cli._write_report(body, "renamed.json")
+    assert not (workdir / "renamed.json").exists()
+
+
 _TEXT = st.text(alphabet=st.sampled_from(
     ["a", "Z", " ", "\n", "\r", "\t", '"', "\\", "/", "é", "€", "\u2028",
      "\U0001f600", "\x00"]), max_size=6)
@@ -658,8 +687,8 @@ _JSON = st.recursive(
                             "statspec_path"]), _TEXT, max_size=3))
 def test_report_file_matches_one_dumps_oracle(tmp_path_factory, fields,
                                               config, extra_meta):
-    body = {**fields, "command": "mixture", "config": config,
-            "config_hash": 64 * "0", "seed": 0}
+    body = {"command": "mixture", "config": config, "config_hash": 64 * "0",
+            "seed": 0, "data": fields, "grid": list(fields.values())}
     path = tmp_path_factory.mktemp("report") / "r.json"
     cli._write_report(body, str(path), extra_meta)
     written = path.read_bytes()
@@ -1031,6 +1060,8 @@ def _near(schema, defs, off):
                                 unique=True).flatmap(lambda keys: dicts(
                 {**props, **{k: _near(schema["properties"][k], defs, True)
                              for k in keys}}, keys)))
+    elif kind == "array" and "items" not in schema:
+        good.append(st.lists(_ANY, max_size=3))
     elif kind == "array":
         item = schema["items"]
         good.append(st.lists(_near(item, defs, False), min_size=1,
@@ -1059,7 +1090,7 @@ def _near(schema, defs, off):
         good.append(st.none())
     if off:
         return st.one_of(*good[:len(schema.get("oneOf", []))], *bad)
-    return st.one_of(good)
+    return st.one_of(good or [_ANY])
 
 
 @pytest.mark.parametrize("name, partial", [

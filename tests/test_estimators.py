@@ -1,5 +1,7 @@
 """Point estimators, nuisance cross-fitting, variance, panel check."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -548,7 +550,7 @@ def test_dr_matches_straight_line_transcription():
     for seed in range(4):
         d = unbalanced_dataset(seed=seed)
         nu, a = pipeline(d, seed=seed)
-        out = dr_estimate(d, nu, a, eta=0.05)
+        out = dr_estimate(d, nu, eta=0.05)
         cluster_ids = [d.cluster_labels[i] for i in d.cluster_index]
         tau_want, v_want = oracles.straight_line_dr(
             d.y, d.w.astype(int), nu.mu1, nu.mu0, nu.e,
@@ -563,8 +565,8 @@ def test_dr_matches_straight_line_transcription():
 
 def test_dr_result_serialization():
     d = unbalanced_dataset(seed=2)
-    nu, a = pipeline(d)
-    out = dr_estimate(d, nu, a, eta=0.05)
+    nu, _ = pipeline(d)
+    out = dr_estimate(d, nu, eta=0.05)
     blob = out.to_dict()
     # xi has one entry per cluster, so it goes to a side file instead.
     assert set(blob) == {"tau_hat", "se", "ci", "v_hat", "a_bar", "n", "c",
@@ -574,46 +576,45 @@ def test_dr_result_serialization():
     assert blob["ci"][0] < blob["tau_hat"] < blob["ci"][1]
 
 
+@pytest.mark.parametrize("eta", [None, 0.05, 0.2])
+def test_dr_estimate_builds_the_trimming_mask_it_reports(eta):
+    d = unbalanced_dataset(seed=1)
+    nu, _ = pipeline(d)
+    out = dr_estimate(d, nu, eta=eta)
+    assert out.eta == eta
+    assert np.array_equal(out.a, overlap_set(nu.e, eta))
+    assert out.a_bar == out.a.mean()
+    assert (out.a_bar == 1.0) == (eta is None)
+
+
 def test_empty_overlap_raises():
     d = unbalanced_dataset(seed=3)
     nu, _ = pipeline(d)
-    with pytest.raises(EmptyOverlapError):
-        dr_estimate(d, nu, np.zeros(d.n, dtype=int))
-
-
-def test_mask_must_be_zero_one_per_unit():
-    d = unbalanced_dataset(seed=3)
-    nu, a = pipeline(d)
-    with pytest.raises(InputError, match="shape"):
-        dr_estimate(d, nu, a[:-1])
-    bad = a.astype(float)
-    bad[0] = 0.5
-    with pytest.raises(InputError, match="0 or 1"):
-        dr_estimate(d, nu, bad)
-    # any 0/1 dtype is accepted
-    want = dr_estimate(d, nu, a).tau_hat
-    assert dr_estimate(d, nu, a.astype(bool)).tau_hat == want
+    # every propensity outside [eta, 1 - eta]
+    outside = dataclasses.replace(nu, e=np.where(nu.e < 0.5, 0.01, 0.99))
+    with pytest.raises(EmptyOverlapError, match="removed every unit"):
+        dr_estimate(d, outside, eta=0.05)
 
 
 def test_outcome_shift_leaves_tau_unchanged():
     d = unbalanced_dataset(seed=7)
-    nu, a = pipeline(d, seed=11)
-    base = dr_estimate(d, nu, a).tau_hat
+    nu, _ = pipeline(d, seed=11)
+    base = dr_estimate(d, nu).tau_hat
     labels = [d.cluster_labels[i] for i in d.cluster_index]
     d2 = Dataset(d.y + 57.0, d.w, d.x, labels)
-    nu2, a2 = pipeline(d2, seed=11)
-    shifted = dr_estimate(d2, nu2, a2).tau_hat
+    nu2, _ = pipeline(d2, seed=11)
+    shifted = dr_estimate(d2, nu2).tau_hat
     assert shifted == pytest.approx(base, abs=1e-7)
 
 
 def test_outcome_scale_scales_tau():
     d = unbalanced_dataset(seed=8)
-    nu, a = pipeline(d, seed=11)
-    base = dr_estimate(d, nu, a).tau_hat
+    nu, _ = pipeline(d, seed=11)
+    base = dr_estimate(d, nu).tau_hat
     labels = [d.cluster_labels[i] for i in d.cluster_index]
     d2 = Dataset(3.0 * d.y, d.w, d.x, labels)
-    nu2, a2 = pipeline(d2, seed=11)
-    scaled = dr_estimate(d2, nu2, a2).tau_hat
+    nu2, _ = pipeline(d2, seed=11)
+    scaled = dr_estimate(d2, nu2).tau_hat
     assert scaled == pytest.approx(3.0 * base, rel=1e-7)
 
 
@@ -623,15 +624,15 @@ def test_covariate_affine_change_leaves_tau_unchanged():
     # fits and affine invariance of the refit pipeline is meaningful.
     res = generate(dgp_preset("mundlak-linear", c=40, n_c=6, a1=0.6), 17)
     d = res.dataset
-    nu, a = pipeline(d, seed=13)
+    nu, _ = pipeline(d, seed=13)
     assert np.min(np.abs(nu.e - 0.05)) > 0.002
     assert np.min(np.abs(nu.e - 0.95)) > 0.002
-    base = dr_estimate(d, nu, a).tau_hat
+    base = dr_estimate(d, nu).tau_hat
     labels = [d.cluster_labels[i] for i in d.cluster_index]
     x2 = d.x * np.array([2.0, 0.5, 1.5]) + np.array([-1.0, 4.0, 0.25])
     d2 = Dataset(d.y, d.w, x2, labels)
-    nu2, a2 = pipeline(d2, seed=13)
-    moved = dr_estimate(d2, nu2, a2).tau_hat
+    nu2, _ = pipeline(d2, seed=13)
+    moved = dr_estimate(d2, nu2).tau_hat
     assert moved == pytest.approx(base, abs=1e-6)
 
 

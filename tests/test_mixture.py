@@ -19,7 +19,6 @@ from clusterdr import (
     em_fit,
     fit_nuisances,
     generate,
-    overlap_set,
     posterior_suffstat,
 )
 from clusterdr.mixture import _unit_cells
@@ -187,7 +186,6 @@ def test_posterior_bridge_into_estimation():
         assert np.ptp(s_bar[rows, 0]) == 0.0
     folds = cross_fit_folds(d.c, 3, seed=4)
     nu = fit_nuisances(d, s_bar, folds)
-    a = overlap_set(nu.e, 0.05)
-    out = dr_estimate(d, nu, a, eta=0.05)
+    out = dr_estimate(d, nu, eta=0.05)
     # the design has a constant effect of 1
     assert abs(out.tau_hat - 1.0) < 5 * out.se + 0.1

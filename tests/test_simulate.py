@@ -25,6 +25,7 @@ from clusterdr import (
     monte_carlo,
     write_csv,
 )
+from clusterdr import cli
 from clusterdr.simulate import _METHODS, _run_one_rep
 
 import oracles
@@ -223,11 +224,12 @@ def test_config_schema_names_the_library_presets_and_methods():
 
 
 def test_per_rep_csv(tmp_path):
-    cfg = dgp_preset("mundlak-linear", c=20, n_c=5)
-    rep = monte_carlo(cfg, EstimatorConfig(method="dr", L=3), reps=4, seed=1)
-    path = tmp_path / "reps.csv"
-    rep.write_per_rep_csv(path)
-    lines = path.read_text().strip().splitlines()
+    # the simulate command writes the table next to its report
+    assert cli.main(["simulate", "--preset", "mundlak-linear", "--c", "20",
+                     "--n-c", "5", "--method", "dr", "--L", "3", "--reps",
+                     "4", "--seed", "1", "--output",
+                     str(tmp_path / "sim.json")]) == 0
+    lines = (tmp_path / "sim.reps.csv").read_text().strip().splitlines()
     assert lines[0] == "rep,tau_hat,se,truth,covered"
     assert len(lines) == 5
 
@@ -252,9 +254,13 @@ def test_per_rep_csv_matches_row_loop_oracle(tmp_path_factory, data, reps):
         covered=column(st.sampled_from([0.0, 1.0, math.nan])), failures=[],
     )
     out = tmp_path_factory.mktemp("reps")
-    rep.write_per_rep_csv(out / "columns.csv")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "monte_carlo", lambda *args, **kwargs: rep)
+        assert cli.main(["simulate", "--preset", "randomized", "--reps",
+                         str(reps), "--output",
+                         str(out / "columns.json")]) == 0
     oracles.rowwise_write_per_rep(rep, out / "rows.csv")
-    assert ((out / "columns.csv").read_bytes()
+    assert ((out / "columns.reps.csv").read_bytes()
             == (out / "rows.csv").read_bytes())
 
 
