@@ -247,10 +247,10 @@ def _write_report(body: dict, output: str, extra_meta: dict = None) -> Path:
         meta.update(extra_meta)
     payload = {"body": body, "meta": meta}
     with _stage("report"):
-        doc = _schema("report")
-        err = next(_schema_errors(doc, payload, doc["$defs"]), None)
+        err = _report_error(payload)
         if err is not None:
-            raise EstimationError(f"malformed output: {err[1]}")
+            where = "/".join(map(str, err[0]))
+            raise EstimationError(f"malformed output: {where}: {err[1]}")
         meta_bytes = json.dumps(meta, sort_keys=True, indent=2,
                                 allow_nan=False).encode("utf-8")
         path = Path(output)
@@ -262,11 +262,31 @@ def _write_report(body: dict, output: str, extra_meta: dict = None) -> Path:
     return path
 
 
+def _report_error(payload: dict):
+    """The first ``(path, message)`` by which a report breaks its
+    schema, or None.
+
+    A body that fits none of the shapes its ``command`` names gets the
+    first error of those shapes, which names the field; the ``oneOf``
+    error would quote the whole body.
+    """
+    doc = _schema("report")
+    body = payload["body"]
+    shape_errors = [
+        next(_schema_errors(shape, body, doc["$defs"], ("body",)), None)
+        for shape in doc["properties"]["body"]["oneOf"]
+        if body.get("command") in shape["properties"]["command"]["enum"]]
+    if shape_errors and all(shape_errors):
+        return shape_errors[0]
+    return next(_schema_errors(doc, payload, doc["$defs"]), None)
+
+
 def _side_file(output: str, suffix: str, write) -> tuple:
     """Write the side file ``<output stem><suffix>`` of a report by
     calling ``write`` with its path, as part of the ``report`` stage.
     Returns the path, which ``meta`` names, and the file's sha256, which
-    the body carries."""
+    the body carries. Commands call it after their last stage that can
+    fail, so a failed run leaves no side file without its report."""
     path = Path(output).with_suffix(suffix)
     with _stage("report"):
         write(path)
@@ -348,21 +368,26 @@ def _stage(name: str):
         raise InputError(f"{name}: {exc}") from exc
 
 
-def _dr_block(cfg: dict, d, s_bar) -> tuple:
+def _dr_stages(cfg: dict, d, s_bar) -> tuple:
     """Stages ``nuisance`` and ``estimate`` of the doubly robust
-    estimate, and its ``.xi.csv``: one ``cluster,xi`` row per cluster in
-    dense-id order, values as ``repr``. Returns the body block, which
-    holds the file's sha256, the file's path and the nuisances."""
+    estimate. Returns the nuisances and the estimate."""
     with _stage("nuisance"):
         folds = cross_fit_folds(d.c, cfg["L"], cfg["seed"])
         nu = fit_nuisances(d, s_bar, folds, NuisanceConfig(**cfg["nuisance"]))
     with _stage("estimate"):
-        res = dr_estimate(d, nu, eta=cfg["eta"])
+        return nu, dr_estimate(d, nu, eta=cfg["eta"])
+
+
+def _dr_block(output: str, d, res) -> tuple:
+    """The body block of a DR estimate and its ``.xi.csv``: one
+    ``cluster,xi`` row per cluster in dense-id order, values as
+    ``repr``. Returns the block, which holds the file's sha256, and the
+    file's path."""
     xi_path, xi_sha = _side_file(
-        cfg["output"], ".xi.csv", lambda path: write_table(
+        output, ".xi.csv", lambda path: write_table(
             path, ["cluster", "xi"],
             [d.cluster_labels, map(repr, res.xi.tolist())]))
-    return {**res.to_dict(), "xi_csv_sha256": xi_sha}, xi_path, nu
+    return {**res.to_dict(), "xi_csv_sha256": xi_sha}, xi_path
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +409,7 @@ def cmd_estimate(args) -> int:
     with _stage("design"):
         spec = _spec_from_config(cfg["statspec"], d.k)
         s_bar = build_suffstats(d, spec)
-    dr, xi_path, nu = _dr_block(cfg, d, s_bar)
+    nu, res = _dr_stages(cfg, d, s_bar)
 
     labels = d.cluster_labels
     warned = report.degenerate_clusters[:_FIRST_WARNED]
@@ -392,7 +417,6 @@ def cmd_estimate(args) -> int:
     body["data"] = {"n": d.n, "c": d.c, "k": d.k, "warnings": {
         **report.warning_counts, "first": [labels[i] for i in warned]}}
     body["statspec"] = [t.name for t in spec.terms]
-    body["result"] = dr
     if cfg["baselines"]:
         with _stage("baselines"):
             e_clip = np.clip(nu.e, 1e-6, 1.0 - 1e-6)
@@ -401,6 +425,8 @@ def cmd_estimate(args) -> int:
                 "mundlak": mundlak_ols(d),
                 "weighted_fe": weighted_fe(d, e_clip),
             }
+    dr, xi_path = _dr_block(cfg["output"], d, res)
+    body["result"] = dr
     path = _write_report(body, cfg["output"],
                          extra_meta={"xi_csv": str(xi_path)})
     lo, hi = dr["ci"]
@@ -572,17 +598,18 @@ def cmd_mixture(args) -> int:
     body["model"] = model.to_dict()
     body["posterior"] = post.tolist()
 
+    meta = {}
+    if cfg["estimate"]:
+        with _stage("design"):
+            s_bar = augment_with_posterior(d, post)
+        _, res = _dr_stages(cfg, d, s_bar)
+        body["estimate"], xi_path = _dr_block(cfg["output"], d, res)
+        meta["xi_csv"] = str(xi_path)
     post_path, body["posterior_csv_sha256"] = _side_file(
         cfg["output"], ".posterior.csv", lambda path: write_table(
             path, ["cluster"] + [f"post_{j}" for j in range(model.p)],
             [d.cluster_labels, *(map(repr, col) for col in post.T.tolist())]))
-
-    meta = {"posterior_csv": str(post_path)}
-    if cfg["estimate"]:
-        with _stage("design"):
-            s_bar = augment_with_posterior(d, post)
-        body["estimate"], xi_path, _ = _dr_block(cfg, d, s_bar)
-        meta["xi_csv"] = str(xi_path)
+    meta["posterior_csv"] = str(post_path)
 
     path = _write_report(body, cfg["output"], extra_meta=meta)
     line = (f"p={model.p} loglik={model.loglik:.6f} "

@@ -84,7 +84,8 @@ def _rank_rule(a: np.ndarray, b=None):
     |R_jj| at or below ``1e-9 * max(largest column norm, 1)`` is dropped
     and the kept columns are factored again; with fewer rows than
     columns, every column past the rank is dropped. Returns (kept,
-    dropped, R of the kept columns and ``b``, max(largest column norm, 1)).
+    dropped, R of the kept columns and ``b``); :func:`logistic_fit` runs
+    Newton, and reads its ``tol``, in the orthogonal basis that R gives.
     """
     n, p = a.shape
     sq_norms = np.einsum("ij,ij->j", a, a)
@@ -110,7 +111,7 @@ def _rank_rule(a: np.ndarray, b=None):
     # the span of the n kept before them.
     rank = diag.size
     dropped.extend(kept[rank:])
-    return kept[:rank], tuple(dropped), r, scale
+    return kept[:rank], tuple(dropped), r
 
 
 def stacked_block_r(a: np.ndarray) -> np.ndarray:
@@ -160,7 +161,7 @@ def wls_fit(design, response, weights=None) -> WlsFit:
         root = np.sqrt(wt)
         a = a * root[:, None]
         b = b * root
-    kept, dropped, r, _ = _rank_rule(a, b)
+    kept, dropped, r = _rank_rule(a, b)
     rank = len(kept)
     coef = np.zeros(p)
     if kept:
@@ -173,53 +174,56 @@ def _sigmoid(eta: np.ndarray) -> np.ndarray:
     return np.where(eta >= 0.0, 1.0, z) / (1.0 + z)
 
 
-def _prob_loglik(eta, y, beta, ridge):
-    """Probabilities and penalized log-likelihood at ``eta`` from one
-    ``exp(-|eta|)``."""
+def _prob_loglik(eta, y, penalty):
+    """Probabilities and the log-likelihood less ``penalty`` at ``eta``
+    from one ``exp(-|eta|)``."""
     z = np.exp(-np.abs(eta))
     prob = np.where(eta >= 0.0, 1.0, z) / (1.0 + z)
     # log(1 + exp(eta)) = max(eta, 0) + log1p(exp(-|eta|))
     terms = y * eta - np.maximum(eta, 0.0) - np.log1p(z)
-    ll = float(terms.sum()) - 0.5 * ridge * float(beta @ beta)
-    return prob, ll
+    return prob, float(terms.sum()) - penalty
 
 
-def _irls(a, y, tol, max_iter, ridge, start):
-    p = a.shape[1]
-    beta = np.zeros(p) if start is None else start.copy()
-    prob, ll = _prob_loglik(a @ beta, y, beta, ridge)
+def _irls(q, y, tol, max_iter, ridge, s_inv, g):
+    """Damped Newton from ``g`` on the log-likelihood of ``q @ g`` less
+    ``ridge * beta @ beta / 2`` for ``beta = s_inv @ g``. Without a ridge
+    it stops at the first separation, so every solve sees ``q.T D q``
+    with every weight in D positive, or a positive penalty."""
+    n, p = q.shape
+    pen = ridge * (s_inv.T @ s_inv)
+    prob, ll = _prob_loglik(q @ g, y, 0.5 * g @ pen @ g)
     separation = False
     # ``iterations`` counts the Newton steps taken before this check;
     # separation: a probability left the open interval (1e-10, 1 - 1e-10)
     for iterations in range(max_iter + 1):
         separation = (separation or prob.min(initial=1.0) <= _PROB_FLOOR
                       or prob.max(initial=0.0) >= 1.0 - _PROB_FLOOR)
-        # einsum sums the rows in a fixed order; the order of a.T @ v
+        # einsum sums the rows in a fixed order; the order of q.T @ v
         # follows the BLAS thread count.
-        score = np.einsum("ij,i->j", a, y - prob) - ridge * beta
+        score = np.einsum("ij,i->j", q, y - prob) - pen @ g
         max_abs_score = float(np.max(np.abs(score))) if p else 0.0
-        if max_abs_score < tol or iterations == max_iter:
+        if (max_abs_score < tol or iterations == max_iter
+                or (separation and ridge == 0.0)):
             break
         d = prob * (1.0 - prob)
-        h = (a * d[:, None]).T @ a
-        if ridge > 0.0:
-            h = h + ridge * np.eye(p)
-        try:
-            step = np.linalg.solve(h, score)
-        except np.linalg.LinAlgError:
-            step, *_ = np.linalg.lstsq(h, score, rcond=None)
+        # Summed by row block, so no n x p temporary is made.
+        h = pen.copy()
+        for i in range(0, n, _QR_BLOCK):
+            block = q[i:i + _QR_BLOCK]
+            h += (block * d[i:i + _QR_BLOCK, None]).T @ block
+        step = np.linalg.solve(h, score)
         # Damped update: halve until the penalized log-likelihood
         # does not decrease.
         scale = 1.0
         for _ in range(40):
-            beta_new = beta + scale * step
-            eta_new = a @ beta_new
-            prob_new, ll_new = _prob_loglik(eta_new, y, beta_new, ridge)
+            g_new = g + scale * step
+            prob_new, ll_new = _prob_loglik(q @ g_new, y,
+                                            0.5 * g_new @ pen @ g_new)
             if ll_new >= ll - 1e-12 * (1.0 + abs(ll)):
                 break
             scale *= 0.5
-        beta, prob, ll = beta_new, prob_new, ll_new
-    return beta, max_abs_score < tol, iterations, max_abs_score, separation
+        g, prob, ll = g_new, prob_new, ll_new
+    return g, max_abs_score < tol, iterations, max_abs_score, separation
 
 
 def logistic_fit(
@@ -232,22 +236,25 @@ def logistic_fit(
 ) -> LogisticFit:
     """Fit a binary logistic regression by damped Newton steps.
 
-    The design rows' R factor drops the columns they do not identify
-    by the rule :func:`wls_fit` uses (see ``_rank_rule``): Newton runs
-    on the kept columns only, and a dropped column's coefficient is an
-    exact zero, listed in ``columns_dropped``. So no coefficient is
-    left where ``start`` put it for want of data.
+    The design rows' R factor drops the columns they do not identify by
+    the rule :func:`wls_fit` uses (see ``_rank_rule``); a dropped
+    column's coefficient is an exact zero, listed in ``columns_dropped``.
 
-    Newton starts from ``start`` (one coefficient per design column,
+    With A the kept columns and ``S = R / sqrt(n)``, Newton runs on
+    ``g = S @ beta`` in the orthogonal basis ``q = A @ inv(S)``, whose
+    columns have unit mean square whatever the scale of A; IRLS is then
+    a sequence of least-squares problems in q (Green 1984). It starts
+    from zero or from ``start`` (one coefficient per design column,
     e.g. a fit on overlapping data; entries of dropped columns are
-    ignored) or from zero when it is ``None`` or a pivot of the kept
-    columns' R factor is at or below ``1e-6 * max(largest column norm,
-    1)``; ``iterations`` counts the steps taken from there. Convergence
-    means the largest absolute score entry falls below ``tol``. When
-    ``ridge`` is zero and the fit runs into separation (a fitted
-    probability leaving the open interval (1e-10, 1 - 1e-10), the start
-    included), the fit restarts once from zero with ridge 1e-6; the
-    result still reports ``separation_detected``.
+    ignored) mapped in as ``S @ start``;
+    ``iterations`` counts the steps from there. ``tol`` is read in that
+    basis: convergence means every entry of the score ``q.T @ (y - p)``,
+    less the ridge term, is below ``tol`` in absolute value, and
+    ``max_abs_score`` is the largest. ``ridge`` penalizes ``beta @ beta
+    / 2``. When ``ridge`` is zero and the fit runs into separation (a
+    fitted probability leaving the open interval (1e-10, 1 - 1e-10), the
+    start included), the fit restarts once from zero with ridge 1e-6;
+    the result still reports ``separation_detected``.
     """
     a = _as_design(design)
     y = np.asarray(labels, dtype=float)
@@ -268,38 +275,28 @@ def logistic_fit(
             raise InputError("start contains non-finite values")
 
     # The rule runs on the stacked block triangles, not a copy of the rows.
-    kept, dropped, r, scale = _rank_rule(stacked_block_r(a))
+    kept, dropped, r = _rank_rule(stacked_block_r(a))
     if dropped:
+        # R of the kept columns' own triangles, as a fit on the design
+        # without the dropped columns computes it.
         a = a[:, kept]
-    if start is not None:
-        start = start[kept]
-        # Along a direction the rows barely identify, where the fit
-        # stops depends on the start: held-out probabilities moved by
-        # up to 0.03 between warm and cold starts at design condition
-        # numbers near 5e8.
-        if np.any(np.abs(np.diagonal(r)) <= 1e-6 * scale):
-            start = None
-    beta, converged, iters, max_score, separation = _irls(
-        a, y, tol, max_iter, ridge, start
-    )
-    effective_ridge = ridge
+        r = np.linalg.qr(stacked_block_r(a), mode="r")
+    s = r / math.sqrt(n)
+    s_inv = np.linalg.inv(s)
+    q = a @ s_inv
+    g = np.zeros(len(kept)) if start is None else s @ start[kept]
+    g, converged, iters, max_score, separation = _irls(
+        q, y, tol, max_iter, ridge, s_inv, g)
     if separation and ridge == 0.0:
-        effective_ridge = 1e-6
-        beta, converged, iters, max_score, _ = _irls(
-            a, y, tol, max_iter, effective_ridge, None
-        )
-        separation = True
+        ridge = 1e-6
+        g, converged, iters, max_score, _ = _irls(
+            q, y, tol, max_iter, ridge, s_inv, np.zeros(len(kept)))
     coef = np.zeros(p)
-    coef[kept] = beta
-    return LogisticFit(
-        coefficients=coef,
-        converged=converged,
-        iterations=iters,
-        max_abs_score=max_score,
-        separation_detected=separation,
-        ridge=effective_ridge,
-        columns_dropped=dropped,
-    )
+    coef[kept] = s_inv @ g
+    return LogisticFit(coefficients=coef, converged=converged,
+                       iterations=iters, max_abs_score=max_score,
+                       separation_detected=separation, ridge=ridge,
+                       columns_dropped=dropped)
 
 
 def predict_proba(fit: LogisticFit, design) -> np.ndarray:

@@ -264,21 +264,22 @@ def record_calls(monkeypatch, name):
 @pytest.mark.parametrize("scale, cold, dropped, atol", [
     (None, False, (), 1e-10),
     (1e-4, False, (), 1e-10),
-    (1e-8, True, (), 1e-7),
+    (1e-8, False, (), 1e-7),
     (1e-13, False, (5, 9), 1e-10),
 ])
-def test_stacked_triangles_and_warm_start_guard(monkeypatch, scale, cold,
-                                                dropped, atol):
+def test_stacked_triangles_and_warm_starts(monkeypatch, scale, cold,
+                                           dropped, atol):
     # With scale set, a third summary column is 2 * x0_bar plus a
     # cluster-level perturbation of that size. Its pivot in the R factor
     # of the training rows is then about scale / 5 of the largest column
     # norm. The QR rank rule drops the column and its treatment
     # interaction (columns 5 and 9) from the outcome model, and the
     # column itself (column 4) from the propensity model, only below its
-    # 1e-9 threshold; logistic_fit ignores the warm start it is handed
-    # when a kept column's pivot is below its 1e-6 guard. A kept
-    # near-duplicate has coefficients of order 1 / scale, so two
-    # evaluations of the same fit differ by about 1e-16 / scale.
+    # 1e-9 threshold; logistic_fit starts from the warm start it is
+    # handed whatever the kept columns' pivots, so no fold after the
+    # first is the cold fit to the bit. A kept near-duplicate has
+    # coefficients of order 1 / scale, so two evaluations of the same
+    # fit differ by about 1e-16 / scale.
     d = clustered_data(3, np.full(30, 6), 1)
     s_bar = build_suffstats(d, mundlak_spec(d.k))
     if scale is not None:
@@ -301,8 +302,7 @@ def test_stacked_triangles_and_warm_start_guard(monkeypatch, scale, cold,
                for rows, cols in shapes)
     assert [res.columns_dropped for _, _, res in pcalls] == (
         [(4,) if dropped else ()] * L)
-    # every fold after the first is handed the previous fold's fit; a
-    # fit that ignored it is the cold fit to the bit
+    # every fold after the first is handed the previous fold's fit
     starts = [kwargs["start"] for _, kwargs, _ in pcalls]
     assert [start is None for start in starts] == [True] + [False] * (L - 1)
     same_as_cold = [
