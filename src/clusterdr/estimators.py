@@ -23,7 +23,8 @@ from .exceptions import (
     InputError,
     UnbalancedPanelError,
 )
-from .glm import logistic_fit, predict_proba, stacked_block_r, wls_fit
+from .glm import (logistic_fit, predict_proba, row_blocks, stacked_block_r,
+                  wls_fit)
 from .suffstats import overlap_set
 
 __all__ = [
@@ -62,11 +63,16 @@ def psi(y, w, mu1, mu0, e):
     mu1 = np.asarray(mu1, dtype=float)
     mu0 = np.asarray(mu0, dtype=float)
     e = np.asarray(e, dtype=float)
+    return mu1 - mu0 + _ipw_correction(y, w, mu1, mu0, e)
+
+
+def _ipw_correction(y, w, mu1, mu0, e):
+    """The inverse-propensity correction in :func:`psi`: the residual
+    from the arm observed times ``w / e - (1 - w) / (1 - e)``."""
     if np.any(e <= 0.0) or np.any(e >= 1.0):
         raise InputError("propensities must lie strictly in (0, 1)")
     mu_w = np.where(w == 1.0, mu1, mu0)
-    correction = (w / e - (1.0 - w) / (1.0 - e)) * (y - mu_w)
-    return mu1 - mu0 + correction
+    return (w / e - (1.0 - w) / (1.0 - e)) * (y - mu_w)
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +94,10 @@ def _within_fit(d: Dataset, omega, what: str) -> float:
     without the dummies: remove the ``omega``-weighted cluster means of
     ``[y | w | x]`` and fit the residuals with the same weights."""
     v = np.column_stack([d.y, d.w, d.x])
-    v -= d.cluster_means(v, omega)[d.cluster_index]
+    means = d.cluster_means(v, omega)
+    # One column at a time, so no second n-row matrix is made.
+    for j in range(v.shape[1]):
+        v[:, j] -= means[d.cluster_index, j]
     _check_treatment_variation(v[:, 1], what)
     fit = wls_fit(v[:, 1:], v[:, 0], weights=omega)
     return float(fit.coefficients[0])
@@ -109,10 +118,16 @@ def fe_ols(d: Dataset) -> float:
 def mundlak_ols(d: Dataset) -> float:
     """Treatment coefficient of the pooled regression of y on
     (1, w, x, cluster means of w and x)."""
-    w_bar = d.cluster_means(d.w)[d.cluster_index]
-    x_bar = d.cluster_means(d.x)[d.cluster_index, :]
-    design = np.column_stack([np.ones(d.n), d.w, d.x, w_bar, x_bar])
-    return float(wls_fit(design, d.y).coefficients[1])
+    means = np.column_stack([d.cluster_means(d.w), d.cluster_means(d.x)])
+
+    def rows_of(block):
+        cluster = d.cluster_index[block]
+        return np.column_stack([np.ones(cluster.size), d.w[block],
+                                d.x[block], means[cluster], d.y[block]])
+
+    # [design | y] is made and factored one block of rows at a time.
+    stack = stacked_block_r(rows_of(block) for block in row_blocks(d.n))
+    return float(wls_fit(stack[:, :-1], stack[:, -1]).coefficients[1])
 
 
 def weighted_fe(d: Dataset, e_hat: np.ndarray) -> float:
@@ -178,39 +193,46 @@ def _size_dummies(d: Dataset) -> np.ndarray:
                             for s in sizes[1:]])
 
 
-def _outcome_system(d: Dataset, s_bar: np.ndarray, cfg: NuisanceConfig,
-                    size_cols: np.ndarray):
-    """``[design | y]`` for the outcome model at the observed treatment,
-    plus the treatment columns and, for each, the column it is w times
-    (the intercept for w itself), so a fit can be evaluated at w = 1
-    and w = 0 without building either design."""
-    w = d.w
-    t = s_bar.shape[1] if cfg.outcome_use_summaries else 0
-    parts = [np.ones(d.n), w, d.x]
-    if cfg.outcome_use_summaries:
-        parts.append(s_bar)
-    treat, parent = [1], [0]
-    if cfg.outcome_interactions:
-        parts.append(d.x * w[:, None])
-        if cfg.outcome_use_summaries:
-            parts.append(s_bar * w[:, None])
-        first = 2 + d.k + t
-        treat += range(first, first + d.k + t)
-        parent += range(2, 2 + d.k + t)
-    if cfg.size_indicators and size_cols.shape[1]:
-        parts.append(size_cols)
-    parts.append(d.y)
-    return np.column_stack(parts), np.array(treat), np.array(parent)
-
-
-def _propensity_design(d: Dataset, s_bar: np.ndarray, cfg: NuisanceConfig,
-                       size_cols: np.ndarray) -> np.ndarray:
-    parts = [np.ones(d.n), d.x]
-    if cfg.propensity_use_summaries:
-        parts.append(s_bar)
-    if cfg.size_indicators and size_cols.shape[1]:
-        parts.append(size_cols)
+def _base_rows(d: Dataset, s_bar: np.ndarray, use_summaries: bool,
+               size_cols: np.ndarray, rows) -> np.ndarray:
+    """``[1 | x | s_bar | size_cols]`` on ``rows`` (``s_bar`` only when
+    ``use_summaries``): the propensity design, and the outcome design
+    without its treatment columns."""
+    parts = [np.ones(len(rows)), d.x[rows]]
+    if use_summaries:
+        parts.append(s_bar[rows])
+    if size_cols.shape[1]:
+        parts.append(size_cols[rows])
     return np.column_stack(parts)
+
+
+def _outcome_rows(d: Dataset, s_bar: np.ndarray, cfg: NuisanceConfig,
+                  size_cols: np.ndarray, rows) -> np.ndarray:
+    """``[design | y]`` of the outcome model on ``rows`` at the observed
+    treatment: ``[1 | w | x | s_bar | x w | s_bar w | size_cols | y]``,
+    less the summaries or the interactions that ``cfg`` leaves out."""
+    w = d.w[rows]
+    x = d.x[rows]
+    s = s_bar[rows] if cfg.outcome_use_summaries else x[:, :0]
+    parts = [np.ones(w.size), w, x, s]
+    if cfg.outcome_interactions:
+        parts += [x * w[:, None], s * w[:, None]]
+    return np.column_stack(parts + [size_cols[rows], d.y[rows]])
+
+
+def _outcome_layout(k: int, t: int, z: int, cfg: NuisanceConfig):
+    """Column indices of the outcome design of :func:`_outcome_rows`,
+    with ``t`` summary and ``z`` size columns: the columns of
+    :func:`_base_rows`, the treatment columns, and for each treatment
+    column the position in the first list of the column it is w times
+    (the intercept for w itself)."""
+    treat, parent = [1], [0]
+    end = 2 + k + t
+    if cfg.outcome_interactions:
+        treat += range(end, end + k + t)
+        parent += range(1, 1 + k + t)
+        end += k + t
+    return [0, *range(2, 2 + k + t), *range(end, end + z)], treat, parent
 
 
 def fit_nuisances(
@@ -231,16 +253,21 @@ def fit_nuisances(
     Raises when a training fold contains only one treatment arm.
 
     The outcome model is fit once on both arms with treatment in the
-    design, then evaluated at w=1 and w=0. ``[design | y]`` is built
-    once and each fold's rows are factored in 8,192-row blocks
-    (:func:`~clusterdr.glm.stacked_block_r`). The R factor of stacked R
-    factors is the R factor of the stacked rows (TSQR), so a fold's
-    training system is the stack of the other folds' triangles, which
-    :func:`~clusterdr.glm.wls_fit` solves with the training rows'
-    column norms and rank rule. The propensity model is
-    :func:`~clusterdr.glm.logistic_fit` on the training rows, which
-    drops columns by the same rule; each fold's fit starts from the
-    previous fold's coefficients unless that fit ran into separation.
+    design, then evaluated at w=1 and w=0. Each fold's ``[design | y]``
+    is built from its own rows, factored in 8,192-row blocks
+    (:func:`~clusterdr.glm.stacked_block_r`) and dropped. The R factor
+    of stacked R factors is the R factor of the stacked rows (TSQR), so
+    a fold's training system is the stack of the other folds'
+    triangles, which :func:`~clusterdr.glm.wls_fit` solves with the
+    training rows' column norms and rank rule. The held-out means come
+    from the coefficient blocks: those of the columns without w give
+    mu0, and adding each treatment column's coefficient to that of the
+    column it is w times gives mu1. The propensity model is
+    :func:`~clusterdr.glm.logistic_fit` on the training rows, built for
+    that fold alone, which drops columns by the same rule; each fold's
+    fit starts from the previous fold's coefficients unless that fit ran
+    into separation. Besides its inputs and outputs, the stage holds
+    one training design and a few held-out arrays at a time.
     """
     cfg = cfg or NuisanceConfig()
     fold_of_cluster = np.asarray(fold_of_cluster)
@@ -265,21 +292,26 @@ def fit_nuisances(
         raise InputError(
             f"summaries have shape {s_bar.shape}, expected ({d.n}, t)"
         )
-    w = d.w
-    size_cols = _size_dummies(d)
-    m, treat, parent = _outcome_system(d, s_bar, cfg, size_cols)
-    p = m.shape[1] - 1
-    design_e = _propensity_design(d, s_bar, cfg, size_cols)
+    size_cols = (_size_dummies(d) if cfg.size_indicators
+                 else np.empty((d.n, 0)))
+    base, treat, parent = _outcome_layout(
+        d.k, s_bar.shape[1] if cfg.outcome_use_summaries else 0,
+        size_cols.shape[1], cfg)
+    p = len(base) + len(treat)
 
     fold_of_unit = fold_of_cluster[d.cluster_index]
-    tests = [fold_of_unit == fold for fold in range(L)]
-    tri = [stacked_block_r(m[test]) for test in tests]
+    tests = [np.flatnonzero(fold_of_unit == fold) for fold in range(L)]
+    # Each fold's held-out [design | y] is built and factored one block
+    # at a time, so only its triangles are kept.
+    tri = [stacked_block_r(_outcome_rows(d, s_bar, cfg, size_cols, test[rows])
+                           for rows in row_blocks(test.size))
+           for test in tests]
 
     mu0, mu1, e = np.empty((3, d.n))
     start = None
     for fold, test in enumerate(tests):
-        train = ~test
-        w_train = w[train]
+        train = np.flatnonzero(fold_of_unit != fold)
+        w_train = d.w[train]
         if w_train.min() == w_train.max():
             raise DegenerateDesignError(
                 f"training split for fold {fold} has a single treatment arm"
@@ -288,17 +320,26 @@ def fit_nuisances(
         coef = wls_fit(stack[:, :p], stack[:, p]).coefficients
         # mu(w) = design(w) @ coef: at w = 0 the treatment columns
         # vanish, at w = 1 each adds its coefficient to its parent's.
-        coef0 = coef.copy()
-        coef0[treat] = 0.0
+        coef0 = coef[base]
         coef1 = coef0.copy()
         coef1[parent] += coef[treat]
-        rows = m[test, :p]
+        rows = _base_rows(d, s_bar, cfg.outcome_use_summaries, size_cols,
+                          test)
         mu0[test] = rows @ coef0
         mu1[test] = rows @ coef1
-        pfit = logistic_fit(design_e[train], w_train, ridge=cfg.ridge,
-                            start=start)
+        if cfg.propensity_use_summaries != cfg.outcome_use_summaries:
+            rows = _base_rows(d, s_bar, cfg.propensity_use_summaries,
+                              size_cols, test)
+        # The training design is filled one block at a time and freed
+        # before the next fold's is made.
+        design = np.empty((train.size, rows.shape[1]))
+        for block in row_blocks(train.size):
+            design[block] = _base_rows(d, s_bar, cfg.propensity_use_summaries,
+                                       size_cols, train[block])
+        pfit = logistic_fit(design, w_train, ridge=cfg.ridge, start=start)
+        del design
         start = None if pfit.separation_detected else pfit.coefficients
-        e[test] = predict_proba(pfit, design_e[test])
+        e[test] = predict_proba(pfit, rows)
 
     return NuisanceEstimates(mu0=mu0, mu1=mu1, e=e, fold_of_unit=fold_of_unit)
 
@@ -365,13 +406,11 @@ def dr_estimate(
     a_bar = float(a.mean())
     if a_bar == 0.0:
         raise EmptyOverlapError("trimming removed every unit")
-    w = d.w
-    scores = psi(d.y, w, nu.mu1, nu.mu0, nu.e)
-    tau_hat = float(np.sum(a * scores) / (d.n * a_bar))
-
-    mu_w = np.where(w == 1.0, nu.mu1, nu.mu0)
-    ipw = w / nu.e - (1.0 - w) / (1.0 - nu.e)
-    correction = a * ipw * (d.y - mu_w)
+    # One correction term serves the score (psi) and the variance.
+    correction = _ipw_correction(d.y, d.w, nu.mu1, nu.mu0, nu.e)
+    tau_hat = float(np.sum(a * (nu.mu1 - nu.mu0 + correction))
+                    / (d.n * a_bar))
+    correction *= a
     xi = d.cluster_means(correction)
     v_hat = float(np.mean((xi - xi.mean()) ** 2) / a_bar**2)
     se = float(np.sqrt(v_hat / d.c))

@@ -6,6 +6,13 @@ one rank rule, an unpivoted Householder QR of the design rows: columns
 are examined left to right and one that adds nothing to the span of
 those already kept is dropped, so of two duplicated columns the later
 one goes. Both fits then run on the kept columns only.
+
+Both read the design in 8,192-row blocks and copy no more than one
+block of it. The R factor of stacked block R factors is the R factor of
+the stacked rows (TSQR; Demmel, Grigori, Hoemmen & Langou 2012), so the
+rank rule factors one block at a time, and each Newton step of the
+logistic fit is one pass over the blocks. A fit on at most 8,192 rows
+is one block: one QR of its rows, as without blocking.
 """
 
 from __future__ import annotations
@@ -75,32 +82,48 @@ def _as_design(design) -> np.ndarray:
     return design
 
 
-def _rank_rule(a: np.ndarray, b=None):
+def _rank_rule(a: np.ndarray, b=None, root=None):
     """Drop the columns of ``a`` that its rows do not identify.
 
-    ``[a | b]`` (``a`` alone when ``b`` is None) gets one unpivoted
-    Householder QR. Its diagonal entry |R_jj| is the norm of column j's
-    residual against the columns before it, so the first column with
-    |R_jj| at or below ``1e-9 * max(largest column norm, 1)`` is dropped
-    and the kept columns are factored again; with fewer rows than
-    columns, every column past the rank is dropped. Returns (kept,
-    dropped, R of the kept columns and ``b``); :func:`logistic_fit` runs
-    Newton, and reads its ``tol``, in the orthogonal basis that R gives.
+    ``[a | b]`` (``a`` alone when ``b`` is None), with each row times
+    ``root`` when given, gets one unpivoted Householder QR, taken as the
+    QR of the stacked R factors of its 8,192-row blocks; each block is
+    built from the rows of ``a`` as it is factored. The diagonal entry
+    |R_jj| is the norm of column j's residual against the columns before
+    it, so the first column with |R_jj| at or below ``1e-9 * max(largest
+    column norm, 1)`` is dropped and the kept columns are factored
+    again; with fewer rows than columns, every column past the rank is
+    dropped. Returns (kept, dropped, R of the kept columns and ``b``);
+    :func:`logistic_fit` runs Newton, and reads its ``tol``, in the
+    orthogonal basis that R gives.
     """
     n, p = a.shape
-    sq_norms = np.einsum("ij,ij->j", a, a)
-    scale = max(math.sqrt(sq_norms.max(initial=0.0)), 1.0)
-    tol = 1e-9 * scale
+    tail = 0 if b is None else 1
     kept = list(range(p))
     dropped: list = []
-    tail = np.empty((n, 0)) if b is None else b[:, None]
+    sq_norms = np.zeros(p)
     while True:
+        k = len(kept)
+        cols = kept if dropped else slice(None)
         # LAPACK factors column-major storage; building it so saves a copy.
-        ab = np.empty((n, len(kept) + tail.shape[1]), order="F")
-        ab[:, : len(kept)] = a[:, kept]
-        ab[:, len(kept):] = tail
-        r = np.linalg.qr(ab, mode="r")
-        diag = np.abs(np.diagonal(r))[: len(kept)]
+        ab = np.empty((min(n, _QR_BLOCK), k + tail), order="F")
+        tris = []
+        for rows in row_blocks(n):
+            blk = ab[:min(n - rows.start, _QR_BLOCK)]
+            if root is None:
+                blk[:, :k] = a[rows, cols]
+            else:
+                np.multiply(a[rows, cols], root[rows, None], out=blk[:, :k])
+            if tail:
+                blk[:, k] = b[rows] if root is None else b[rows] * root[rows]
+            if not dropped:
+                sq_norms += np.einsum("ij,ij->j", blk[:, :k], blk[:, :k])
+            tris.append(np.linalg.qr(blk, mode="r"))
+        r = tris[0] if len(tris) == 1 else np.linalg.qr(np.vstack(tris),
+                                                        mode="r")
+        if not dropped:
+            tol = 1e-9 * max(math.sqrt(sq_norms.max(initial=0.0)), 1.0)
+        diag = np.abs(np.diagonal(r))[:k]
         small = np.flatnonzero(diag <= tol)
         if not small.size:
             break
@@ -114,16 +137,18 @@ def _rank_rule(a: np.ndarray, b=None):
     return kept[:rank], tuple(dropped), r
 
 
-def stacked_block_r(a: np.ndarray) -> np.ndarray:
-    """R factors of the 8,192-row blocks of ``a``, stacked.
+def row_blocks(n: int) -> list:
+    """Slices of ``0..n`` into the 8,192-row blocks that the QR and the
+    Newton passes read (one empty block when n is 0)."""
+    return [slice(lo, lo + _QR_BLOCK) for lo in range(0, max(n, 1), _QR_BLOCK)]
 
-    The R factor of stacked R factors is the R factor of the stacked
-    rows (TSQR; Demmel, Grigori, Hoemmen & Langou 2012), so the stack
-    has the normal equations of ``a`` in at most blocks * p rows, and
-    blocks factor faster than one tall matrix.
-    """
-    return np.vstack([np.linalg.qr(a[i:i + _QR_BLOCK], mode="r")
-                      for i in range(0, max(a.shape[0], 1), _QR_BLOCK)])
+
+def stacked_block_r(blocks) -> np.ndarray:
+    """R factors of ``blocks``, the row blocks of a matrix, stacked: the
+    normal equations of the matrix in at most blocks * p rows (TSQR), for
+    :func:`wls_fit` to solve. A caller that makes each block only when
+    it is factored never holds the whole matrix."""
+    return np.vstack([np.linalg.qr(block, mode="r") for block in blocks])
 
 
 def wls_fit(design, response, weights=None) -> WlsFit:
@@ -135,7 +160,9 @@ def wls_fit(design, response, weights=None) -> WlsFit:
     identify (the rule shared with :func:`logistic_fit`, see
     ``_rank_rule``); the kept triangle then gives the coefficients. On
     the retained columns the weighted residuals are orthogonal to the
-    design up to ``1e-8 * (1 + ||response||)``.
+    design up to ``1e-8 * (1 + ||response||)``. The QR runs on 8,192-row
+    blocks of the weighted rows, made one at a time, so the fit copies
+    no more than one block of the design.
 
     Any system with the same normal equations gives the same fit, so a
     caller holding R factors of blocks of ``[A | b]``'s rows may pass
@@ -150,6 +177,7 @@ def wls_fit(design, response, weights=None) -> WlsFit:
         raise InputError(f"response has shape {b.shape}, expected ({n},)")
     if not np.all(np.isfinite(b)):
         raise InputError("response contains non-finite values")
+    root = None
     if weights is not None:
         wt = np.asarray(weights, dtype=float)
         if wt.shape != (n,):
@@ -159,9 +187,7 @@ def wls_fit(design, response, weights=None) -> WlsFit:
         if not np.any(wt > 0):
             raise InputError("all weights are zero")
         root = np.sqrt(wt)
-        a = a * root[:, None]
-        b = b * root
-    kept, dropped, r = _rank_rule(a, b)
+    kept, dropped, r = _rank_rule(a, b, root)
     rank = len(kept)
     coef = np.zeros(p)
     if kept:
@@ -174,55 +200,67 @@ def _sigmoid(eta: np.ndarray) -> np.ndarray:
     return np.where(eta >= 0.0, 1.0, z) / (1.0 + z)
 
 
-def _prob_loglik(eta, y, penalty):
-    """Probabilities and the log-likelihood less ``penalty`` at ``eta``
-    from one ``exp(-|eta|)``."""
-    z = np.exp(-np.abs(eta))
-    prob = np.where(eta >= 0.0, 1.0, z) / (1.0 + z)
-    # log(1 + exp(eta)) = max(eta, 0) + log1p(exp(-|eta|))
-    terms = y * eta - np.maximum(eta, 0.0) - np.log1p(z)
-    return prob, float(terms.sum()) - penalty
+def _newton_terms(a, blocks, cols, y, s_inv, pen, g):
+    """One pass over the row ``blocks`` of ``a[:, cols]`` at ``g``: the
+    log-likelihood of ``q @ g`` less ``g @ pen @ g / 2`` (``pen`` None:
+    no penalty), the least and largest probability, the score and the
+    Hessian, for the basis rows ``q = a[:, cols] @ s_inv`` of each block
+    in turn."""
+    ll, p_lo, p_hi, score, h = 0.0, 1.0, 0.0, 0.0, 0.0
+    for rows in blocks:
+        q = a[rows, cols] @ s_inv
+        yb = y[rows]
+        eta = q @ g
+        # One exp(-|eta|) gives the probability and
+        # log(1 + exp(eta)) = max(eta, 0) + log1p(exp(-|eta|)).
+        z = np.exp(-np.abs(eta))
+        prob = np.where(eta >= 0.0, 1.0, z) / (1.0 + z)
+        ll += float((yb * eta - np.maximum(eta, 0.0) - np.log1p(z)).sum())
+        p_lo = min(p_lo, float(prob.min(initial=1.0)))
+        p_hi = max(p_hi, float(prob.max(initial=0.0)))
+        # einsum sums the rows in a fixed order; the order of q.T @ v
+        # follows the BLAS thread count.
+        score = score + np.einsum("ij,i->j", q, yb - prob)
+        h = h + (q * (prob * (1.0 - prob))[:, None]).T @ q
+    if pen is not None:
+        ll -= 0.5 * g @ pen @ g
+        score = score - pen @ g
+        h = h + pen
+    return ll, p_lo, p_hi, score, h
 
 
-def _irls(q, y, tol, max_iter, ridge, s_inv, g):
-    """Damped Newton from ``g`` on the log-likelihood of ``q @ g`` less
-    ``ridge * beta @ beta / 2`` for ``beta = s_inv @ g``. Without a ridge
-    it stops at the first separation, so every solve sees ``q.T D q``
-    with every weight in D positive, or a positive penalty."""
-    n, p = q.shape
-    pen = ridge * (s_inv.T @ s_inv)
-    prob, ll = _prob_loglik(q @ g, y, 0.5 * g @ pen @ g)
+def _irls(a, cols, y, tol, max_iter, ridge, s_inv, g):
+    """Damped Newton from ``g`` on the log-likelihood of ``q @ g``, for
+    ``q = a[:, cols] @ s_inv``, less ``ridge * beta @ beta / 2`` for
+    ``beta = s_inv @ g``. Without a ridge it stops at the first
+    separation, so every solve sees ``q.T D q`` with every weight in D
+    positive, or a positive penalty."""
+    blocks = row_blocks(a.shape[0])
+    pen = ridge * (s_inv.T @ s_inv) if ridge else None
+    ll, p_lo, p_hi, score, h = _newton_terms(a, blocks, cols, y, s_inv, pen,
+                                             g)
     separation = False
     # ``iterations`` counts the Newton steps taken before this check;
     # separation: a probability left the open interval (1e-10, 1 - 1e-10)
     for iterations in range(max_iter + 1):
-        separation = (separation or prob.min(initial=1.0) <= _PROB_FLOOR
-                      or prob.max(initial=0.0) >= 1.0 - _PROB_FLOOR)
-        # einsum sums the rows in a fixed order; the order of q.T @ v
-        # follows the BLAS thread count.
-        score = np.einsum("ij,i->j", q, y - prob) - pen @ g
-        max_abs_score = float(np.max(np.abs(score))) if p else 0.0
+        separation = (separation or p_lo <= _PROB_FLOOR
+                      or p_hi >= 1.0 - _PROB_FLOOR)
+        max_abs_score = float(np.max(np.abs(score))) if score.size else 0.0
         if (max_abs_score < tol or iterations == max_iter
                 or (separation and ridge == 0.0)):
             break
-        d = prob * (1.0 - prob)
-        # Summed by row block, so no n x p temporary is made.
-        h = pen.copy()
-        for i in range(0, n, _QR_BLOCK):
-            block = q[i:i + _QR_BLOCK]
-            h += (block * d[i:i + _QR_BLOCK, None]).T @ block
         step = np.linalg.solve(h, score)
         # Damped update: halve until the penalized log-likelihood
         # does not decrease.
         scale = 1.0
         for _ in range(40):
             g_new = g + scale * step
-            prob_new, ll_new = _prob_loglik(q @ g_new, y,
-                                            0.5 * g_new @ pen @ g_new)
-            if ll_new >= ll - 1e-12 * (1.0 + abs(ll)):
+            terms = _newton_terms(a, blocks, cols, y, s_inv, pen, g_new)
+            if terms[0] >= ll - 1e-12 * (1.0 + abs(ll)):
                 break
             scale *= 0.5
-        g, prob, ll = g_new, prob_new, ll_new
+        g = g_new
+        ll, p_lo, p_hi, score, h = terms
     return g, max_abs_score < tol, iterations, max_abs_score, separation
 
 
@@ -243,18 +281,21 @@ def logistic_fit(
     With A the kept columns and ``S = R / sqrt(n)``, Newton runs on
     ``g = S @ beta`` in the orthogonal basis ``q = A @ inv(S)``, whose
     columns have unit mean square whatever the scale of A; IRLS is then
-    a sequence of least-squares problems in q (Green 1984). It starts
-    from zero or from ``start`` (one coefficient per design column,
-    e.g. a fit on overlapping data; entries of dropped columns are
-    ignored) mapped in as ``S @ start``;
+    a sequence of least-squares problems in q (Green 1984). Each step
+    makes q one 8,192-row block at a time and takes the probabilities,
+    log-likelihood, score and Hessian from that block before the next,
+    so no n-row array is kept. It starts from zero or from ``start``
+    (one coefficient per design column, e.g. a fit on overlapping data;
+    entries of dropped columns are ignored) mapped in as ``S @ start``;
     ``iterations`` counts the steps from there. ``tol`` is read in that
     basis: convergence means every entry of the score ``q.T @ (y - p)``,
     less the ridge term, is below ``tol`` in absolute value, and
     ``max_abs_score`` is the largest. ``ridge`` penalizes ``beta @ beta
     / 2``. When ``ridge`` is zero and the fit runs into separation (a
     fitted probability leaving the open interval (1e-10, 1 - 1e-10), the
-    start included), the fit restarts once from zero with ridge 1e-6;
-    the result still reports ``separation_detected``.
+    start included), a fit from ``start`` first retries once from zero,
+    and if that separates too the fit restarts from zero with ridge
+    1e-6; the result then still reports ``separation_detected``.
     """
     a = _as_design(design)
     y = np.asarray(labels, dtype=float)
@@ -274,23 +315,22 @@ def logistic_fit(
         if not np.all(np.isfinite(start)):
             raise InputError("start contains non-finite values")
 
-    # The rule runs on the stacked block triangles, not a copy of the rows.
-    kept, dropped, r = _rank_rule(stacked_block_r(a))
-    if dropped:
-        # R of the kept columns' own triangles, as a fit on the design
-        # without the dropped columns computes it.
-        a = a[:, kept]
-        r = np.linalg.qr(stacked_block_r(a), mode="r")
-    s = r / math.sqrt(n)
+    kept, dropped, r = _rank_rule(a)
+    k = len(kept)
+    cols = kept if dropped else slice(None)
+    s = r[:k, :k] / math.sqrt(n)
     s_inv = np.linalg.inv(s)
-    q = a @ s_inv
-    g = np.zeros(len(kept)) if start is None else s @ start[kept]
+    g = np.zeros(k) if start is None else s @ start[kept]
     g, converged, iters, max_score, separation = _irls(
-        q, y, tol, max_iter, ridge, s_inv, g)
+        a, cols, y, tol, max_iter, ridge, s_inv, g)
+    if separation and ridge == 0.0 and start is not None:
+        # A start far from the optimum can reach the floor on the way.
+        g, converged, iters, max_score, separation = _irls(
+            a, cols, y, tol, max_iter, ridge, s_inv, np.zeros(k))
     if separation and ridge == 0.0:
         ridge = 1e-6
         g, converged, iters, max_score, _ = _irls(
-            q, y, tol, max_iter, ridge, s_inv, np.zeros(len(kept)))
+            a, cols, y, tol, max_iter, ridge, s_inv, np.zeros(k))
     coef = np.zeros(p)
     coef[kept] = s_inv @ g
     return LogisticFit(coefficients=coef, converged=converged,

@@ -497,3 +497,97 @@ def chunked_read_units(path, outcome, treatment, labels, covariates=None):
     return (np.concatenate(ys), np.concatenate(ws),
             [list(itertools.chain.from_iterable(col)) for col in zip(*labs)],
             x)
+
+
+def _unblocked_rank_rule(a, b=None):
+    """The QR rank rule on all rows at once: one unpivoted Householder QR
+    of ``[a | b]``, dropping the first column whose |R_jj| is at or below
+    ``1e-9 * max(largest column norm, 1)`` and refactoring, until none
+    is; with fewer rows than columns, the columns past the rank go too.
+    Returns (kept, dropped, R of the kept columns and ``b``)."""
+    n, p = a.shape
+    tol = 1e-9 * max(math.sqrt(np.einsum("ij,ij->j", a, a).max(initial=0.0)),
+                     1.0)
+    kept, dropped = list(range(p)), []
+    tail = np.empty((n, 0)) if b is None else b[:, None]
+    while True:
+        r = np.linalg.qr(np.column_stack([a[:, kept], tail]), mode="r")
+        diag = np.abs(np.diagonal(r))[:len(kept)]
+        small = np.flatnonzero(diag <= tol)
+        if not small.size:
+            break
+        dropped.append(kept.pop(int(small[0])))
+    rank = diag.size
+    dropped.extend(kept[rank:])
+    return kept[:rank], tuple(dropped), r
+
+
+def unblocked_wls_fit(design, response, weights=None):
+    """Weighted least squares by one QR of the whole weighted system
+    ``[A | b]``, with the library's rank rule. Returns (coefficients,
+    dropped columns), a dropped column's coefficient being 0."""
+    a = np.asarray(design, dtype=float)
+    b = np.asarray(response, dtype=float)
+    if weights is not None:
+        root = np.sqrt(np.asarray(weights, dtype=float))
+        a, b = a * root[:, None], b * root
+    kept, dropped, r = _unblocked_rank_rule(a, b)
+    rank = len(kept)
+    coef = np.zeros(a.shape[1])
+    if kept:
+        coef[kept] = np.linalg.solve(r[:rank, :rank], r[:rank, -1])
+    return coef, dropped
+
+
+def stored_basis_logistic_fit(design, labels, tol=1e-8, max_iter=100,
+                              ridge=0.0):
+    """Cold-started damped Newton on the logistic log-likelihood in the
+    orthogonal basis ``q = A_kept @ inv(S)``, ``S = R / sqrt(n)``, with
+    q stored whole and every probability kept between steps; a run that
+    separates without a ridge is redone with ridge 1e-6. Returns
+    (coefficients, dropped columns, ridge)."""
+    a = np.asarray(design, dtype=float)
+    y = np.asarray(labels, dtype=float)
+    n, p = a.shape
+    kept, dropped, r = _unblocked_rank_rule(a)
+    k = len(kept)
+    s = r[:k, :k] / math.sqrt(n)
+    s_inv = np.linalg.inv(s)
+    q = a[:, kept] @ s_inv
+
+    def loglik(g, pen):
+        eta = q @ g
+        prob = 1.0 / (1.0 + np.exp(-eta))
+        ll = float(np.sum(y * eta - np.logaddexp(0.0, eta)))
+        return prob, ll - 0.5 * g @ pen @ g
+
+    def irls(ridge):
+        pen = ridge * (s_inv.T @ s_inv)
+        g = np.zeros(k)
+        prob, ll = loglik(g, pen)
+        for it in range(max_iter + 1):
+            if (ridge == 0.0 and (prob.min(initial=1.0) <= 1e-10
+                                  or prob.max(initial=0.0) >= 1 - 1e-10)):
+                return g, True
+            score = q.T @ (y - prob) - pen @ g
+            if np.max(np.abs(score), initial=0.0) < tol or it == max_iter:
+                return g, False
+            h = (q * (prob * (1.0 - prob))[:, None]).T @ q + pen
+            step = np.linalg.solve(h, score)
+            scale = 1.0
+            for _ in range(40):
+                g_new = g + scale * step
+                prob_new, ll_new = loglik(g_new, pen)
+                if ll_new >= ll - 1e-12 * (1.0 + abs(ll)):
+                    break
+                scale *= 0.5
+            g, prob, ll = g_new, prob_new, ll_new
+        return g, False
+
+    g, separated = irls(ridge)
+    if separated:
+        ridge = 1e-6
+        g, _ = irls(ridge)
+    coef = np.zeros(p)
+    coef[kept] = s_inv @ g
+    return coef, dropped, ridge

@@ -1,6 +1,7 @@
 """Point estimators, nuisance cross-fitting, variance, panel check."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -353,6 +354,25 @@ def test_stacked_triangles_fit_like_training_rows(seed, p, fold_rows,
         np.testing.assert_allclose(held_out @ got.coefficients,
                                    held_out @ want.coefficients,
                                    rtol=0.0, atol=1e-13 * cond * (1 + size))
+
+
+def test_fit_nuisances_working_set_per_unit():
+    # Besides its inputs, cross-fitting holds its outputs, one training
+    # design and a few held-out arrays: about 107 bytes per unit here.
+    # With the outcome system, the propensity design, per-fold row
+    # copies and n-row Newton temporaries all at once it took 338.
+    d = generate(dgp_preset("nonlinear-u", c=20_000, n_c=10), 0).dataset
+    s_bar = build_suffstats(d, mundlak_spec(d.k))
+    folds = cross_fit_folds(d.c, 5, seed=0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fit_nuisances(d, s_bar, folds)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 200 * d.n, peak / d.n
 
 
 def test_fold_after_separated_fit_starts_cold(monkeypatch):
