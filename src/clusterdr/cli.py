@@ -46,7 +46,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import CsvSchema, load_csv, validate, write_table
+from .dataset import CsvSchema, column_texts, load_csv, validate, write_table
 from .estimators import (
     NuisanceConfig,
     dr_estimate,
@@ -76,9 +76,81 @@ _FIRST_WARNED = 20
 
 
 def canonical_body_bytes(body: dict) -> bytes:
-    """The byte-comparable serialization of a report body."""
-    return (json.dumps(body, sort_keys=True, indent=2, allow_nan=False)
-            + "\n").encode("utf-8")
+    """The byte-comparable serialization of a report body. It is
+    defined as ``json.dumps(body, sort_keys=True, indent=2,
+    allow_nan=False) + "\\n"`` in UTF-8, which :func:`_json` writes
+    directly."""
+    return (_json(body, "\n") + "\n").encode("ascii")
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json(value, newline: str) -> str:
+    """``value`` as sorted-key, two-space-indented, ASCII-only JSON that
+    starts at the indent ``newline`` ends in, byte for byte as
+    ``json.dumps`` writes it.
+
+    ``json.dumps`` with an indent runs json's pure-Python encoder, which
+    holds every token as a separate string until the end. Here each
+    container is joined as soon as its items are, and a list of floats
+    is joined with ``float.__repr__`` in one pass. NaN and infinities
+    raise ``ValueError``, and values json cannot write raise
+    ``TypeError``, as in ``json.dumps``; the value must hold no cycle.
+    """
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        try:
+            items = ("," + inner).join(map(float.__repr__, value))
+        except TypeError:  # not all floats
+            items = ("," + inner).join([_json(v, inner) for v in value])
+        else:
+            if "n" in items:  # "nan" or "inf": no finite repr has an n
+                for v in value:
+                    _float(v)
+        return f"[{inner}{items}{newline}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = ("," + inner).join([
+            f"{_key(k)}: {_json(v, inner)}" for k, v in sorted(value.items())])
+        return f"{{{inner}{items}{newline}}}"
+    raise TypeError(f"Object of type {value.__class__.__name__} "
+                    f"is not JSON serializable")
+
+
+def _float(value: float) -> str:
+    if not math.isfinite(value):
+        raise ValueError("Out of range float values are not JSON "
+                         f"compliant: {value!r}")
+    return float.__repr__(value)
+
+
+def _key(key) -> str:
+    """A dict key as ``json.dumps`` writes it: quoted, and a float,
+    bool, None or int as its JSON value."""
+    if isinstance(key, str):
+        return _quote(key)
+    if isinstance(key, float):
+        return _quote(_float(key))
+    if key is True or key is False or key is None or isinstance(key, int):
+        return _quote(_json(key, ""))
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
 
 
 def config_hash(cfg: dict) -> str:
@@ -237,7 +309,8 @@ def _write_report(body: dict, output: str, extra_meta: dict = None) -> Path:
     """Write ``{"body": body, "meta": meta}`` as sorted-key, two-space
     JSON, the canonical body bytes nested one level deep, so the body is
     encoded once. Indenting after each newline is exact because JSON
-    escapes every newline inside a string."""
+    escapes every newline inside a string; ``meta`` is encoded at that
+    depth directly."""
     body_bytes = canonical_body_bytes(body)
     meta = {
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
@@ -251,13 +324,11 @@ def _write_report(body: dict, output: str, extra_meta: dict = None) -> Path:
         if err is not None:
             where = "/".join(map(str, err[0]))
             raise EstimationError(f"malformed output: {where}: {err[1]}")
-        meta_bytes = json.dumps(meta, sort_keys=True, indent=2,
-                                allow_nan=False).encode("utf-8")
         path = Path(output)
         path.write_bytes(b'{\n  "body": '
                          + body_bytes[:-1].replace(b"\n", b"\n  ")
                          + b',\n  "meta": '
-                         + meta_bytes.replace(b"\n", b"\n  ")
+                         + _json(meta, "\n  ").encode("ascii")
                          + b"\n}\n")
     return path
 
@@ -386,7 +457,7 @@ def _dr_block(output: str, d, res) -> tuple:
     xi_path, xi_sha = _side_file(
         output, ".xi.csv", lambda path: write_table(
             path, ["cluster", "xi"],
-            [d.cluster_labels, map(repr, res.xi.tolist())]))
+            [d.cluster_labels, column_texts(res.xi)]))
     return {**res.to_dict(), "xi_csv_sha256": xi_sha}, xi_path
 
 
@@ -471,11 +542,11 @@ def cmd_simulate(args) -> int:
     per_rep, body["per_rep_csv_sha256"] = _side_file(
         cfg["output"], ".reps.csv", lambda path: write_table(
             path, ["rep", "tau_hat", "se", "truth", "covered"], [
-                range(rep.reps),
-                map(repr, rep.tau_hat.tolist()),
-                map(repr, rep.se.tolist()),
-                map(repr, rep.truth.tolist()),
-                ["" if math.isnan(c) else int(c)
+                map(str, range(rep.reps)),
+                column_texts(rep.tau_hat),
+                column_texts(rep.se),
+                column_texts(rep.truth),
+                ["" if math.isnan(c) else str(int(c))
                  for c in rep.covered.tolist()],
             ]))
     path = _write_report(body, cfg["output"],
@@ -608,7 +679,7 @@ def cmd_mixture(args) -> int:
     post_path, body["posterior_csv_sha256"] = _side_file(
         cfg["output"], ".posterior.csv", lambda path: write_table(
             path, ["cluster"] + [f"post_{j}" for j in range(model.p)],
-            [d.cluster_labels, *(map(repr, col) for col in post.T.tolist())]))
+            [d.cluster_labels, *map(column_texts, post.T)]))
     meta["posterior_csv"] = str(post_path)
 
     path = _write_report(body, cfg["output"], extra_meta=meta)

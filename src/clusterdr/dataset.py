@@ -16,6 +16,7 @@ import warnings
 from array import array
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -33,12 +34,18 @@ __all__ = [
 
 def intern_labels(labels) -> tuple:
     """Dense int64 ids for a sequence of hashable labels, numbered in
-    order of first appearance, and the distinct labels in that order."""
-    labels_in_order = list(dict.fromkeys(labels))
-    id_of = {lab: j for j, lab in enumerate(labels_in_order)}
+    order of first appearance, and the distinct labels in that order.
+
+    A distinct ``str`` label comes back as a new object equal to the
+    first occurrence. A parse makes one string per row, and the first
+    occurrences are spread over all the memory those strings filled;
+    kept, they would hold all of it after the rows are freed."""
+    id_of = {lab: j for j, lab in enumerate(dict.fromkeys(labels))}
     ids = np.fromiter(map(id_of.__getitem__, labels), dtype=np.int64,
                       count=len(labels))
-    return ids, labels_in_order
+    # str(), slicing and a one-item join would return the same object
+    return ids, ["".join((lab, "")) if type(lab) is str else lab
+                 for lab in id_of]
 
 
 def group_means(index, values, n_groups: int, weights=None) -> np.ndarray:
@@ -440,14 +447,57 @@ def load_csv(path, schema: Optional[CsvSchema] = None) -> Dataset:
     return Dataset(y, w, x, clusters)
 
 
+_BLOCK_ROWS = 1024
+
+
+def column_texts(values: np.ndarray, text=repr):
+    """``text`` of each entry of the 1-d array ``values``, as a column
+    of :func:`write_table`. Entries become Python objects
+    ``_BLOCK_ROWS`` at a time, so no column is ever a list whole."""
+    return chain.from_iterable(
+        map(text, values[i:i + _BLOCK_ROWS].tolist())
+        for i in range(0, values.shape[0], _BLOCK_ROWS))
+
+
 def write_table(path, header: list, columns) -> None:
     """Write a CSV file: the ``header`` row, then row i holds entry i of
-    each of the equal-length ``columns``, written as ``csv`` formats it
-    (so floats should come as their ``repr`` strings)."""
+    each of the equal-length ``columns``, byte for byte as
+    ``csv.writer`` writes them (so floats should come as their ``repr``
+    strings).
+
+    A row of ``str`` cells none of which holds a comma, quote, CR or LF
+    is written as the cells joined by commas. Only other rows go
+    through ``csv``, so cells of other types are best passed as
+    strings. Lines are written ``_BLOCK_ROWS`` at a time.
+    """
+    commas = len(columns) - 1
+    buf = io.StringIO()
+    quoter = csv.writer(buf)
+
+    def through_csv(row) -> str:
+        buf.seek(0)
+        buf.truncate()
+        quoter.writerow(row)
+        return buf.getvalue()[:-2]  # without the "\r\n"
+
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*columns))
+        lines = [through_csv(header)]
+        for row in zip(*columns):
+            try:
+                line = ",".join(row)
+            except TypeError:  # a cell that is not a str
+                line = None
+            # csv quotes a cell that holds these, and one empty cell
+            if (line is None or line.count(",") != commas or '"' in line
+                    or "\r" in line or "\n" in line or not line):
+                line = through_csv(row)
+            lines.append(line)
+            if len(lines) == _BLOCK_ROWS:
+                lines.append("")
+                fh.write("\r\n".join(lines))
+                lines = []
+        lines.append("")
+        fh.write("\r\n".join(lines))
 
 
 def write_csv(d: Dataset, path, schema: Optional[CsvSchema] = None) -> None:
@@ -461,12 +511,15 @@ def write_csv(d: Dataset, path, schema: Optional[CsvSchema] = None) -> None:
             raise InputError(
                 f"schema names {len(covariates)} covariates, dataset has {d.k}"
             )
-    labels = d.cluster_labels
+    # each label as the text csv writes for it
+    labels = ["" if lab is None else lab if isinstance(lab, str) else str(lab)
+              for lab in d.cluster_labels]
     write_table(
         path, [schema.outcome, schema.treatment, schema.cluster] + covariates,
-        [map(repr, d.y.tolist()), d.w.astype(int).tolist(),
-         map(labels.__getitem__, d.cluster_index.tolist()),
-         *(map(repr, col) for col in d.x.T.tolist())],
+        [column_texts(d.y),
+         column_texts(d.w, {0.0: "0", 1.0: "1"}.__getitem__),
+         column_texts(d.cluster_index, labels.__getitem__),
+         *(column_texts(col) for col in d.x.T)],
     )
 
 

@@ -199,6 +199,13 @@ def axis0_unique_cells(x, w):
     return cells, unit_cell.reshape(-1)
 
 
+def dumps_body(body):
+    """The canonical body bytes as they are defined: one sorted-key,
+    two-space ``json.dumps`` and a newline."""
+    return (json.dumps(body, sort_keys=True, indent=2, allow_nan=False)
+            + "\n").encode("utf-8")
+
+
 def dumps_report(body, meta):
     """A report file's bytes: the whole payload through one sorted-key,
     two-space ``json.dumps``."""

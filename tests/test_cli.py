@@ -11,9 +11,11 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from importlib import resources
 from pathlib import Path
@@ -738,6 +740,81 @@ def test_report_file_matches_one_dumps_oracle(tmp_path_factory, fields,
     assert written == oracles.dumps_report(body, meta)
     assert (meta["body_sha256"]
             == hashlib.sha256(canonical_body_bytes(body)).hexdigest())
+
+
+_ROW_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1e16, -1e16, 1e22, 5e-324, 0.1, 1e-7]))
+# rows of floats, the posterior's shape, with ints and bools mixed in
+_ROWS = st.lists(st.lists(_ROW_FLOATS, max_size=3)
+                 | st.lists(_ROW_FLOATS | st.integers() | st.booleans(),
+                            max_size=3).map(tuple), max_size=4)
+_CONTROL_TEXT = st.text(st.characters(max_codepoint=0x2FF)
+                        | st.sampled_from(["\u2028", "\uffff", "\U0001f600"]),
+                        max_size=5)
+_BODY_VALUES = st.recursive(
+    _JSON | _ROWS | _CONTROL_TEXT,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(_TEXT | _CONTROL_TEXT, inner,
+                                     max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(body=st.dictionaries(_TEXT | _CONTROL_TEXT, _BODY_VALUES, max_size=5))
+def test_canonical_body_bytes_match_json_dumps_oracle(body):
+    assert canonical_body_bytes(body) == oracles.dumps_body(body)
+
+
+@pytest.mark.parametrize("value", [
+    {"a": 1, "b": [1.0, 2]}, [[]], [{}], (1.5, -0.0), {"a": (None, True)},
+    {"x": "\x00\x1f\x7f é"}, {"x": [[1e16, 5e-324], [True, 0.5]]},
+    "top-level text", 2.5, None, {1: "int key", 2: [0.5]},
+    {1.5: "float key", -0.0: 1}, {True: "a", False: "b"}, {None: [2, 1]},
+    {"f": np.float64(0.25), "r": [np.float64(1.5), 0.5]},
+])
+def test_canonical_body_bytes_of_fixed_values(value):
+    assert canonical_body_bytes(value) == oracles.dumps_body(value)
+
+
+@pytest.mark.parametrize("bad", [
+    math.nan, math.inf, -math.inf, [1.0, math.nan], [[0.5, -math.inf]],
+    {"a": [1, math.inf]}, {"p": {"q": (2.0, math.nan)}}, {math.nan: 1},
+])
+def test_canonical_body_bytes_refuse_nan_and_inf(bad):
+    with pytest.raises(ValueError, match="Out of range float values"):
+        oracles.dumps_body(bad)
+    with pytest.raises(ValueError, match="Out of range float values"):
+        canonical_body_bytes(bad)
+
+
+@pytest.mark.parametrize("bad", [
+    {"a": {1, 2}}, [np.int64(3)], {(1, 2): 3}, {"a": b"x"},
+])
+def test_canonical_body_bytes_refuse_what_json_refuses(bad):
+    with pytest.raises(TypeError) as want:
+        oracles.dumps_body(bad)
+    with pytest.raises(TypeError) as got:
+        canonical_body_bytes(bad)
+    assert str(got.value) == str(want.value)
+
+
+def test_canonical_body_bytes_peak_memory():
+    # A 20,000 x 2 posterior, the mixture-estimate workload's body.
+    # json.dumps with an indent holds every token until the end, 4.8x
+    # the output; one joined string per container stays under 4x.
+    post = np.random.default_rng(0).dirichlet([1.0, 1.0], 20_000).tolist()
+    body = {"command": "mixture", "posterior": post,
+            "model": {"p": 2, "loglik": -1.5}}
+    tracemalloc.start()
+    try:
+        out = canonical_body_bytes(body)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out == oracles.dumps_body(body)
+    assert peak <= 4 * len(out), peak / len(out)
 
 
 # --- config resolution -------------------------------------------------------

@@ -4,8 +4,11 @@ import csv
 import dataclasses
 import math
 import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -258,6 +261,52 @@ def test_intern_labels_matches_loop_oracle(pool, picks):
     assert again.tolist() == want_ids
 
 
+def test_intern_labels_returns_new_str_objects():
+    # Strings made at run time, as a parse makes them; the distinct
+    # labels kept must not be the parsed objects, so that those can be
+    # freed with the memory they filled.
+    labels = [f"c{i % 3}{'é' * (i % 2)}" for i in range(12)] + ["€"]
+    ids, distinct = intern_labels(labels)
+    assert distinct == list(dict.fromkeys(labels))
+    assert all(type(lab) is str for lab in distinct)
+    given_ids = {id(lab) for lab in labels}
+    assert not any(id(lab) in given_ids for lab in distinct)
+    # other labels are kept as they are
+    key = (1, "a")
+    assert intern_labels([key, 2, key])[1][0] is key
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads VmRSS from /proc/self/status")
+def test_load_csv_resident_memory_per_unit(tmp_path):
+    # 200k rows with 20,000 distinct labels. What stays resident after
+    # the load is the dataset (40 bytes a unit) and what the parse left
+    # behind; keeping the parsed first occurrences of the labels held
+    # about 120 bytes a unit.
+    path = tmp_path / "units.csv"
+    write_csv(generate(dgp_preset("nonlinear-u", c=20_000, n_c=10),
+                       seed=0).dataset, path)
+    script = (
+        "import sys\n"
+        "from clusterdr import load_csv\n"
+        "def rss():\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        for line in fh:\n"
+        "            if line.startswith('VmRSS:'):\n"
+        "                return int(line.split()[1]) * 1024\n"
+        "before = rss()\n"
+        "d = load_csv(sys.argv[1])\n"
+        "print((rss() - before) / d.n)\n")
+    src = str(Path(dataset.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                         capture_output=True, text=True, check=True)
+    per_unit = float(out.stdout)
+    assert per_unit <= 90, per_unit
+
+
 _VALUES = st.floats(min_value=-1e3, max_value=1e3)
 
 
@@ -317,6 +366,50 @@ def test_write_csv_matches_row_loop_oracle(tmp_path_factory, data, n, k):
     header = ["y", "w", "cluster"] + [f"x{j + 1}" for j in range(k)]
     oracles.rowwise_write_csv(d, want, header)
     assert got.read_bytes() == want.read_bytes()
+
+
+_TABLE_TEXT = st.text(st.sampled_from(
+    ["a", "7", " ", ",", '"', "\r", "\n", "\t", "\x00", "é", "€", "\u2028",
+     "\U0001f600"]), max_size=4)
+_TABLE_CELLS = st.one_of(
+    _TABLE_TEXT, st.just(""), st.none(), st.integers(), st.booleans(),
+    st.floats(), st.sampled_from([np.float64(0.5), np.int64(-3)]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), width=st.integers(min_value=1, max_value=4),
+       n=st.integers(min_value=0, max_value=8))
+def test_write_table_matches_csv_writer_oracle(tmp_path_factory, data,
+                                               width, n):
+    cells = _TABLE_TEXT if data.draw(st.booleans()) else _TABLE_CELLS
+    header = data.draw(st.lists(_TABLE_TEXT, min_size=width,
+                                max_size=width))
+    rows = data.draw(st.lists(st.lists(cells, min_size=width,
+                                       max_size=width),
+                              min_size=n, max_size=n))
+    out = tmp_path_factory.mktemp("table")
+    got, want = out / "got.csv", out / "want.csv"
+    dataset.write_table(got, header, [list(col) for col in zip(*rows)]
+                        if rows else [[] for _ in header])
+    with open(want, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_write_table_blocks_keep_row_order(tmp_path):
+    # more rows than one written block, with rows that need quoting
+    # among rows joined directly
+    labels = [f"g{i}" if i % 997 else f'g"{i},' for i in range(10_000)]
+    path, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    dataset.write_table(path, ["cluster", "i"],
+                        [labels, map(str, range(10_000))])
+    with open(want, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["cluster", "i"])
+        writer.writerows(zip(labels, range(10_000)))
+    assert path.read_bytes() == want.read_bytes()
 
 
 _PANEL_LABELS = st.one_of(
