@@ -48,14 +48,16 @@ def intern_labels(labels) -> tuple:
                  for lab in id_of]
 
 
-def group_means(index, values, n_groups: int, weights=None) -> np.ndarray:
+def group_means(index, values, n_groups: int, weights=None,
+                counts=None) -> np.ndarray:
     """Mean of the rows of ``values`` in each group, in group id order.
 
     ``index`` holds each row's group id in ``0..n_groups-1``; every
     group needs at least one row. ``values`` is a vector of length n or
     an (n, m) matrix, and the result is (n_groups,) or (n_groups, m).
     With ``weights`` each row counts by its weight and a group's sum is
-    divided by its total weight instead of its row count.
+    divided by its total weight instead of its row count. ``counts``,
+    the divisor of each group when given, spares counting them again.
     """
     values = np.asarray(values, dtype=float)
     cols = values.T if values.ndim == 2 else values[None, :]
@@ -65,8 +67,9 @@ def group_means(index, values, n_groups: int, weights=None) -> np.ndarray:
             index, weights=col if weights is None else col * weights,
             minlength=n_groups,
         )
-    means = sums / np.bincount(index, weights=weights,
-                               minlength=n_groups)[:, None]
+    if counts is None:
+        counts = np.bincount(index, weights=weights, minlength=n_groups)
+    means = sums / counts[:, None]
     return means if values.ndim == 2 else means[:, 0]
 
 
@@ -231,7 +234,8 @@ class Dataset:
         values = np.asarray(values, dtype=float)
         if values.shape[0] != self.n:
             raise InputError("values length does not match dataset")
-        return group_means(self._cluster_index, values, self._c, weights)
+        return group_means(self._cluster_index, values, self._c, weights,
+                           self._n_c if weights is None else None)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Dataset(n={self.n}, c={self.c}, k={self.k})"

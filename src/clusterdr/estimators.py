@@ -10,6 +10,7 @@ baselines and for the exact algebraic equivalence checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -80,8 +81,10 @@ def _ipw_correction(y, w, mu1, mu0, e):
 # ---------------------------------------------------------------------------
 
 
-def _check_treatment_variation(w_centered: np.ndarray, what: str) -> None:
-    if float(w_centered @ w_centered) <= 1e-12 * max(1, w_centered.size):
+def _check_treatment_variation(sum_sq: float, n: int, what: str) -> None:
+    """Raise unless the ``n`` demeaned treatments, whose squares sum to
+    ``sum_sq``, vary."""
+    if sum_sq <= 1e-12 * max(1, n):
         raise DegenerateDesignError(
             f"no residual treatment variation for {what}; "
             "every cluster is single-arm"
@@ -92,15 +95,30 @@ def _within_fit(d: Dataset, omega, what: str) -> float:
     """Treatment coefficient of the least squares of y on (w, x) with one
     dummy per cluster, weighted by ``omega`` (None: unweighted), solved
     without the dummies: remove the ``omega``-weighted cluster means of
-    ``[y | w | x]`` and fit the residuals with the same weights."""
-    v = np.column_stack([d.y, d.w, d.x])
-    means = d.cluster_means(v, omega)
-    # One column at a time, so no second n-row matrix is made.
-    for j in range(v.shape[1]):
-        v[:, j] -= means[d.cluster_index, j]
-    _check_treatment_variation(v[:, 1], what)
-    fit = wls_fit(v[:, 1:], v[:, 0], weights=omega)
-    return float(fit.coefficients[0])
+    ``[w | x | y]`` and fit the residuals with the same weights.
+
+    As in :func:`mundlak_ols`, the residuals are made, weighted by
+    ``sqrt(omega)`` and factored one 8,192-row block at a time, and
+    least squares runs on the stacked triangles. The blocks are those
+    :func:`~clusterdr.glm.wls_fit` would factor from all n weighted
+    residual rows, so unless a column is dropped the coefficient is the
+    same float."""
+    means = np.column_stack([d.cluster_means(col, omega)
+                             for col in (d.w, d.x, d.y)])
+    variation = 0.0
+
+    def rows_of(block):
+        nonlocal variation
+        rows = np.column_stack([d.w[block], d.x[block], d.y[block]])
+        rows -= means[d.cluster_index[block]]
+        variation += float(rows[:, 0] @ rows[:, 0])
+        if omega is not None:
+            rows *= np.sqrt(omega[block])[:, None]
+        return rows
+
+    stack = stacked_block_r(rows_of(block) for block in row_blocks(d.n))
+    _check_treatment_variation(variation, d.n, what)
+    return float(wls_fit(stack[:, :-1], stack[:, -1]).coefficients[0])
 
 
 def fe_ols(d: Dataset) -> float:
@@ -144,7 +162,9 @@ def weighted_fe(d: Dataset, e_hat: np.ndarray) -> float:
         raise InputError(f"e_hat has shape {e_hat.shape}, expected ({d.n},)")
     if np.any(e_hat <= 0.0) or np.any(e_hat >= 1.0):
         raise InputError("propensities must lie strictly in (0, 1)")
-    omega = np.where(d.w == 1, 1.0 / e_hat, 1.0 / (1.0 - e_hat))
+    omega = np.subtract(1.0, e_hat)
+    np.divide(1.0, omega, out=omega)
+    np.divide(1.0, e_hat, out=omega, where=d.w == 1)
     return _within_fit(d, omega, "weighted fixed-effects regression")
 
 
@@ -194,16 +214,16 @@ def _size_dummies(d: Dataset) -> np.ndarray:
 
 
 def _base_rows(d: Dataset, s_bar: np.ndarray, use_summaries: bool,
-               size_cols: np.ndarray, rows) -> np.ndarray:
+               size_cols: np.ndarray, rows, out=None) -> np.ndarray:
     """``[1 | x | s_bar | size_cols]`` on ``rows`` (``s_bar`` only when
-    ``use_summaries``): the propensity design, and the outcome design
-    without its treatment columns."""
-    parts = [np.ones(len(rows)), d.x[rows]]
+    ``use_summaries``), written into ``out`` when given: the propensity
+    design, and the outcome design without its treatment columns."""
+    parts = [np.ones((len(rows), 1)), d.x[rows]]
     if use_summaries:
         parts.append(s_bar[rows])
     if size_cols.shape[1]:
         parts.append(size_cols[rows])
-    return np.column_stack(parts)
+    return np.concatenate(parts, axis=1, out=out)
 
 
 def _outcome_rows(d: Dataset, s_bar: np.ndarray, cfg: NuisanceConfig,
@@ -263,11 +283,14 @@ def fit_nuisances(
     from the coefficient blocks: those of the columns without w give
     mu0, and adding each treatment column's coefficient to that of the
     column it is w times gives mu1. The propensity model is
-    :func:`~clusterdr.glm.logistic_fit` on the training rows, built for
-    that fold alone, which drops columns by the same rule; each fold's
-    fit starts from the previous fold's coefficients unless that fit ran
-    into separation. Besides its inputs and outputs, the stage holds
-    one training design and a few held-out arrays at a time.
+    :func:`~clusterdr.glm.logistic_fit` on the training rows, in unit
+    order, which drops columns by the same rule; each fold's fit starts
+    from the previous fold's coefficients unless that fit ran into
+    separation. Besides its inputs and outputs, the stage holds one
+    propensity design and one label vector, sized for the largest
+    training split and refilled for each fold from one 8,192-unit block
+    at a time, and predicts the held-out rows in the same 8,192-row
+    blocks that their triangles factor.
     """
     cfg = cfg or NuisanceConfig()
     fold_of_cluster = np.asarray(fold_of_cluster)
@@ -300,18 +323,38 @@ def fit_nuisances(
     p = len(base) + len(treat)
 
     fold_of_unit = fold_of_cluster[d.cluster_index]
-    tests = [np.flatnonzero(fold_of_unit == fold) for fold in range(L)]
+
+    def held_out(fold):
+        """The held-out rows of ``fold`` in 8,192-row blocks."""
+        test = np.flatnonzero(fold_of_unit == fold)
+        return (test[rows] for rows in row_blocks(test.size))
+
     # Each fold's held-out [design | y] is built and factored one block
     # at a time, so only its triangles are kept.
-    tri = [stacked_block_r(_outcome_rows(d, s_bar, cfg, size_cols, test[rows])
-                           for rows in row_blocks(test.size))
-           for test in tests]
+    tri = [stacked_block_r(_outcome_rows(d, s_bar, cfg, size_cols, rows)
+                           for rows in held_out(fold))
+           for fold in range(L)]
 
+    # One propensity design and one label vector serve every fold; a
+    # fold's training rows fill their first n_train rows in unit order.
+    n_train_max = d.n - int(np.bincount(fold_of_unit, minlength=L).min())
+    p_e = _base_rows(d, s_bar, cfg.propensity_use_summaries, size_cols,
+                     np.arange(0)).shape[1]
+    design = np.empty((n_train_max, p_e))
+    labels = np.empty(n_train_max)
     mu0, mu1, e = np.empty((3, d.n))
     start = None
-    for fold, test in enumerate(tests):
-        train = np.flatnonzero(fold_of_unit != fold)
-        w_train = d.w[train]
+    for fold in range(L):
+        n_train = 0
+        for block in row_blocks(d.n):
+            rows = np.flatnonzero(fold_of_unit[block] != fold)
+            rows += block.start
+            end = n_train + rows.size
+            _base_rows(d, s_bar, cfg.propensity_use_summaries, size_cols,
+                       rows, out=design[n_train:end])
+            np.take(d.w, rows, out=labels[n_train:end])
+            n_train = end
+        w_train = labels[:n_train]
         if w_train.min() == w_train.max():
             raise DegenerateDesignError(
                 f"training split for fold {fold} has a single treatment arm"
@@ -323,23 +366,24 @@ def fit_nuisances(
         coef0 = coef[base]
         coef1 = coef0.copy()
         coef1[parent] += coef[treat]
-        rows = _base_rows(d, s_bar, cfg.outcome_use_summaries, size_cols,
-                          test)
-        mu0[test] = rows @ coef0
-        mu1[test] = rows @ coef1
-        if cfg.propensity_use_summaries != cfg.outcome_use_summaries:
-            rows = _base_rows(d, s_bar, cfg.propensity_use_summaries,
-                              size_cols, test)
-        # The training design is filled one block at a time and freed
-        # before the next fold's is made.
-        design = np.empty((train.size, rows.shape[1]))
-        for block in row_blocks(train.size):
-            design[block] = _base_rows(d, s_bar, cfg.propensity_use_summaries,
-                                       size_cols, train[block])
-        pfit = logistic_fit(design, w_train, ridge=cfg.ridge, start=start)
-        del design
+        pfit = logistic_fit(design[:n_train], w_train, ridge=cfg.ridge,
+                            start=start)
         start = None if pfit.separation_detected else pfit.coefficients
-        e[test] = predict_proba(pfit, rows)
+        # Products of at most 8,192 rows give each row the bits it gets
+        # in the whole fold's product on one BLAS thread. The OpenBLAS
+        # 0.3.31 in numpy's wheels runs a product of fewer than 460,800
+        # entries (8,192 rows of up to 56 columns) on one thread; a
+        # larger one, such as a whole fold's, is split between threads,
+        # and its bits can depend on the thread count.
+        for test in held_out(fold):
+            rows = _base_rows(d, s_bar, cfg.outcome_use_summaries, size_cols,
+                              test)
+            mu0[test] = rows @ coef0
+            mu1[test] = rows @ coef1
+            if cfg.propensity_use_summaries != cfg.outcome_use_summaries:
+                rows = _base_rows(d, s_bar, cfg.propensity_use_summaries,
+                                  size_cols, test)
+            e[test] = predict_proba(pfit, rows)
 
     return NuisanceEstimates(mu0=mu0, mu1=mu1, e=e, fold_of_unit=fold_of_unit)
 
@@ -400,21 +444,37 @@ def dr_estimate(
     correction term: their spread across clusters, scaled by the
     squared retained fraction, divided by the number of clusters.
     Raises :class:`~clusterdr.exceptions.EmptyOverlapError` when
-    trimming removes every unit.
+    trimming removes every unit, and
+    :class:`~clusterdr.exceptions.EstimationError` when the estimate,
+    its variance or its interval is not finite, as when outcomes near
+    1e160 overflow the squares of the variance.
     """
     a = overlap_set(nu.e, eta)
     a_bar = float(a.mean())
     if a_bar == 0.0:
         raise EmptyOverlapError("trimming removed every unit")
-    # One correction term serves the score (psi) and the variance.
-    correction = _ipw_correction(d.y, d.w, nu.mu1, nu.mu0, nu.e)
-    tau_hat = float(np.sum(a * (nu.mu1 - nu.mu0 + correction))
-                    / (d.n * a_bar))
-    correction *= a
-    xi = d.cluster_means(correction)
-    v_hat = float(np.mean((xi - xi.mean()) ** 2) / a_bar**2)
+    # One correction term serves the score (psi) and the variance. Both
+    # are made a block of rows at a time, so no other n-row temporary is.
+    correction, score = np.empty(d.n), np.empty(d.n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows in row_blocks(d.n):
+            correction[rows] = _ipw_correction(d.y[rows], d.w[rows],
+                                               nu.mu1[rows], nu.mu0[rows],
+                                               nu.e[rows])
+            score[rows] = a[rows] * (nu.mu1[rows] - nu.mu0[rows]
+                                     + correction[rows])
+        tau_hat = float(np.sum(score) / (d.n * a_bar))
+        del score
+        correction *= a
+        xi = d.cluster_means(correction)
+        v_hat = float(np.mean((xi - xi.mean()) ** 2) / a_bar**2)
     se = float(np.sqrt(v_hat / d.c))
     ci = (tau_hat - 1.96 * se, tau_hat + 1.96 * se)
+    if not all(map(math.isfinite, (tau_hat, v_hat, *ci))):
+        raise EstimationError(
+            f"the estimate is not finite (tau_hat={tau_hat!r}, "
+            f"v_hat={v_hat!r}): outcomes of this scale overflow float64"
+        )
     return DrResult(
         tau_hat=tau_hat,
         v_hat=v_hat,
@@ -549,7 +609,8 @@ def twoway_mundlak_check(p: PanelData) -> tuple:
     unit = group_means(p.unit_index, v, p.n_units)[p.unit_index]
     time = group_means(p.time_index, v, p.n_periods)[p.time_index]
     v_t = v - unit - time + np.array([col.mean() for col in v.T])
-    _check_treatment_variation(v_t[:, 1], "two-way fixed-effects regression")
+    _check_treatment_variation(float(v_t[:, 1] @ v_t[:, 1]), p.n,
+                               "two-way fixed-effects regression")
     fe_fit = wls_fit(v_t[:, 1:], v_t[:, 0])
     tau_fe = float(fe_fit.coefficients[0])
 

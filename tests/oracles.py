@@ -598,3 +598,69 @@ def stored_basis_logistic_fit(design, labels, tol=1e-8, max_iter=100,
     coef = np.zeros(p)
     coef[kept] = s_inv @ g
     return coef, dropped, ridge
+
+
+def copying_fit_nuisances(d, s_bar, fold_of_cluster, cfg=None):
+    """Cross-fitting as it was before the nuisance stage kept one design
+    buffer: every fold gets a new training design, new training row
+    indices and labels, and its held-out rows' design whole; the
+    outcome triangles are factored as in the library. Input checks are
+    left out. Returns (mu0, mu1, e, the LogisticFit of every fold)."""
+    from clusterdr import NuisanceConfig
+    from clusterdr.estimators import (_base_rows, _outcome_layout,
+                                      _outcome_rows, _size_dummies)
+    from clusterdr.glm import (logistic_fit, predict_proba, row_blocks,
+                               stacked_block_r, wls_fit)
+
+    cfg = cfg or NuisanceConfig()
+    L = int(fold_of_cluster.max()) + 1
+    size_cols = (_size_dummies(d) if cfg.size_indicators
+                 else np.empty((d.n, 0)))
+    base, treat, parent = _outcome_layout(
+        d.k, s_bar.shape[1] if cfg.outcome_use_summaries else 0,
+        size_cols.shape[1], cfg)
+    p = len(base) + len(treat)
+    fold_of_unit = fold_of_cluster[d.cluster_index]
+    tests = [np.flatnonzero(fold_of_unit == fold) for fold in range(L)]
+    tri = [stacked_block_r(_outcome_rows(d, s_bar, cfg, size_cols, test[rows])
+                           for rows in row_blocks(test.size))
+           for test in tests]
+    mu0, mu1, e = np.empty((3, d.n))
+    fits = []
+    start = None
+    for fold, test in enumerate(tests):
+        train = np.flatnonzero(fold_of_unit != fold)
+        w_train = d.w[train]
+        stack = np.vstack(tri[:fold] + tri[fold + 1:])
+        coef = wls_fit(stack[:, :p], stack[:, p]).coefficients
+        coef0 = coef[base]
+        coef1 = coef0.copy()
+        coef1[parent] += coef[treat]
+        rows = _base_rows(d, s_bar, cfg.outcome_use_summaries, size_cols,
+                          test)
+        mu0[test] = rows @ coef0
+        mu1[test] = rows @ coef1
+        if cfg.propensity_use_summaries != cfg.outcome_use_summaries:
+            rows = _base_rows(d, s_bar, cfg.propensity_use_summaries,
+                              size_cols, test)
+        design = _base_rows(d, s_bar, cfg.propensity_use_summaries,
+                            size_cols, train)
+        pfit = logistic_fit(design, w_train, ridge=cfg.ridge, start=start)
+        fits.append(pfit)
+        start = None if pfit.separation_detected else pfit.coefficients
+        e[test] = predict_proba(pfit, rows)
+    return mu0, mu1, e, fits
+
+
+def nrow_within_fit(d, omega=None):
+    """The within-cluster fit as it was before it was blocked: the n-row
+    matrix ``[y | w | x]`` loses its ``omega``-weighted cluster means in
+    place and ``wls_fit`` takes its rows with weights ``omega``. Returns
+    the treatment coefficient."""
+    from clusterdr.glm import wls_fit
+
+    v = np.column_stack([d.y, d.w, d.x])
+    means = d.cluster_means(v, omega)
+    for j in range(v.shape[1]):
+        v[:, j] -= means[d.cluster_index, j]
+    return float(wls_fit(v[:, 1:], v[:, 0], weights=omega).coefficients[0])

@@ -331,6 +331,32 @@ def test_bodies_do_not_depend_on_blas_threads(workdir):
         assert got[name, "1"] == got[name, "2"], name
 
 
+@pytest.mark.slow
+def test_varied_size_bodies_do_not_depend_on_blas_threads(workdir):
+    # 109,849 rows in clusters of 1 to 10 units, two folds of unequal
+    # size (54,862 and 54,987 rows). When each fold's held-out rows were
+    # predicted in one matrix-vector product, BLAS split that product
+    # between two threads, and the rows at the end of a thread's share
+    # rounded differently, so the body changed with the thread count.
+    d = generate(dgp_preset("nonlinear-u", c=20000, n_c=10), 0).dataset
+    keep_n = np.random.default_rng(0).integers(1, 11, d.c)
+    first = np.repeat(np.cumsum(d.n_c) - d.n_c, d.n_c)
+    keep = np.arange(d.n) - first < keep_n[d.cluster_index]
+    write_csv(Dataset(d.y[keep], d.w[keep], d.x[keep], d.cluster_index[keep]),
+              workdir / "var.csv")
+    got = {}
+    for threads in ("1", "2"):
+        env = subprocess_env(OPENBLAS_NUM_THREADS=threads,
+                             OMP_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-c", "import sys; from "
+                        "clusterdr.cli import main; sys.exit(main())",
+                        "estimate", "--data", "var.csv", "--L", "2",
+                        "--baselines", "--output", f"var{threads}.json"],
+                       env=env, cwd=workdir, check=True, capture_output=True)
+        got[threads] = read_report(workdir / f"var{threads}.json")["body"]
+    assert got["1"] == got["2"]
+
+
 @pytest.mark.parametrize("argv, message", [
     (["estimate", "--data", "one.csv"],
      "cannot split 1 clusters into 5 folds"),
@@ -345,6 +371,30 @@ def test_estimate_fewer_clusters_than_folds_exits_one(argv, message, demo_csv,
     discrete_csv(workdir)
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: nuisance: {message}\n"
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e300])
+@pytest.mark.parametrize("command", ["estimate", "mixture"])
+def test_non_finite_estimate_exits_two(command, scale, workdir, capsys):
+    # Finite outcomes this large overflow the squares of the variance
+    # (and, at 1e300, the score): the estimate stage refuses the
+    # non-finite numbers, and no overflow warning escapes (the suite
+    # turns warnings into errors).
+    if command == "estimate":
+        res = generate(dgp_preset("mundlak-linear", c=30, n_c=6), 7)
+        argv = ["estimate", "--data", "big.csv"]
+    else:
+        res = generate(dgp_preset("separated-mixture", c=40), 7)
+        argv = ["mixture", "--data", "big.csv", "--p", "2", "--estimate"]
+    d = res.dataset
+    write_csv(Dataset(d.y * scale, d.w, d.x, d.cluster_index),
+              workdir / "big.csv")
+    before = set(os.listdir(workdir))
+    assert main(argv + ["--output", "out.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: estimate: the estimate is not finite ")
+    assert err.count("\n") == 1
+    assert set(os.listdir(workdir)) == before
 
 
 @pytest.mark.parametrize("command", ["estimate", "select", "simulate"])

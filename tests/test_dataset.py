@@ -342,6 +342,19 @@ def test_group_means_match_loop_oracle(data, n_groups, m, weighted):
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-9)
 
 
+def test_cluster_means_divide_by_the_stored_sizes():
+    # Unweighted cluster means divide by Dataset.n_c instead of counting
+    # the units again, and give the bits that counting gives.
+    rng = np.random.default_rng(0)
+    ids = np.repeat(np.arange(50), rng.integers(1, 9, 50))
+    x = rng.standard_normal((ids.size, 3))
+    d = Dataset(rng.standard_normal(ids.size), ids % 2, x, ids)
+    assert np.array_equal(d.cluster_means(x), group_means(ids, x, 50))
+    assert np.array_equal(d.cluster_means(d.y), group_means(ids, d.y, 50))
+    assert np.array_equal(group_means(ids, x, 50, counts=2 * d.n_c),
+                          group_means(ids, x, 50) / 2)
+
+
 _CELLS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 5e-324, 0.1, 1e300]),

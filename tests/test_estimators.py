@@ -1,7 +1,12 @@
 """Point estimators, nuisance cross-fitting, variance, panel check."""
 
 import dataclasses
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +41,7 @@ from clusterdr import (
     wls_fit,
 )
 
+import clusterdr.estimators as est_module
 import oracles
 
 
@@ -247,7 +253,9 @@ def test_model_forms_match_perfold_oracle(summaries, interactions, sizes,
 
 def record_calls(monkeypatch, name):
     """Wrap ``clusterdr.estimators.<name>``; the returned list receives
-    (args, kwargs, result) for each call."""
+    (args, kwargs, result) for each call. Array arguments are stored as
+    copies: ``fit_nuisances`` hands every fold a view of one buffer that
+    the next fold overwrites."""
     import clusterdr.estimators as est
 
     calls = []
@@ -255,7 +263,8 @@ def record_calls(monkeypatch, name):
 
     def wrapper(*args, **kwargs):
         result = original(*args, **kwargs)
-        calls.append((args, kwargs, result))
+        calls.append((tuple(a.copy() if isinstance(a, np.ndarray) else a
+                            for a in args), kwargs, result))
         return result
 
     monkeypatch.setattr(est, name, wrapper)
@@ -356,23 +365,166 @@ def test_stacked_triangles_fit_like_training_rows(seed, p, fold_rows,
                                    rtol=0.0, atol=1e-13 * cond * (1 + size))
 
 
-def test_fit_nuisances_working_set_per_unit():
-    # Besides its inputs, cross-fitting holds its outputs, one training
-    # design and a few held-out arrays: about 107 bytes per unit here.
-    # With the outcome system, the propensity design, per-fold row
-    # copies and n-row Newton temporaries all at once it took 338.
-    d = generate(dgp_preset("nonlinear-u", c=20_000, n_c=10), 0).dataset
-    s_bar = build_suffstats(d, mundlak_spec(d.k))
-    folds = cross_fit_folds(d.c, 5, seed=0)
+def traced_peak_per_unit(d, f, *args):
+    """Bytes per unit of ``d`` that ``f(*args)`` holds at its peak over
+    what was held before the call, under tracemalloc."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        fit_nuisances(d, s_bar, folds)
-        peak = tracemalloc.get_traced_memory()[1] - before
+        f(*args)
+        return (tracemalloc.get_traced_memory()[1] - before) / d.n
     finally:
         tracemalloc.stop()
-    assert peak <= 200 * d.n, peak / d.n
+
+
+@pytest.fixture(scope="module")
+def nonlinear_200k():
+    """200,000 units (c = 20,000, k = 2), their three summaries, and
+    five folds."""
+    d = generate(dgp_preset("nonlinear-u", c=20_000, n_c=10), 0).dataset
+    return d, build_suffstats(d, mundlak_spec(d.k)), cross_fit_folds(d.c, 5,
+                                                                      seed=0)
+
+
+def test_fit_nuisances_working_set_per_unit(nonlinear_200k):
+    # Besides its inputs, cross-fitting holds its outputs, one propensity
+    # design and one label vector sized for the largest training split,
+    # and one held-out block at a time: about 85 bytes per unit here.
+    # With a new training design, its row indices and labels and the
+    # held-out design made for every fold it took 107; with the outcome
+    # system, the propensity design, per-fold row copies and n-row
+    # Newton temporaries all at once, 338.
+    d, s_bar, folds = nonlinear_200k
+    per_unit = traced_peak_per_unit(d, fit_nuisances, d, s_bar, folds)
+    assert per_unit <= 95, per_unit
+
+
+@pytest.mark.parametrize("weighted", [False, True],
+                         ids=["fe_ols", "weighted_fe"])
+def test_within_fit_working_set_per_unit(nonlinear_200k, weighted):
+    # The residuals of [w | x | y] are made and factored one block at a
+    # time: about 20 (fe_ols) and 28 (weighted_fe) bytes per unit here,
+    # mostly a column times its weights for the cluster means and the
+    # weights themselves. The n-row residual matrix took 52 and 60.
+    d = nonlinear_200k[0]
+    if weighted:
+        e = np.random.default_rng(0).uniform(0.05, 0.95, d.n)
+        per_unit = traced_peak_per_unit(d, weighted_fe, d, e)
+    else:
+        per_unit = traced_peak_per_unit(d, fe_ols, d)
+    assert per_unit <= 40, per_unit
+
+
+def test_dr_estimate_working_set_per_unit(nonlinear_200k):
+    # The retention mask, the correction term and the score, made a
+    # block of rows at a time: about 19 bytes per unit here. The score's
+    # n-row temporaries took 33.
+    d, s_bar, folds = nonlinear_200k
+    nu = fit_nuisances(d, s_bar, folds)
+    per_unit = traced_peak_per_unit(d, dr_estimate, d, nu)
+    assert per_unit <= 24, per_unit
+
+
+def unequal_folds(seed, n, L):
+    """About ``n`` units in clusters of 3 to 8 units (so five size
+    indicators), and fold labels drawn with unequal probabilities, so
+    that the folds differ in size."""
+    rng = np.random.default_rng(seed)
+    sizes = 3 + rng.integers(0, 6, n * 2 // 11)
+    d = clustered_data(seed, sizes, 2)
+    share = np.arange(1, L + 1) / (L * (L + 1) / 2)
+    folds = np.concatenate([np.arange(L),
+                            rng.choice(L, size=d.c - L, p=share)])
+    return d, folds
+
+
+ORACLE_CONFIGS = [
+    NuisanceConfig(),
+    NuisanceConfig(propensity_use_summaries=False),
+    NuisanceConfig(outcome_use_summaries=False),
+]
+
+
+def copying_oracle_report():
+    """Run fit_nuisances and ``oracles.copying_fit_nuisances`` on
+    training splits of one to four 8,192-row blocks; return, per case,
+    the block counts of its training splits and the names of the
+    outputs that are not equal to the oracle's."""
+    report = []
+    original = est_module.logistic_fit
+    for case, (n, L) in enumerate([(n, L) for n in (8_000, 12_000, 30_000)
+                                   for L in (2, 5)]):
+        d, folds = unequal_folds(case, n, L)
+        s_bar = build_suffstats(d, mundlak_spec(d.k))
+        cfg = ORACLE_CONFIGS[case % len(ORACLE_CONFIGS)]
+        fits = []
+
+        def recorded(*args, **kwargs):
+            fits.append(original(*args, **kwargs))
+            return fits[-1]
+
+        est_module.logistic_fit = recorded
+        try:
+            nu = fit_nuisances(d, s_bar, folds, cfg)
+        finally:
+            est_module.logistic_fit = original
+        mu0, mu1, e, want = oracles.copying_fit_nuisances(d, s_bar, folds,
+                                                          cfg)
+        differ = [name for name, got, ref in (("mu0", nu.mu0, mu0),
+                                              ("mu1", nu.mu1, mu1),
+                                              ("e", nu.e, e))
+                  if not np.array_equal(got, ref)]
+        differ += [f"fold {fold} fit" for fold, (got, ref)
+                   in enumerate(zip(fits, want, strict=True))
+                   if not (np.array_equal(got.coefficients, ref.coefficients)
+                           and dataclasses.replace(got, coefficients=None)
+                           == dataclasses.replace(ref, coefficients=None))]
+        n_train = d.n - np.bincount(folds[d.cluster_index])
+        blocks = np.ceil(n_train / 8192).astype(int)
+        report.append({"n": d.n, "L": L, "differ": differ,
+                       "blocks": sorted(set(blocks.tolist()))})
+    return report
+
+
+def test_fit_nuisances_matches_copying_oracle():
+    # The oracle builds every fold's training design anew and predicts
+    # the held-out rows of a fold all at once; fit_nuisances fills one
+    # buffer and predicts them in 8,192-row blocks. logistic_fit sees
+    # the same rows in the same order, so every fit is equal. The
+    # matrix-vector products of the predictions give each row the same
+    # bits whatever block it is in on one BLAS thread; with more, BLAS
+    # splits a product's rows between threads, and a row at the end of
+    # a thread's share may round differently, so the comparison runs in
+    # a process with one thread.
+    src = Path(est_module.__file__).resolve().parents[1]
+    script = ("import json, sys; sys.path[:0] = sys.argv[1:3]; "
+              "import test_estimators as t; "
+              "print(json.dumps(t.copying_oracle_report()))")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    out = subprocess.run(
+        [sys.executable, "-W", "error", "-c", script,
+         str(Path(__file__).resolve().parent), str(src)],
+        env=env, capture_output=True, text=True, check=True)
+    report = json.loads(out.stdout.splitlines()[-1])
+    assert [case["differ"] for case in report] == [[]] * len(report), report
+    assert {b for case in report for b in case["blocks"]} >= {1, 2, 3}, report
+
+
+@pytest.mark.parametrize("n", [8_000, 12_000, 30_000])
+@pytest.mark.parametrize("weighted", [False, True],
+                         ids=["fe_ols", "weighted_fe"])
+def test_within_fit_matches_nrow_version(n, weighted):
+    # One, two and four 8,192-row blocks, with varied cluster sizes: the
+    # blocked residuals are factored in the blocks wls_fit makes from
+    # the n-row residual matrix, so the coefficient is the same float.
+    d, _ = unequal_folds(n, n, 2)
+    if not weighted:
+        assert fe_ols(d) == oracles.nrow_within_fit(d)
+        return
+    e = np.random.default_rng(n).uniform(0.05, 0.95, d.n)
+    omega = np.where(d.w == 1, 1.0 / e, 1.0 / (1.0 - e))
+    assert weighted_fe(d, e) == oracles.nrow_within_fit(d, omega)
 
 
 def test_fold_after_separated_fit_starts_cold(monkeypatch):
