@@ -100,7 +100,7 @@ def _within_fit(d: Dataset, omega, what: str) -> float:
     As in :func:`mundlak_ols`, the residuals are made, weighted by
     ``sqrt(omega)`` and factored one 8,192-row block at a time, and
     least squares runs on the stacked triangles. The blocks are those
-    :func:`~clusterdr.glm.wls_fit` would factor from all n weighted
+    :func:`~clusterdr.glm.wls_fit` would factor from all n scaled
     residual rows, so unless a column is dropped the coefficient is the
     same float."""
     means = np.column_stack([d.cluster_means(col, omega)

@@ -1,4 +1,4 @@
-"""Weighted least squares, logistic regression, fold assignment, and a
+"""Least squares, logistic regression, fold assignment, and a
 group-penalized multinomial classifier used for statistic selection.
 
 All fits are plain numpy. Least squares and logistic regression share
@@ -45,7 +45,7 @@ _QR_BLOCK = 8192
 
 @dataclass(frozen=True)
 class WlsFit:
-    """Weighted least-squares result.
+    """Least-squares result.
 
     ``coefficients`` has one entry per design column; dropped columns
     get an exact zero, so ``design @ coefficients`` gives the fitted
@@ -77,53 +77,48 @@ def _as_design(design) -> np.ndarray:
         design = design.reshape(-1, 1)
     if design.ndim != 2:
         raise InputError("design must be a matrix")
-    if not np.all(np.isfinite(design)):
-        raise InputError("design contains non-finite values")
     return design
 
 
-def _rank_rule(a: np.ndarray, b=None, root=None):
+def _rank_rule(a: np.ndarray, b=None):
     """Drop the columns of ``a`` that its rows do not identify.
 
-    ``[a | b]`` (``a`` alone when ``b`` is None), with each row times
-    ``root`` when given, gets one unpivoted Householder QR, taken as the
-    QR of the stacked R factors of its 8,192-row blocks; each block is
-    built from the rows of ``a`` as it is factored. The diagonal entry
-    |R_jj| is the norm of column j's residual against the columns before
-    it, so the first column with |R_jj| at or below ``1e-9 * max(largest
-    column norm, 1)`` is dropped and the kept columns are factored
-    again; with fewer rows than columns, every column past the rank is
-    dropped. Returns (kept, dropped, R of the kept columns and ``b``);
+    ``[a | b]`` (``a`` alone when ``b`` is None) gets one unpivoted
+    Householder QR, taken as the QR of :func:`stacked_block_r` of its
+    8,192-row blocks; each block is built from the rows of ``a``, checked
+    for non-finite values and, on the first pass, added to the column
+    norms as it is factored. The diagonal entry |R_jj| is the norm of
+    column j's residual against the columns before it, so the first
+    column with |R_jj| at or below ``1e-9 * max(largest column norm, 1)``
+    is dropped and the kept columns of the same rows are factored again;
+    with fewer rows than columns, every column past the rank is dropped.
+    Returns (kept, dropped, R of the kept columns and ``b``);
     :func:`logistic_fit` runs Newton, and reads its ``tol``, in the
     orthogonal basis that R gives.
     """
     n, p = a.shape
-    tail = 0 if b is None else 1
     kept = list(range(p))
     dropped: list = []
     sq_norms = np.zeros(p)
+
+    def block(rows, cols):
+        blk = a[rows, cols]
+        if b is not None:
+            blk = np.column_stack([blk, b[rows]])
+        if not dropped:
+            if not np.isfinite(blk).all():
+                raise InputError("design contains non-finite values")
+            sq_norms[:] += np.einsum("ij,ij->j", blk[:, :p], blk[:, :p])
+        return blk
+
     while True:
-        k = len(kept)
         cols = kept if dropped else slice(None)
-        # LAPACK factors column-major storage; building it so saves a copy.
-        ab = np.empty((min(n, _QR_BLOCK), k + tail), order="F")
-        tris = []
-        for rows in row_blocks(n):
-            blk = ab[:min(n - rows.start, _QR_BLOCK)]
-            if root is None:
-                blk[:, :k] = a[rows, cols]
-            else:
-                np.multiply(a[rows, cols], root[rows, None], out=blk[:, :k])
-            if tail:
-                blk[:, k] = b[rows] if root is None else b[rows] * root[rows]
-            if not dropped:
-                sq_norms += np.einsum("ij,ij->j", blk[:, :k], blk[:, :k])
-            tris.append(np.linalg.qr(blk, mode="r"))
-        r = tris[0] if len(tris) == 1 else np.linalg.qr(np.vstack(tris),
-                                                        mode="r")
+        r = stacked_block_r(block(rows, cols) for rows in row_blocks(n))
+        if n > _QR_BLOCK:
+            r = np.linalg.qr(r, mode="r")
         if not dropped:
             tol = 1e-9 * max(math.sqrt(sq_norms.max(initial=0.0)), 1.0)
-        diag = np.abs(np.diagonal(r))[:k]
+        diag = np.abs(np.diagonal(r))[:len(kept)]
         small = np.flatnonzero(diag <= tol)
         if not small.size:
             break
@@ -145,30 +140,32 @@ def row_blocks(n: int) -> list:
 
 def stacked_block_r(blocks) -> np.ndarray:
     """R factors of ``blocks``, the row blocks of a matrix, stacked: the
-    normal equations of the matrix in at most blocks * p rows (TSQR), for
-    :func:`wls_fit` to solve. A caller that makes each block only when
-    it is factored never holds the whole matrix."""
+    normal equations of the matrix in at most blocks * p rows (TSQR).
+    The one place that row blocks are factored: the rank rule reads its
+    rows through it, and a caller that makes each block only when it is
+    factored never holds the whole matrix."""
     return np.vstack([np.linalg.qr(block, mode="r") for block in blocks])
 
 
-def wls_fit(design, response, weights=None) -> WlsFit:
-    """Solve weighted least squares with deterministic rank handling.
+def wls_fit(design, response) -> WlsFit:
+    """Solve least squares with deterministic rank handling.
 
-    Weights are non-negative per-row multipliers on squared residuals;
-    ``None`` means ordinary least squares. The weighted system
-    ``[A | b]`` gets one QR, which drops the columns its rows do not
-    identify (the rule shared with :func:`logistic_fit`, see
+    The system ``[A | b]`` gets one QR, which drops the columns its rows
+    do not identify (the rule shared with :func:`logistic_fit`, see
     ``_rank_rule``); the kept triangle then gives the coefficients. On
-    the retained columns the weighted residuals are orthogonal to the
-    design up to ``1e-8 * (1 + ||response||)``. The QR runs on 8,192-row
-    blocks of the weighted rows, made one at a time, so the fit copies
-    no more than one block of the design.
+    the retained columns the residuals are orthogonal to the design up
+    to ``1e-8 * (1 + ||response||)``. The QR runs on 8,192-row blocks of
+    the rows, made one at a time, so the fit copies no more than one
+    block of the design. Weighted least squares with weights w is this
+    fit on the rows of ``[A | b]`` scaled by ``sqrt(w)``, which the
+    caller makes (``estimators._within_fit`` does, block by block).
 
     Any system with the same normal equations gives the same fit, so a
     caller holding R factors of blocks of ``[A | b]``'s rows may pass
-    their stack ``S`` as ``S[:, :p], S[:, p]`` instead of the rows: its
-    column norms, and hence the rank rule, are those of ``A``
-    (:func:`~clusterdr.estimators.fit_nuisances` does this per fold).
+    their stack ``S`` (:func:`stacked_block_r`) as ``S[:, :p], S[:, p]``
+    instead of the rows: its column norms, and hence the rank rule, are
+    those of ``A`` (:func:`~clusterdr.estimators.fit_nuisances` does this
+    per fold).
     """
     a = _as_design(design)
     b = np.asarray(response, dtype=float)
@@ -177,17 +174,7 @@ def wls_fit(design, response, weights=None) -> WlsFit:
         raise InputError(f"response has shape {b.shape}, expected ({n},)")
     if not np.all(np.isfinite(b)):
         raise InputError("response contains non-finite values")
-    root = None
-    if weights is not None:
-        wt = np.asarray(weights, dtype=float)
-        if wt.shape != (n,):
-            raise InputError(f"weights have shape {wt.shape}, expected ({n},)")
-        if not np.all(np.isfinite(wt)) or np.any(wt < 0):
-            raise InputError("weights must be finite and non-negative")
-        if not np.any(wt > 0):
-            raise InputError("all weights are zero")
-        root = np.sqrt(wt)
-    kept, dropped, r = _rank_rule(a, b, root)
+    kept, dropped, r = _rank_rule(a, b)
     rank = len(kept)
     coef = np.zeros(p)
     if kept:
@@ -523,6 +510,8 @@ def multinomial_group_lasso(
     taken; a fit stopped by the cap has ``converged=False``.
     """
     f = _as_design(features)
+    if not np.all(np.isfinite(f)):
+        raise InputError("design contains non-finite values")
     n, q = f.shape
     labels = list(cluster_labels)
     if len(labels) != n:
@@ -535,7 +524,11 @@ def multinomial_group_lasso(
         raise InputError("lambda must be >= 0")
 
     # Standardize candidates; a constant column becomes all-zero and
-    # can never be selected. Column 0 of x is the intercept.
+    # can never be selected. Column 0 of x is the intercept. Dividing
+    # each column by the power of two at its largest |f| first is exact,
+    # so the standardized values keep their bits, and no sum overflows.
+    top = np.maximum(f.max(axis=0, initial=0.0), -f.min(axis=0, initial=0.0))
+    f = np.ldexp(f, -np.frexp(top)[1])
     mu = f.mean(axis=0)
     sd = f.std(axis=0)
     sd[sd == 0.0] = 1.0

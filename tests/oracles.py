@@ -655,12 +655,14 @@ def copying_fit_nuisances(d, s_bar, fold_of_cluster, cfg=None):
 def nrow_within_fit(d, omega=None):
     """The within-cluster fit as it was before it was blocked: the n-row
     matrix ``[y | w | x]`` loses its ``omega``-weighted cluster means in
-    place and ``wls_fit`` takes its rows with weights ``omega``. Returns
-    the treatment coefficient."""
+    place, its rows are scaled by ``sqrt(omega)`` and ``wls_fit`` takes
+    them. Returns the treatment coefficient."""
     from clusterdr.glm import wls_fit
 
     v = np.column_stack([d.y, d.w, d.x])
     means = d.cluster_means(v, omega)
     for j in range(v.shape[1]):
         v[:, j] -= means[d.cluster_index, j]
-    return float(wls_fit(v[:, 1:], v[:, 0], weights=omega).coefficients[0])
+    if omega is not None:
+        v *= np.sqrt(omega)[:, None]
+    return float(wls_fit(v[:, 1:], v[:, 0]).coefficients[0])

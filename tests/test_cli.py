@@ -139,6 +139,39 @@ def test_estimate_baselines_include_identity_pair(demo_csv, workdir):
     assert abs(base["fe"] - base["mundlak"]) <= 1e-8 * (1 + abs(base["fe"]))
 
 
+@settings(max_examples=15, deadline=None)
+@given(preset=st.sampled_from(["nonlinear-u", "mundlak-linear"]),
+       c=st.integers(min_value=40, max_value=500),
+       seed=st.integers(min_value=0, max_value=10_000),
+       k=st.integers(min_value=-60, max_value=60))
+def test_outcome_scale_multiplies_estimates_exactly(tmp_path_factory, preset,
+                                                   c, seed, k):
+    # Metamorphic relation (Chen, Cheung & Yiu 1998): y -> 2^k y leaves
+    # the propensities alone and scales every least-squares right-hand
+    # side exactly, so the estimate, its interval and each baseline are
+    # 2^k times the original, and the variance 4^k times, bit for bit.
+    tmp_path = tmp_path_factory.mktemp("scale")
+    d = generate(dgp_preset(preset, c=c), seed).dataset
+    write_csv(d, tmp_path / "y.csv")
+    write_csv(Dataset(np.ldexp(d.y, k), d.w, d.x, d.cluster_index),
+              tmp_path / "scaled.csv")
+    bodies = []
+    for name in ("y", "scaled"):
+        assert main(["estimate", "--data", str(tmp_path / f"{name}.csv"),
+                     "--baselines", "--output",
+                     str(tmp_path / f"{name}.json")]) == 0
+        bodies.append(read_report(tmp_path / f"{name}.json")["body"])
+    got, want = bodies[1], bodies[0]
+    for key in ("tau_hat", "se"):
+        assert got["result"][key] == math.ldexp(want["result"][key], k)
+    assert got["result"]["ci"] == [math.ldexp(v, k)
+                                   for v in want["result"]["ci"]]
+    assert got["result"]["v_hat"] == math.ldexp(want["result"]["v_hat"],
+                                                 2 * k)
+    assert got["baselines"] == {name: math.ldexp(v, k)
+                                for name, v in want["baselines"].items()}
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("s", [1e-6, 1e-7, 1e-8])
 def test_near_collinear_covariates_estimate(s, workdir):
@@ -521,6 +554,29 @@ def test_select_unconverged_fit_warns_body_unchanged(demo_csv, workdir,
     assert capped.keys() == full.keys()
     assert [p.keys() for p in capped["path"]] == [
         p.keys() for p in full["path"][:len(capped["path"])]]
+
+
+def test_select_standardizes_huge_covariates_without_overflow(workdir):
+    # Covariates near 1e300 overflow the squares of a plain standard
+    # deviation. Each candidate is first divided by the power of two at
+    # its largest |value|, so the selection is that of the unscaled data
+    # and no overflow warning escapes (the suite turns warnings into
+    # errors). Covariates times 2^996 standardize to the same bits, so
+    # they give the same path.
+    d = generate(dgp_preset("sparse-relevant", c=60), 0).dataset
+    write_csv(d, workdir / "plain.csv")
+    write_csv(Dataset(d.y, d.w, d.x * 1e300, d.cluster_index),
+              workdir / "big.csv")
+    write_csv(Dataset(d.y, d.w, np.ldexp(d.x, 996), d.cluster_index),
+              workdir / "pow2.csv")
+    bodies = {}
+    for name in ("plain", "big", "pow2"):
+        assert main(["select", "--data", f"{name}.csv", "--stop-after-k",
+                     "2", "--output", f"{name}.json"]) == 0
+        bodies[name] = read_report(workdir / f"{name}.json")["body"]
+    assert all(body["selected"] == ["w_bar", "x0_bar"]
+               for body in bodies.values())
+    assert bodies["pow2"]["path"] == bodies["plain"]["path"]
 
 
 def test_select_empty_candidates_exit_one(demo_csv, workdir, capsys):

@@ -21,12 +21,20 @@ from clusterdr import (
     predict_proba,
     wls_fit,
 )
+from clusterdr.glm import row_blocks, stacked_block_r
 
 import oracles
 
 
+def scaled_rows(a, b, wt):
+    """The rows of ``[a | b]`` times ``sqrt(wt)``: weighted least squares
+    with weights ``wt`` is ``wls_fit`` on them."""
+    root = np.sqrt(wt)
+    return a * root[:, None], b * root
+
+
 # --------------------------------------------------------------------------
-# weighted least squares
+# least squares on rows scaled by the square roots of the weights
 # --------------------------------------------------------------------------
 
 
@@ -35,7 +43,7 @@ def test_wls_matches_normal_equations():
     a = rng.standard_normal((50, 4))
     b = rng.standard_normal(50)
     wt = rng.random(50) + 0.1
-    fit = wls_fit(a, b, weights=wt)
+    fit = wls_fit(*scaled_rows(a, b, wt))
     want = oracles.normal_equations_wls(a, b, wt)
     assert fit.rank == 4
     assert fit.columns_dropped == ()
@@ -47,7 +55,7 @@ def test_ols_is_unit_weights():
     a = rng.standard_normal((30, 3))
     b = rng.standard_normal(30)
     f1 = wls_fit(a, b)
-    f2 = wls_fit(a, b, weights=np.ones(30))
+    f2 = wls_fit(*scaled_rows(a, b, np.full(30, 9.0)))
     assert np.allclose(f1.coefficients, f2.coefficients, atol=1e-12)
 
 
@@ -81,7 +89,7 @@ def test_weighted_residuals_orthogonal_to_design(seed, p):
     a = rng.standard_normal((n, p))
     b = 3.0 * rng.standard_normal(n)
     wt = rng.random(n)
-    fit = wls_fit(a, b, weights=wt)
+    fit = wls_fit(*scaled_rows(a, b, wt))
     resid = b - a @ fit.coefficients
     grad = a.T @ (wt * resid)
     kept = [j for j in range(p) if j not in fit.columns_dropped]
@@ -131,10 +139,10 @@ def test_zero_weight_rows_are_ignored():
     b = rng.standard_normal(25)
     wt = rng.random(25) + 0.1
     wt[20:] = 0.0
-    fit = wls_fit(a, b, weights=wt)
+    fit = wls_fit(*scaled_rows(a, b, wt))
     # with rows 20+ weighted out, column 3 duplicates column 2
     assert fit.columns_dropped == (3,)
-    sub = wls_fit(a[:20, :3], b[:20], weights=wt[:20])
+    sub = wls_fit(*scaled_rows(a[:20, :3], b[:20], wt[:20]))
     assert np.max(np.abs(fit.coefficients[:3] - sub.coefficients)) < 1e-10
 
 
@@ -149,7 +157,7 @@ def test_orthogonality_with_dropped_columns_and_zero_weights(seed, p):
     b = 3.0 * rng.standard_normal(n)
     wt = rng.random(n)
     wt[: n // 4] = 0.0
-    fit = wls_fit(a, b, weights=wt)
+    fit = wls_fit(*scaled_rows(a, b, wt))
     assert p - 1 in fit.columns_dropped
     grad = a.T @ (wt * (b - a @ fit.coefficients))
     kept = [j for j in range(p) if j not in fit.columns_dropped]
@@ -157,19 +165,17 @@ def test_orthogonality_with_dropped_columns_and_zero_weights(seed, p):
     assert np.max(np.abs(grad[kept])) <= bound
 
 
-def test_weighted_wls_copies_no_more_than_a_block():
-    # The weighted rows are made one 8,192-row block at a time. A weighted
-    # copy of the design, its column-major copy and LAPACK's own buffer
-    # took 3.5 times the design's bytes.
+def test_wls_copies_no_more_than_a_block():
+    # The rows of [A | b] are made one 8,192-row block at a time, so the
+    # fit copies no more than a block of the design.
     rng = np.random.default_rng(11)
     a = rng.standard_normal((100_000, 8))
     b = rng.standard_normal(100_000)
-    wt = rng.random(100_000)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        wls_fit(a, b, weights=wt)
+        wls_fit(a, b)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -182,9 +188,14 @@ def test_wls_input_errors():
     with pytest.raises(InputError):
         wls_fit(np.ones((3, 1)), np.zeros(2))
     with pytest.raises(InputError):
-        wls_fit(np.ones((3, 1)), np.zeros(3), weights=np.array([1.0, -1.0, 1.0]))
-    with pytest.raises(InputError):
-        wls_fit(np.ones((3, 1)), np.zeros(3), weights=np.zeros(3))
+        wls_fit(np.ones((3, 1)), np.array([0.0, np.inf, 0.0]))
+    # each 8,192-row block is checked as it is factored
+    late = np.ones((9000, 2))
+    late[8500, 1] = np.nan
+    with pytest.raises(InputError, match="non-finite"):
+        wls_fit(late, np.zeros(9000))
+    with pytest.raises(InputError, match="non-finite"):
+        logistic_fit(late, np.arange(9000) % 2.0)
 
 
 # --------------------------------------------------------------------------
@@ -226,10 +237,24 @@ def test_blocked_wls_matches_unblocked_oracle(seed, n, p, duplicate,
     if zero_weights:
         wt[rng.random(n) < 0.3] = 0.0
         wt[0] = 1.0
-    fit = wls_fit(a, b, weights=wt)
+    a_w, b_w = scaled_rows(a, b, wt)
+    fit = wls_fit(a_w, b_w)
     want, dropped = oracles.unblocked_wls_fit(a, b, wt)
     assert fit.columns_dropped == dropped
     assert_close_to(fit.coefficients, want, 1e-10)
+    # The stacked triangles of the rows' blocks drop the rows' columns and,
+    # unless one is dropped, give their coefficients bit for bit:
+    # _within_fit, mundlak_ols and fit_nuisances rely on it. After a drop
+    # the kept columns of the rows and of the stack are factored again,
+    # which rounds differently.
+    rows = np.column_stack([a_w, b_w])
+    stack = stacked_block_r(rows[blk] for blk in row_blocks(n))
+    tri = wls_fit(stack[:, :p], stack[:, p])
+    assert tri.columns_dropped == fit.columns_dropped
+    if fit.columns_dropped:
+        assert_close_to(tri.coefficients, fit.coefficients, 1e-12)
+    else:
+        assert np.array_equal(tri.coefficients, fit.coefficients)
 
 
 @settings(max_examples=20, deadline=None)
