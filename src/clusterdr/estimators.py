@@ -98,8 +98,9 @@ def _within_fit(d: Dataset, omega, what: str) -> float:
     ``[w | x | y]`` and fit the residuals with the same weights.
 
     As in :func:`mundlak_ols`, the residuals are made, weighted by
-    ``sqrt(omega)`` and factored one 8,192-row block at a time, and
-    least squares runs on the stacked triangles. The blocks are those
+    ``sqrt(omega)`` and factored one block of
+    :func:`~clusterdr.glm.row_blocks` at a time, and least squares runs
+    on the stacked triangles. The blocks are those
     :func:`~clusterdr.glm.wls_fit` would factor from all n scaled
     residual rows, so unless a column is dropped the coefficient is the
     same float."""
@@ -116,7 +117,8 @@ def _within_fit(d: Dataset, omega, what: str) -> float:
             rows *= np.sqrt(omega[block])[:, None]
         return rows
 
-    stack = stacked_block_r(rows_of(block) for block in row_blocks(d.n))
+    stack = stacked_block_r(rows_of(block)
+                            for block in row_blocks(d.n, d.k + 2))
     _check_treatment_variation(variation, d.n, what)
     return float(wls_fit(stack[:, :-1], stack[:, -1]).coefficients[0])
 
@@ -144,7 +146,8 @@ def mundlak_ols(d: Dataset) -> float:
                                 d.x[block], means[cluster], d.y[block]])
 
     # [design | y] is made and factored one block of rows at a time.
-    stack = stacked_block_r(rows_of(block) for block in row_blocks(d.n))
+    stack = stacked_block_r(rows_of(block)
+                            for block in row_blocks(d.n, 2 * d.k + 4))
     return float(wls_fit(stack[:, :-1], stack[:, -1]).coefficients[1])
 
 
@@ -193,36 +196,39 @@ class NuisanceConfig:
 
 @dataclass(frozen=True)
 class NuisanceEstimates:
-    """Cross-fitted predictions: both-arm outcome means, propensities,
-    and the fold each unit was predicted in."""
+    """Cross-fitted predictions: both-arm outcome means and propensities
+    of every unit, and the fold label of every cluster (the array
+    handed to :func:`fit_nuisances`, not a copy)."""
 
     mu0: np.ndarray
     mu1: np.ndarray
     e: np.ndarray
-    fold_of_unit: np.ndarray
+    fold_of_cluster: np.ndarray
 
 
 def _size_dummies(d: Dataset) -> np.ndarray:
-    """Indicator columns for all but the smallest distinct cluster size."""
+    """Indicator columns for all but the smallest distinct cluster size,
+    one row per cluster."""
     # np.unique imports numpy.ma, which equal sizes do not need.
     if d.n_c.min() == d.n_c.max():
-        return np.empty((d.n, 0))
+        return np.empty((d.c, 0))
     sizes = np.unique(d.n_c)
-    unit_size = d.n_c[d.cluster_index]
-    return np.column_stack([(unit_size == s).astype(float)
-                            for s in sizes[1:]])
+    return np.column_stack([(d.n_c == s).astype(float) for s in sizes[1:]])
 
 
 def _base_rows(d: Dataset, s_bar: np.ndarray, use_summaries: bool,
                size_cols: np.ndarray, rows, out=None) -> np.ndarray:
     """``[1 | x | s_bar | size_cols]`` on ``rows`` (``s_bar`` only when
     ``use_summaries``), written into ``out`` when given: the propensity
-    design, and the outcome design without its treatment columns."""
+    design, and the outcome design without its treatment columns.
+    ``s_bar`` and ``size_cols`` have one row per cluster, and each unit
+    gets its cluster's."""
+    cluster = d.cluster_index[rows]
     parts = [np.ones((len(rows), 1)), d.x[rows]]
     if use_summaries:
-        parts.append(s_bar[rows])
+        parts.append(s_bar[cluster])
     if size_cols.shape[1]:
-        parts.append(size_cols[rows])
+        parts.append(size_cols[cluster])
     return np.concatenate(parts, axis=1, out=out)
 
 
@@ -230,14 +236,16 @@ def _outcome_rows(d: Dataset, s_bar: np.ndarray, cfg: NuisanceConfig,
                   size_cols: np.ndarray, rows) -> np.ndarray:
     """``[design | y]`` of the outcome model on ``rows`` at the observed
     treatment: ``[1 | w | x | s_bar | x w | s_bar w | size_cols | y]``,
-    less the summaries or the interactions that ``cfg`` leaves out."""
+    less the summaries or the interactions that ``cfg`` leaves out; the
+    cluster-level columns as in :func:`_base_rows`."""
+    cluster = d.cluster_index[rows]
     w = d.w[rows]
     x = d.x[rows]
-    s = s_bar[rows] if cfg.outcome_use_summaries else x[:, :0]
+    s = s_bar[cluster] if cfg.outcome_use_summaries else x[:, :0]
     parts = [np.ones(w.size), w, x, s]
     if cfg.outcome_interactions:
         parts += [x * w[:, None], s * w[:, None]]
-    return np.column_stack(parts + [size_cols[rows], d.y[rows]])
+    return np.column_stack(parts + [size_cols[cluster], d.y[rows]])
 
 
 def _outcome_layout(k: int, t: int, z: int, cfg: NuisanceConfig):
@@ -263,8 +271,8 @@ def fit_nuisances(
 ) -> NuisanceEstimates:
     """Cross-fit outcome and propensity models over cluster folds.
 
-    ``s_bar`` is the (n, t) cluster-summary matrix, row-aligned with
-    ``d`` (see :func:`~clusterdr.suffstats.build_suffstats`).
+    ``s_bar`` is the (c, t) cluster-summary matrix, one row per cluster
+    in dense-id order (see :func:`~clusterdr.suffstats.build_suffstats`).
     ``fold_of_cluster`` holds each cluster's integer fold label (see
     :func:`~clusterdr.glm.cross_fit_folds`); the labels must cover
     0..L-1, each by at least one cluster, with L >= 2. For every fold,
@@ -274,8 +282,9 @@ def fit_nuisances(
 
     The outcome model is fit once on both arms with treatment in the
     design, then evaluated at w=1 and w=0. Each fold's ``[design | y]``
-    is built from its own rows, factored in 8,192-row blocks
-    (:func:`~clusterdr.glm.stacked_block_r`) and dropped. The R factor
+    is built from its own rows, factored in the blocks of
+    :func:`~clusterdr.glm.row_blocks` (8,192 rows for up to 56 columns;
+    :func:`~clusterdr.glm.stacked_block_r`) and dropped. The R factor
     of stacked R factors is the R factor of the stacked rows (TSQR), so
     a fold's training system is the stack of the other folds'
     triangles, which :func:`~clusterdr.glm.wls_fit` solves with the
@@ -289,8 +298,10 @@ def fit_nuisances(
     separation. Besides its inputs and outputs, the stage holds one
     propensity design and one label vector, sized for the largest
     training split and refilled for each fold from one 8,192-unit block
-    at a time, and predicts the held-out rows in the same 8,192-row
-    blocks that their triangles factor.
+    at a time, and predicts the held-out rows in the same blocks that
+    their triangles factor. Each unit's summaries, size indicators and
+    fold are read from its cluster's row as a block is made, so no
+    n-row copy of them is.
     """
     cfg = cfg or NuisanceConfig()
     fold_of_cluster = np.asarray(fold_of_cluster)
@@ -311,23 +322,30 @@ def fit_nuisances(
             f"0..{L - 1} have no cluster"
         )
     s_bar = np.asarray(s_bar, dtype=float)
-    if s_bar.ndim != 2 or s_bar.shape[0] != d.n:
+    if s_bar.ndim != 2 or s_bar.shape[0] != d.c:
         raise InputError(
-            f"summaries have shape {s_bar.shape}, expected ({d.n}, t)"
+            f"summaries have shape {s_bar.shape}, expected ({d.c}, t)"
         )
     size_cols = (_size_dummies(d) if cfg.size_indicators
-                 else np.empty((d.n, 0)))
+                 else np.empty((d.c, 0)))
     base, treat, parent = _outcome_layout(
         d.k, s_bar.shape[1] if cfg.outcome_use_summaries else 0,
         size_cols.shape[1], cfg)
     p = len(base) + len(treat)
 
-    fold_of_unit = fold_of_cluster[d.cluster_index]
+    def units(block, marked):
+        """The units of ``block`` whose cluster ``marked`` flags."""
+        rows = np.flatnonzero(marked[d.cluster_index[block]])
+        rows += block.start
+        return rows
 
     def held_out(fold):
-        """The held-out rows of ``fold`` in 8,192-row blocks."""
-        test = np.flatnonzero(fold_of_unit == fold)
-        return (test[rows] for rows in row_blocks(test.size))
+        """The held-out rows of ``fold`` in the blocks of the outcome
+        system's p + 1 columns."""
+        in_fold = fold_of_cluster == fold
+        test = np.concatenate([units(block, in_fold)
+                               for block in row_blocks(d.n)])
+        return (test[rows] for rows in row_blocks(test.size, p + 1))
 
     # Each fold's held-out [design | y] is built and factored one block
     # at a time, so only its triangles are kept.
@@ -337,7 +355,8 @@ def fit_nuisances(
 
     # One propensity design and one label vector serve every fold; a
     # fold's training rows fill their first n_train rows in unit order.
-    n_train_max = d.n - int(np.bincount(fold_of_unit, minlength=L).min())
+    n_train_max = d.n - int(np.bincount(fold_of_cluster, weights=d.n_c,
+                                        minlength=L).min())
     p_e = _base_rows(d, s_bar, cfg.propensity_use_summaries, size_cols,
                      np.arange(0)).shape[1]
     design = np.empty((n_train_max, p_e))
@@ -346,9 +365,9 @@ def fit_nuisances(
     start = None
     for fold in range(L):
         n_train = 0
+        training = fold_of_cluster != fold
         for block in row_blocks(d.n):
-            rows = np.flatnonzero(fold_of_unit[block] != fold)
-            rows += block.start
+            rows = units(block, training)
             end = n_train + rows.size
             _base_rows(d, s_bar, cfg.propensity_use_summaries, size_cols,
                        rows, out=design[n_train:end])
@@ -369,12 +388,11 @@ def fit_nuisances(
         pfit = logistic_fit(design[:n_train], w_train, ridge=cfg.ridge,
                             start=start)
         start = None if pfit.separation_detected else pfit.coefficients
-        # Products of at most 8,192 rows give each row the bits it gets
-        # in the whole fold's product on one BLAS thread. The OpenBLAS
-        # 0.3.31 in numpy's wheels runs a product of fewer than 460,800
-        # entries (8,192 rows of up to 56 columns) on one thread; a
-        # larger one, such as a whole fold's, is split between threads,
-        # and its bits can depend on the thread count.
+        # Each block's product runs on one BLAS thread, and its multiple
+        # of four rows gives each row the bits it gets in the whole
+        # fold's product on one thread (see row_blocks). A larger
+        # product, such as a whole fold's, is split between threads, and
+        # its bits can depend on the thread count.
         for test in held_out(fold):
             rows = _base_rows(d, s_bar, cfg.outcome_use_summaries, size_cols,
                               test)
@@ -385,7 +403,8 @@ def fit_nuisances(
                                   size_cols, test)
             e[test] = predict_proba(pfit, rows)
 
-    return NuisanceEstimates(mu0=mu0, mu1=mu1, e=e, fold_of_unit=fold_of_unit)
+    return NuisanceEstimates(mu0=mu0, mu1=mu1, e=e,
+                             fold_of_cluster=fold_of_cluster)
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +504,7 @@ def dr_estimate(
         xi=xi,
         n=d.n,
         c=d.c,
-        L=int(nu.fold_of_unit.max()) + 1,
+        L=int(nu.fold_of_cluster.max()) + 1,
         eta=eta,
     )
 

@@ -7,12 +7,13 @@ are examined left to right and one that adds nothing to the span of
 those already kept is dropped, so of two duplicated columns the later
 one goes. Both fits then run on the kept columns only.
 
-Both read the design in 8,192-row blocks and copy no more than one
-block of it. The R factor of stacked block R factors is the R factor of
-the stacked rows (TSQR; Demmel, Grigori, Hoemmen & Langou 2012), so the
-rank rule factors one block at a time, and each Newton step of the
-logistic fit is one pass over the blocks. A fit on at most 8,192 rows
-is one block: one QR of its rows, as without blocking.
+Both read the design in blocks of 8,192 rows (fewer past 56 columns,
+see ``row_blocks``) and copy no more than one block of it. The R factor
+of stacked block R factors is the R factor of the stacked rows (TSQR;
+Demmel, Grigori, Hoemmen & Langou 2012), so the rank rule factors one
+block at a time, and each Newton step of the logistic fit is one pass
+over the blocks. A fit on one block's rows is one QR of its rows, as
+without blocking.
 """
 
 from __future__ import annotations
@@ -41,6 +42,17 @@ _PROB_FLOOR = 1e-10
 # Rows per QR block. LAPACK's QR of a taller matrix leans on BLAS
 # products whose summation order follows the thread count.
 _QR_BLOCK = 8192
+# The OpenBLAS 0.3.31 in numpy's wheels runs a matrix-vector product of
+# fewer than this many entries on one thread and splits a larger one
+# between threads, and the QR of a block leans on such products. Its
+# kernel takes the rows of a @ v four at a time, so a block of a
+# multiple of four rows gives each row the bits of the whole product.
+_ONE_THREAD_ENTRIES = 460_800
+_UNROLL = 4
+# OpenBLAS runs a matrix product of fewer than this many multiply-adds
+# on one thread. Split between threads, the Gram matrix q.T @ q of a
+# block sums its rows in an order that follows the thread count.
+_ONE_THREAD_PRODUCT = 524_288
 
 
 @dataclass(frozen=True)
@@ -80,15 +92,21 @@ def _as_design(design) -> np.ndarray:
     return design
 
 
-def _rank_rule(a: np.ndarray, b=None):
+def _rank_rule(a: np.ndarray, b=None, labels=None):
     """Drop the columns of ``a`` that its rows do not identify.
 
     ``[a | b]`` (``a`` alone when ``b`` is None) gets one unpivoted
     Householder QR, taken as the QR of :func:`stacked_block_r` of its
-    8,192-row blocks; each block is built from the rows of ``a``, checked
-    for non-finite values and, on the first pass, added to the column
-    norms as it is factored. The diagonal entry |R_jj| is the norm of
-    column j's residual against the columns before it, so the first
+    :func:`row_blocks`; each block is built from the rows of ``a`` and,
+    on the first pass, checked and added to the column norms as it is
+    factored. A block's check raises :class:`InputError` for a
+    non-finite ``b`` ("response contains non-finite values"), then for
+    ``labels`` other than 0 and 1 ("labels must be 0 or 1"), then for a
+    non-finite value of ``a`` ("design contains non-finite values"): the
+    first block holding a bad value names the error, and within a block
+    the response or labels come before the design. So no check makes a
+    temporary longer than a block. The diagonal entry |R_jj| is the norm
+    of column j's residual against the columns before it, so the first
     column with |R_jj| at or below ``1e-9 * max(largest column norm, 1)``
     is dropped and the kept columns of the same rows are factored again;
     with fewer rows than columns, every column past the rank is dropped.
@@ -106,6 +124,11 @@ def _rank_rule(a: np.ndarray, b=None):
         if b is not None:
             blk = np.column_stack([blk, b[rows]])
         if not dropped:
+            if b is not None and not np.isfinite(blk[:, -1]).all():
+                raise InputError("response contains non-finite values")
+            if labels is not None and not (
+                    (labels[rows] == 0.0) | (labels[rows] == 1.0)).all():
+                raise InputError("labels must be 0 or 1")
             if not np.isfinite(blk).all():
                 raise InputError("design contains non-finite values")
             sq_norms[:] += np.einsum("ij,ij->j", blk[:, :p], blk[:, :p])
@@ -113,9 +136,13 @@ def _rank_rule(a: np.ndarray, b=None):
 
     while True:
         cols = kept if dropped else slice(None)
-        r = stacked_block_r(block(rows, cols) for rows in row_blocks(n))
-        if n > _QR_BLOCK:
-            r = np.linalg.qr(r, mode="r")
+        blocks = row_blocks(n, len(kept) + (b is not None))
+        r = stacked_block_r(block(rows, cols) for rows in blocks)
+        # The stacked triangles are factored again, in blocks while
+        # they fill more than one.
+        while len(blocks) > 1:
+            blocks = row_blocks(*r.shape)
+            r = stacked_block_r(r[rows] for rows in blocks)
         if not dropped:
             tol = 1e-9 * max(math.sqrt(sq_norms.max(initial=0.0)), 1.0)
         diag = np.abs(np.diagonal(r))[:len(kept)]
@@ -132,10 +159,17 @@ def _rank_rule(a: np.ndarray, b=None):
     return kept[:rank], tuple(dropped), r
 
 
-def row_blocks(n: int) -> list:
-    """Slices of ``0..n`` into the 8,192-row blocks that the QR and the
-    Newton passes read (one empty block when n is 0)."""
-    return [slice(lo, lo + _QR_BLOCK) for lo in range(0, max(n, 1), _QR_BLOCK)]
+def row_blocks(n: int, width: int = 0) -> list:
+    """Slices of ``0..n`` into the blocks that the QR and the Newton
+    passes read (one empty block when n is 0): 8,192 rows, or for a
+    matrix of more than 56 columns the largest multiple of four rows
+    whose ``width`` columns hold fewer than 460,800 entries, so that
+    BLAS runs each block's products on one thread. A block always has
+    more rows than columns (past 677 columns that overrides the entry
+    limit), so the R factors of the blocks are shorter than the rows."""
+    step = (_ONE_THREAD_ENTRIES - 1) // max(width, 1) // _UNROLL * _UNROLL
+    step = max(min(_QR_BLOCK, step), _UNROLL * (width // _UNROLL + 1))
+    return [slice(lo, lo + step) for lo in range(0, max(n, 1), step)]
 
 
 def stacked_block_r(blocks) -> np.ndarray:
@@ -154,11 +188,14 @@ def wls_fit(design, response) -> WlsFit:
     do not identify (the rule shared with :func:`logistic_fit`, see
     ``_rank_rule``); the kept triangle then gives the coefficients. On
     the retained columns the residuals are orthogonal to the design up
-    to ``1e-8 * (1 + ||response||)``. The QR runs on 8,192-row blocks of
-    the rows, made one at a time, so the fit copies no more than one
-    block of the design. Weighted least squares with weights w is this
-    fit on the rows of ``[A | b]`` scaled by ``sqrt(w)``, which the
-    caller makes (``estimators._within_fit`` does, block by block).
+    to ``1e-8 * (1 + ||response||)``. The QR runs on the
+    :func:`row_blocks` of the rows, made one at a time, so the fit
+    copies no more than one block of the design, and the response is
+    checked for non-finite values one block at a time with the design:
+    the first block holding either names the error, and a block holding
+    both reports the response's. Weighted least squares with weights w
+    is this fit on the rows of ``[A | b]`` scaled by ``sqrt(w)``, which
+    the caller makes (``estimators._within_fit`` does, block by block).
 
     Any system with the same normal equations gives the same fit, so a
     caller holding R factors of blocks of ``[A | b]``'s rows may pass
@@ -172,8 +209,6 @@ def wls_fit(design, response) -> WlsFit:
     n, p = a.shape
     if b.shape != (n,):
         raise InputError(f"response has shape {b.shape}, expected ({n},)")
-    if not np.all(np.isfinite(b)):
-        raise InputError("response contains non-finite values")
     kept, dropped, r = _rank_rule(a, b)
     rank = len(kept)
     coef = np.zeros(p)
@@ -194,6 +229,9 @@ def _newton_terms(a, blocks, cols, y, s_inv, pen, g):
     Hessian, for the basis rows ``q = a[:, cols] @ s_inv`` of each block
     in turn."""
     ll, p_lo, p_hi, score, h = 0.0, 1.0, 0.0, 0.0, 0.0
+    k = s_inv.shape[0]
+    # rows per Hessian product: all of a block unless k is 8 or more
+    step = max((_ONE_THREAD_PRODUCT - 1) // max(k * k, 1), 1)
     for rows in blocks:
         q = a[rows, cols] @ s_inv
         yb = y[rows]
@@ -208,7 +246,9 @@ def _newton_terms(a, blocks, cols, y, s_inv, pen, g):
         # einsum sums the rows in a fixed order; the order of q.T @ v
         # follows the BLAS thread count.
         score = score + np.einsum("ij,i->j", q, yb - prob)
-        h = h + (q * (prob * (1.0 - prob))[:, None]).T @ q
+        qw = q * (prob * (1.0 - prob))[:, None]
+        for lo in range(0, max(len(q), 1), step):
+            h = h + qw[lo:lo + step].T @ q[lo:lo + step]
     if pen is not None:
         ll -= 0.5 * g @ pen @ g
         score = score - pen @ g
@@ -222,7 +262,7 @@ def _irls(a, cols, y, tol, max_iter, ridge, s_inv, g):
     ``beta = s_inv @ g``. Without a ridge it stops at the first
     separation, so every solve sees ``q.T D q`` with every weight in D
     positive, or a positive penalty."""
-    blocks = row_blocks(a.shape[0])
+    blocks = row_blocks(a.shape[0], s_inv.shape[0])
     pen = ridge * (s_inv.T @ s_inv) if ridge else None
     ll, p_lo, p_hi, score, h = _newton_terms(a, blocks, cols, y, s_inv, pen,
                                              g)
@@ -269,28 +309,32 @@ def logistic_fit(
     ``g = S @ beta`` in the orthogonal basis ``q = A @ inv(S)``, whose
     columns have unit mean square whatever the scale of A; IRLS is then
     a sequence of least-squares problems in q (Green 1984). Each step
-    makes q one 8,192-row block at a time and takes the probabilities,
-    log-likelihood, score and Hessian from that block before the next,
-    so no n-row array is kept. It starts from zero or from ``start``
-    (one coefficient per design column, e.g. a fit on overlapping data;
-    entries of dropped columns are ignored) mapped in as ``S @ start``;
-    ``iterations`` counts the steps from there. ``tol`` is read in that
-    basis: convergence means every entry of the score ``q.T @ (y - p)``,
-    less the ridge term, is below ``tol`` in absolute value, and
-    ``max_abs_score`` is the largest. ``ridge`` penalizes ``beta @ beta
-    / 2``. When ``ridge`` is zero and the fit runs into separation (a
-    fitted probability leaving the open interval (1e-10, 1 - 1e-10), the
-    start included), a fit from ``start`` first retries once from zero,
-    and if that separates too the fit restarts from zero with ridge
-    1e-6; the result then still reports ``separation_detected``.
+    makes q one :func:`row_blocks` block at a time and takes the
+    probabilities, log-likelihood, score and Hessian from that block
+    before the next, so no n-row array is kept. It starts from zero or
+    from ``start`` (one coefficient per design column, e.g. a fit on
+    overlapping data; entries of dropped columns are ignored) mapped in
+    as ``S @ start``; ``iterations`` counts the steps from there.
+    ``tol`` is read in that basis: convergence means every entry of the
+    score ``q.T @ (y - p)``, less the ridge term, is below ``tol`` in
+    absolute value, and ``max_abs_score`` is the largest. ``ridge``
+    penalizes ``beta @ beta / 2``. When ``ridge`` is zero and the fit
+    runs into separation (a fitted probability leaving the open interval
+    (1e-10, 1 - 1e-10), the start included), a fit from ``start`` first
+    retries once from zero, and if that separates too the fit restarts
+    from zero with ridge 1e-6; the result then still reports
+    ``separation_detected``.
+
+    Labels other than 0 and 1 and non-finite design values are looked
+    for one block at a time, as the rank rule reads the rows: the first
+    block holding either names the error, and a block holding both
+    reports the labels' ("labels must be 0 or 1").
     """
     a = _as_design(design)
     y = np.asarray(labels, dtype=float)
     n, p = a.shape
     if y.shape != (n,):
         raise InputError(f"labels have shape {y.shape}, expected ({n},)")
-    if not np.all((y == 0.0) | (y == 1.0)):
-        raise InputError("labels must be 0 or 1")
     if ridge < 0:
         raise InputError("ridge must be >= 0")
     if max_iter < 0:
@@ -302,7 +346,7 @@ def logistic_fit(
         if not np.all(np.isfinite(start)):
             raise InputError("start contains non-finite values")
 
-    kept, dropped, r = _rank_rule(a)
+    kept, dropped, r = _rank_rule(a, labels=y)
     k = len(kept)
     cols = kept if dropped else slice(None)
     s = r[:k, :k] / math.sqrt(n)

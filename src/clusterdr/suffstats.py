@@ -2,9 +2,9 @@
 
 A statistic specification is an ordered list of term descriptors. Each
 term defines one per-unit value; averaging that value within a cluster
-(own unit included) yields one cluster-summary column. Attached to every
-unit of the cluster, those columns form the summary matrix that
-downstream estimators condition on.
+(own unit included) yields one cluster-summary column. One row per
+cluster, those columns form the summary matrix that downstream
+estimators condition on; a unit's summaries are its cluster's row.
 """
 
 from __future__ import annotations
@@ -203,12 +203,13 @@ def build_suffstats(d: Dataset, spec: StatSpec) -> np.ndarray:
     """Evaluate a statistic specification on a dataset.
 
     Each term's per-unit values are averaged within cluster (the unit's
-    own value included) and broadcast back to the unit rows, giving the
-    (n, t) summary matrix, one column per term, constant within cluster.
+    own value included), giving the (c, t) summary matrix: one row per
+    cluster in dense-id order, one column per term. Unit i's summaries
+    are row ``d.cluster_index[i]``.
     """
-    s_bar = np.empty((d.n, len(spec)))
+    s_bar = np.empty((d.c, len(spec)))
     for col, term in enumerate(spec.terms):
-        s_bar[:, col] = d.cluster_means(term.unit_values(d))[d.cluster_index]
+        s_bar[:, col] = d.cluster_means(term.unit_values(d))
     return s_bar
 
 

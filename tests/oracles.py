@@ -46,6 +46,22 @@ def naive_suffstat_means(cluster_ids, term_values):
     return out
 
 
+def unit_suffstats(d, spec):
+    """``build_suffstats`` as it was when it gave one row per unit: each
+    term's cluster means broadcast back to the units, an (n, t) matrix."""
+    s_bar = np.empty((d.n, len(spec)))
+    for col, term in enumerate(spec.terms):
+        s_bar[:, col] = d.cluster_means(term.unit_values(d))[d.cluster_index]
+    return s_bar
+
+
+def unit_posterior_summaries(d, posterior):
+    """``augment_with_posterior`` as it was when it gave one row per
+    unit: each unit's cluster row of the (c, p) posterior, less the last
+    column when p > 1."""
+    return posterior[d.cluster_index, : max(posterior.shape[1] - 1, 1)]
+
+
 def normal_equations_wls(design, response, weights):
     """WLS by explicit normal equations on a (presumed full-rank) design."""
     w = np.asarray(weights, dtype=float)
@@ -604,18 +620,37 @@ def copying_fit_nuisances(d, s_bar, fold_of_cluster, cfg=None):
     """Cross-fitting as it was before the nuisance stage kept one design
     buffer: every fold gets a new training design, new training row
     indices and labels, and its held-out rows' design whole; the
-    outcome triangles are factored as in the library. Input checks are
-    left out. Returns (mu0, mu1, e, the LogisticFit of every fold)."""
+    outcome triangles are factored as in the library. ``s_bar`` is the
+    (n, t) matrix of :func:`unit_suffstats`, and the size indicators
+    are made per unit too. Input checks are left out. Returns (mu0,
+    mu1, e, the LogisticFit of every fold)."""
     from clusterdr import NuisanceConfig
-    from clusterdr.estimators import (_base_rows, _outcome_layout,
-                                      _outcome_rows, _size_dummies)
+    from clusterdr.estimators import _outcome_layout
     from clusterdr.glm import (logistic_fit, predict_proba, row_blocks,
                                stacked_block_r, wls_fit)
 
     cfg = cfg or NuisanceConfig()
     L = int(fold_of_cluster.max()) + 1
-    size_cols = (_size_dummies(d) if cfg.size_indicators
-                 else np.empty((d.n, 0)))
+    unit_size = d.n_c[d.cluster_index]
+    size_cols = np.column_stack(
+        [np.empty((d.n, 0))]
+        + [(unit_size == s).astype(float) for s in np.unique(d.n_c)[1:]
+           if cfg.size_indicators])
+
+    def _base_rows(d, s_bar, use_summaries, size_cols, rows):
+        parts = [np.ones((len(rows), 1)), d.x[rows]]
+        if use_summaries:
+            parts.append(s_bar[rows])
+        return np.concatenate(parts + [size_cols[rows]], axis=1)
+
+    def _outcome_rows(d, s_bar, cfg, size_cols, rows):
+        w, x = d.w[rows], d.x[rows]
+        s = s_bar[rows] if cfg.outcome_use_summaries else x[:, :0]
+        parts = [np.ones(w.size), w, x, s]
+        if cfg.outcome_interactions:
+            parts += [x * w[:, None], s * w[:, None]]
+        return np.column_stack(parts + [size_cols[rows], d.y[rows]])
+
     base, treat, parent = _outcome_layout(
         d.k, s_bar.shape[1] if cfg.outcome_use_summaries else 0,
         size_cols.shape[1], cfg)
@@ -623,7 +658,7 @@ def copying_fit_nuisances(d, s_bar, fold_of_cluster, cfg=None):
     fold_of_unit = fold_of_cluster[d.cluster_index]
     tests = [np.flatnonzero(fold_of_unit == fold) for fold in range(L)]
     tri = [stacked_block_r(_outcome_rows(d, s_bar, cfg, size_cols, test[rows])
-                           for rows in row_blocks(test.size))
+                           for rows in row_blocks(test.size, p + 1))
            for test in tests]
     mu0, mu1, e = np.empty((3, d.n))
     fits = []

@@ -390,6 +390,33 @@ def test_varied_size_bodies_do_not_depend_on_blas_threads(workdir):
     assert got["1"] == got["2"]
 
 
+@pytest.mark.slow
+def test_wide_design_bodies_do_not_depend_on_blas_threads(workdir):
+    # 33,150 rows in clusters of 1 to 60 units: 59 size indicators, so
+    # the prediction design has 65 columns and the outcome system 72,
+    # and two folds of more than 8,192 rows each. OpenBLAS splits a
+    # product of 460,800 or more entries between threads, so 8,192-row
+    # held-out blocks (532,480 entries), their QR and the Hessian
+    # products of the propensity fit gave bodies that changed with the
+    # thread count.
+    d = generate(dgp_preset("nonlinear-u", c=1100, n_c=60), 0).dataset
+    keep = np.arange(d.n) % 60 < 1 + d.cluster_index % 60
+    write_csv(Dataset(d.y[keep], d.w[keep], d.x[keep], d.cluster_index[keep]),
+              workdir / "wide.csv")
+    got = {}
+    for threads in ("1", "2"):
+        env = subprocess_env(OPENBLAS_NUM_THREADS=threads,
+                             OMP_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-c", "import sys; from "
+                        "clusterdr.cli import main; sys.exit(main())",
+                        "estimate", "--data", "wide.csv", "--L", "2",
+                        "--baselines", "--output", f"wide{threads}.json"],
+                       env=env, cwd=workdir, check=True, capture_output=True)
+        got[threads] = read_report(workdir / f"wide{threads}.json")
+    assert got["1"]["body"]["data"]["n"] == 33_150
+    assert got["1"]["meta"]["body_sha256"] == got["2"]["meta"]["body_sha256"]
+
+
 @pytest.mark.parametrize("argv, message", [
     (["estimate", "--data", "one.csv"],
      "cannot split 1 clusters into 5 folds"),

@@ -172,7 +172,7 @@ def test_cross_fit_predictions_ignore_own_fold_outcomes():
     s_bar = build_suffstats(d, mundlak_spec(d.k))
     folds = cross_fit_folds(d.c, 3, seed=7)
     nu = fit_nuisances(d, s_bar, folds)
-    fold0 = nu.fold_of_unit == 0
+    fold0 = nu.fold_of_cluster[d.cluster_index] == 0
     y2 = d.y.copy()
     y2[fold0] += 100.0  # poison the held-out outcomes
     d2 = Dataset(y2, d.w, d.x,
@@ -207,8 +207,10 @@ def clustered_data(seed, sizes, k):
 
 
 def assert_matches_perfold_oracle(d, s_bar, folds, atol=1e-10, cfg=None):
+    # the library takes the (c, t) summaries, the oracle their unit rows
     nu = fit_nuisances(d, s_bar, folds, cfg)
-    mu0, mu1, e, _ = oracles.perfold_fit_nuisances(d, s_bar, folds, cfg)
+    mu0, mu1, e, _ = oracles.perfold_fit_nuisances(d, s_bar[d.cluster_index],
+                                                   folds, cfg)
     np.testing.assert_allclose(nu.mu0, mu0, rtol=1e-10, atol=atol)
     np.testing.assert_allclose(nu.mu1, mu1, rtol=1e-10, atol=atol)
     np.testing.assert_allclose(nu.e, e, rtol=0.0, atol=1e-8)
@@ -294,14 +296,14 @@ def test_stacked_triangles_and_warm_starts(monkeypatch, scale, cold,
     s_bar = build_suffstats(d, mundlak_spec(d.k))
     if scale is not None:
         jitter = np.random.default_rng(4).standard_normal(d.c)
-        s_bar = np.column_stack(
-            [s_bar, 2.0 * s_bar[:, 1] + scale * jitter[d.cluster_index]])
+        s_bar = np.column_stack([s_bar, 2.0 * s_bar[:, 1] + scale * jitter])
     L = 3
     folds = cross_fit_folds(d.c, L, seed=2)
     calls = record_calls(monkeypatch, "wls_fit")
     pcalls = record_calls(monkeypatch, "logistic_fit")
     assert_matches_perfold_oracle(d, s_bar, folds, atol)
-    _, _, _, want = oracles.perfold_fit_nuisances(d, s_bar, folds)
+    _, _, _, want = oracles.perfold_fit_nuisances(d, s_bar[d.cluster_index],
+                                                  folds)
     assert want == [dropped] * L
     assert [res.columns_dropped for _, _, res in calls] == want
     # one fit per fold, on the other folds' (p + 1)-column triangles
@@ -380,7 +382,7 @@ def traced_peak_per_unit(d, f, *args):
 
 @pytest.fixture(scope="module")
 def nonlinear_200k():
-    """200,000 units (c = 20,000, k = 2), their three summaries, and
+    """200,000 units (c = 20,000, k = 2), the (c, 3) summaries, and
     five folds."""
     d = generate(dgp_preset("nonlinear-u", c=20_000, n_c=10), 0).dataset
     return d, build_suffstats(d, mundlak_spec(d.k)), cross_fit_folds(d.c, 5,
@@ -390,14 +392,15 @@ def nonlinear_200k():
 def test_fit_nuisances_working_set_per_unit(nonlinear_200k):
     # Besides its inputs, cross-fitting holds its outputs, one propensity
     # design and one label vector sized for the largest training split,
-    # and one held-out block at a time: about 85 bytes per unit here.
-    # With a new training design, its row indices and labels and the
-    # held-out design made for every fold it took 107; with the outcome
-    # system, the propensity design, per-fold row copies and n-row
-    # Newton temporaries all at once, 338.
+    # and one held-out block at a time: about 78 bytes per unit here.
+    # With an n-row fold label per unit besides, it took 85; with a new
+    # training design, its row indices and labels and the held-out
+    # design made for every fold, 107; with the outcome system, the
+    # propensity design, per-fold row copies and n-row Newton
+    # temporaries all at once, 338.
     d, s_bar, folds = nonlinear_200k
     per_unit = traced_peak_per_unit(d, fit_nuisances, d, s_bar, folds)
-    assert per_unit <= 95, per_unit
+    assert per_unit <= 80, per_unit
 
 
 @pytest.mark.parametrize("weighted", [False, True],
@@ -469,8 +472,8 @@ def copying_oracle_report():
             nu = fit_nuisances(d, s_bar, folds, cfg)
         finally:
             est_module.logistic_fit = original
-        mu0, mu1, e, want = oracles.copying_fit_nuisances(d, s_bar, folds,
-                                                          cfg)
+        mu0, mu1, e, want = oracles.copying_fit_nuisances(
+            d, s_bar[d.cluster_index], folds, cfg)
         differ = [name for name, got, ref in (("mu0", nu.mu0, mu0),
                                               ("mu1", nu.mu1, mu1),
                                               ("e", nu.e, e))
@@ -550,7 +553,8 @@ def test_fold_after_separated_fit_starts_cold(monkeypatch):
     # fold 1's training design has full rank, so only the separation
     # of fold 0 makes it start cold
     train = folds[d.cluster_index] != 1
-    design = np.column_stack([np.ones(d.n), d.x, s_bar])[train]
+    design = np.column_stack([np.ones(d.n), d.x,
+                              s_bar[d.cluster_index]])[train]
     assert np.linalg.matrix_rank(design) == design.shape[1]
     assert starts[0] is None and starts[1] is None
     assert np.array_equal(starts[2], calls[1][2].coefficients)
@@ -581,10 +585,11 @@ def test_rank_deficient_training_design_drops_column(monkeypatch):
 
 def propensity_rows(d, s_bar):
     """The default propensity design, written out: intercept, covariates,
-    summaries, and indicators for all but the smallest cluster size."""
+    the (c, t) summaries at each unit's cluster, and indicators for all
+    but the smallest cluster size."""
     unit_size = d.n_c[d.cluster_index]
     sizes = np.unique(d.n_c)[1:]
-    return np.column_stack([np.ones(d.n), d.x, s_bar]
+    return np.column_stack([np.ones(d.n), d.x, s_bar[d.cluster_index]]
                            + [(unit_size == s).astype(float) for s in sizes])
 
 
@@ -704,11 +709,12 @@ def test_bad_fold_labels_rejected(relabel, message):
         fit_nuisances(d, s_bar, folds)
 
 
-def test_summary_matrix_must_have_one_row_per_unit():
+def test_summary_matrix_must_have_one_row_per_cluster():
     d = unbalanced_dataset(seed=6)
     s_bar = build_suffstats(d, mundlak_spec(d.k))
     folds = cross_fit_folds(d.c, 3, seed=0)
-    for bad in (s_bar[:-1], s_bar[:, 0]):
+    # the unit rows s_bar[d.cluster_index] are refused too
+    for bad in (s_bar[:-1], s_bar[:, 0], s_bar[d.cluster_index]):
         with pytest.raises(InputError, match="summaries have shape"):
             fit_nuisances(d, bad, folds)
 

@@ -198,6 +198,74 @@ def test_wls_input_errors():
         logistic_fit(late, np.arange(9000) % 2.0)
 
 
+def test_first_bad_block_names_the_error():
+    # Labels and response are checked block by block with the design:
+    # the first block holding a bad value names the error, and a block
+    # holding both reports the labels' or the response's.
+    a = np.ones((9000, 2))
+    y = np.arange(9000) % 2.0
+    a[8500, 1] = np.nan
+    bad = y.copy()
+    bad[8600] = 2.0
+    with pytest.raises(InputError, match="labels must be 0 or 1"):
+        logistic_fit(a, bad)
+    with pytest.raises(InputError, match="response contains non-finite"):
+        wls_fit(a, np.where(bad == 2.0, np.inf, bad))
+    a[100, 1] = np.inf
+    with pytest.raises(InputError, match="design contains non-finite"):
+        logistic_fit(a, bad)
+    with pytest.raises(InputError, match="design contains non-finite"):
+        wls_fit(a, np.where(bad == 2.0, np.inf, bad))
+
+
+@pytest.mark.parametrize("fit", [logistic_fit, wls_fit],
+                         ids=["logistic_fit", "wls_fit"])
+def test_input_checks_make_no_n_row_temporary(fit):
+    # 3,000,000 rows x 2 columns: the labels' and the response's checks
+    # run on one block at a time, so the fits hold about 0.26
+    # (logistic) and 0.18 (least squares) bytes a row over their inputs.
+    # Checked over all rows at once they made n-byte masks: 2.0 and 1.0.
+    n = 3_000_000
+    rng = np.random.default_rng(5)
+    a = np.column_stack([np.ones(n), rng.standard_normal(n)])
+    y = (rng.random(n) < 0.5).astype(float)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fit(a, y)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * n, peak / n
+
+
+def test_row_blocks_follow_the_width():
+    # 8,192 rows up to 56 columns; past that, the largest multiple of
+    # four rows under 460,800 entries; past 677 columns, the least
+    # multiple of four above the width.
+    assert [len(range(*b.indices(9000))) for b in row_blocks(9000, 56)] == [
+        8192, 808]
+    for width in (57, 65, 72, 300, 677):
+        step = row_blocks(10**6, width)[0].stop
+        assert step % 4 == 0 and step * width < 460_800
+        assert (step + 4) * width >= 460_800 and step > width
+    assert row_blocks(10**6, 700)[0].stop == 704
+    assert row_blocks(10**6, 9000)[0].stop == 9004
+
+
+@pytest.mark.parametrize("n, p", [(20_000, 70), (12_000, 300)])
+def test_wide_blocks_match_unblocked_oracle(n, p):
+    # Blocks of 6,580 and 1,532 rows. At 300 columns the stacked
+    # triangles (2,400 rows) are factored in blocks again, twice.
+    rng, a, beta = blocked_design(n + p, n, p, False)
+    b = a @ beta + rng.standard_normal(n)
+    fit = wls_fit(a, b)
+    want, dropped = oracles.unblocked_wls_fit(a, b, np.ones(n))
+    assert fit.columns_dropped == dropped == ()
+    assert_close_to(fit.coefficients, want, 1e-10)
+
+
 # --------------------------------------------------------------------------
 # 8,192-row blocks against one QR of all rows
 # --------------------------------------------------------------------------

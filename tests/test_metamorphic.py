@@ -1,0 +1,110 @@
+"""Metamorphic relations: changes to the input whose effect on the
+estimate is known without knowing the estimate."""
+
+import csv
+import json
+import math
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from clusterdr import (
+    Dataset,
+    build_suffstats,
+    cross_fit_folds,
+    dgp_preset,
+    dr_estimate,
+    fit_nuisances,
+    generate,
+    mundlak_spec,
+)
+from clusterdr.cli import main
+from clusterdr.dataset import write_csv
+
+
+def small_draw(seed, c, n_c):
+    return generate(dgp_preset("mundlak-linear", c=c, n_c=n_c), seed).dataset
+
+
+def estimate_report(workdir, d, name, seed):
+    """``estimate --baselines`` on ``d`` written as ``name``.csv: the
+    report body and the xi column of its ``.xi.csv`` as text."""
+    write_csv(d, workdir / f"{name}.csv")
+    out = workdir / f"{name}.json"
+    assert main(["estimate", "--data", str(workdir / f"{name}.csv"),
+                 "--baselines", "--seed", str(seed), "--output",
+                 str(out)]) == 0
+    with open(workdir / f"{name}.xi.csv", newline="") as fh:
+        xi = [row[1] for row in csv.reader(fh)]
+    with open(out) as fh:
+        return json.load(fh)["body"], xi
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       c=st.integers(min_value=10, max_value=30),
+       n_c=st.integers(min_value=3, max_value=8),
+       names=st.lists(st.text("abcXYZ019_-", min_size=1, max_size=6),
+                      min_size=30, max_size=30, unique=True))
+def test_relabelled_clusters_give_the_same_estimate(seed, c, n_c, names):
+    # Dense cluster ids follow first appearance, and the folds, the
+    # summaries and every fit follow the ids. New label strings in the
+    # same first-appearance order leave every number of the report as
+    # it was, to the bit; only the labels, and so the side file's
+    # sha256 and the first warned labels, change.
+    d = small_draw(seed, c, n_c)
+    new = [names[j] for j in d.cluster_index]
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        old_body, old_xi = estimate_report(workdir, d, "old", seed)
+        relabelled = Dataset(d.y, d.w, d.x, new)
+        new_body, new_xi = estimate_report(workdir, relabelled, "new", seed)
+    drop = ("xi_csv_sha256",)
+    assert ({k: v for k, v in new_body["result"].items() if k not in drop}
+            == {k: v for k, v in old_body["result"].items() if k not in drop})
+    assert new_body["baselines"] == old_body["baselines"]
+    for key in ("n", "c", "k"):
+        assert new_body["data"][key] == old_body["data"][key]
+    old_warn = old_body["data"]["warnings"]
+    new_warn = new_body["data"]["warnings"]
+    assert ({k: v for k, v in new_warn.items() if k != "first"}
+            == {k: v for k, v in old_warn.items() if k != "first"})
+    position = {label: j for j, label in enumerate(d.cluster_labels)}
+    assert new_warn["first"] == [names[position[label]]
+                                 for label in old_warn["first"]]
+    assert new_xi == old_xi
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       c=st.integers(min_value=20, max_value=60),
+       n_c=st.integers(min_value=4, max_value=8),
+       b=st.floats(min_value=-1e3, max_value=1e3, allow_nan=False))
+def test_outcome_shift_leaves_the_estimate(seed, c, n_c, b):
+    # The outcome model has an intercept, so in real arithmetic y + b
+    # moves mu0 and mu1 by b and leaves mu1 - mu0, the residuals
+    # y - mu and hence tau_hat as they were. The propensity model never
+    # reads y, so e, and the trimming, are the same to the bit. Rounding
+    # enters through y + b and the least-squares fit at the scale
+    # max|y| + |b|, and the inverse-propensity weights (at most 20 after
+    # trimming at 0.05) and the design's conditioning amplify it. The
+    # bound is 1,000 eps (max|y| + |b|); 200 seeded draws with |b| up to
+    # 1,000 moved tau_hat by at most 1.1 eps (max|y| + |b|).
+    d = small_draw(seed, c, n_c)
+    folds = cross_fit_folds(d.c, 3, seed)
+
+    def estimate(y):
+        shifted = Dataset(y, d.w, d.x, d.cluster_index)
+        nu = fit_nuisances(shifted, build_suffstats(shifted,
+                                                    mundlak_spec(d.k)), folds)
+        return nu.e, dr_estimate(shifted, nu, eta=0.05).tau_hat
+
+    e, tau = estimate(d.y.copy())
+    e_shift, tau_shift = estimate(d.y + b)
+    assert np.array_equal(e_shift, e)
+    bound = 1000 * np.finfo(float).eps * (np.abs(d.y).max() + abs(b))
+    assert math.isclose(tau_shift, tau, rel_tol=0.0, abs_tol=bound), (
+        tau_shift - tau, bound)

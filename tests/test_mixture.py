@@ -178,12 +178,11 @@ def test_posterior_bridge_into_estimation():
     res = separated(seed=8, c=80, n_c=20)
     d = res.dataset
     m = em_fit(d, p=2, seed=2, restarts=3)
-    s_bar = augment_with_posterior(d, posterior_suffstat(m, d))
-    assert s_bar.shape == (d.n, 1)  # p - 1 columns
-    # summary constant within cluster
-    for cid in range(5):
-        rows = np.flatnonzero(d.cluster_index == cid)
-        assert np.ptp(s_bar[rows, 0]) == 0.0
+    post = posterior_suffstat(m, d)
+    s_bar = augment_with_posterior(d, post)
+    # one row per cluster, p - 1 columns
+    assert s_bar.shape == (d.c, 1)
+    assert np.array_equal(s_bar[:, 0], post[:, 0])
     folds = cross_fit_folds(d.c, 3, seed=4)
     nu = fit_nuisances(d, s_bar, folds)
     out = dr_estimate(d, nu, eta=0.05)

@@ -1,6 +1,7 @@
 """Statistic specifications, cluster summaries, trimming flags."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,9 +13,14 @@ from clusterdr import (
     InputError,
     StatSpec,
     Term,
+    augment_with_posterior,
     build_suffstats,
+    dgp_preset,
+    em_fit,
+    generate,
     mundlak_spec,
     overlap_set,
+    posterior_suffstat,
     resolve_transform,
 )
 
@@ -44,13 +50,12 @@ def random_dataset(seed=0, n=40, k=2, n_clusters=6):
 
 def test_two_unit_cluster_means():
     # one cluster, units (w=1, x=2) and (w=0, x=4): the treatment share
-    # is 1/2 and the covariate mean is 3, attached to both rows.
+    # is 1/2 and the covariate mean is 3, in the cluster's one row.
     d = Dataset(np.array([0.0, 0.0]), np.array([1, 0]),
                 np.array([[2.0], [4.0]]), ["c", "c"])
     spec = StatSpec(terms=(Term("treatment-mean"), Term("covariate-mean", j=0)))
     s_bar = build_suffstats(d, spec)
-    assert s_bar[0].tolist() == [0.5, 3.0]
-    assert s_bar[1].tolist() == [0.5, 3.0]
+    assert s_bar.tolist() == [[0.5, 3.0]]
 
 
 def test_own_unit_is_included():
@@ -62,16 +67,62 @@ def test_own_unit_is_included():
 def test_against_double_loop_oracle():
     d = random_dataset(seed=3)
     spec = full_kind_spec()
-    s_bar = build_suffstats(d, spec)
+    s_bar = build_suffstats(d, spec)[d.cluster_index]
     term_values = np.column_stack([t.unit_values(d) for t in spec.terms])
     cluster_ids = [d.cluster_labels[i] for i in d.cluster_index]
     want = oracles.naive_suffstat_means(cluster_ids, term_values)
     assert np.max(np.abs(s_bar - want)) < 1e-12
 
 
+def test_cluster_rows_expand_to_unit_oracle():
+    # One row per cluster in dense-id order: gathered at each unit's
+    # cluster, the rows are the per-unit matrix the summaries used to
+    # be, to the bit, for every term kind and for mixture posteriors.
+    d = random_dataset(seed=5, n=300, n_clusters=40)
+    s_bar = build_suffstats(d, full_kind_spec())
+    assert s_bar.shape == (d.c, 5)
+    want = oracles.unit_suffstats(d, full_kind_spec())
+    assert np.array_equal(s_bar[d.cluster_index], want)
+    m = generate(dgp_preset("separated-mixture", c=40), 2).dataset
+    for p in (1, 2, 3):
+        post = posterior_suffstat(em_fit(m, p=p, seed=1, restarts=2), m)
+        s_bar = augment_with_posterior(m, post)
+        assert s_bar.shape == (m.c, max(p - 1, 1))
+        assert np.array_equal(s_bar[m.cluster_index],
+                              oracles.unit_posterior_summaries(m, post))
+
+
+def test_build_suffstats_holds_one_row_per_cluster():
+    # 200,000 units in 20,000 clusters, six terms: the result holds
+    # 8 c t bytes (0.96 MB), where the unit rows held 8 n t (9.6 MB).
+    # The peak adds one term's temporaries (the term values and the
+    # copies np.bincount makes, about 22 bytes a unit here); with the
+    # unit rows it read 66.
+    d = generate(dgp_preset("nonlinear-u", c=20_000, n_c=10), 0).dataset
+    spec = StatSpec(terms=(
+        Term("treatment-mean"),
+        Term("covariate-mean", j=0),
+        Term("covariate-mean", j=1),
+        Term("covariate-second-moment", j=0, k2=1),
+        Term("covariate-treatment-interaction", j=1),
+        Term("custom-transform", tag="log:0"),
+    ))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        s_bar = build_suffstats(d, spec)
+        held, peak = (v - before for v in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert s_bar.shape == (d.c, len(spec))
+    assert held <= s_bar.nbytes + 4096, held
+    assert peak <= 24 * d.n + 2 * s_bar.nbytes, peak / d.n
+
+
 def test_within_cluster_constancy_is_exact():
     d = random_dataset(seed=4)
-    s_bar = build_suffstats(d, full_kind_spec())
+    s_bar = build_suffstats(d, full_kind_spec())[d.cluster_index]
     for cid in range(d.c):
         rows = np.flatnonzero(d.cluster_index == cid)
         first = s_bar[rows[0]]
@@ -138,7 +189,7 @@ def test_registered_transform_used_in_spec():
     s_bar = build_suffstats(
         d, StatSpec(terms=(Term("custom-transform", tag="square:0"),))
     )
-    assert s_bar[:, 0].tolist() == [10.0, 10.0]
+    assert s_bar.tolist() == [[10.0]]
     # and the tag survives serialization
     spec = StatSpec(terms=(Term("custom-transform", tag="square:0"),))
     assert StatSpec.from_dict(spec.to_dict()) == spec
