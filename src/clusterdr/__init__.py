@@ -28,7 +28,6 @@ from .estimators import (
     load_panel_csv,
     make_panel,
     mundlak_ols,
-    psi,
     qte_estimate,
     twoway_mundlak_check,
     weighted_fe,
@@ -73,7 +72,6 @@ from .suffstats import (
     build_suffstats,
     mundlak_spec,
     overlap_set,
-    resolve_transform,
 )
 
 __version__ = "0.1.0"

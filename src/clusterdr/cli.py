@@ -672,7 +672,7 @@ def cmd_mixture(args) -> int:
     meta = {}
     if cfg["estimate"]:
         with _stage("design"):
-            s_bar = augment_with_posterior(d, post)
+            s_bar = augment_with_posterior(post)
         _, res = _dr_stages(cfg, d, s_bar)
         body["estimate"], xi_path = _dr_block(cfg["output"], d, res)
         meta["xi_csv"] = str(xi_path)

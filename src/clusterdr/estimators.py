@@ -33,7 +33,6 @@ __all__ = [
     "NuisanceEstimates",
     "DrResult",
     "PanelData",
-    "psi",
     "fe_ols",
     "mundlak_ols",
     "weighted_fe",
@@ -44,36 +43,6 @@ __all__ = [
     "make_panel",
     "twoway_mundlak_check",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Score and point estimate
-# ---------------------------------------------------------------------------
-
-
-def psi(y, w, mu1, mu0, e):
-    """Doubly robust per-unit score.
-
-    Combines the model-based contrast ``mu1 - mu0`` with the inverse
-    propensity correction of the residual from the arm actually
-    observed. Inputs broadcast; propensities must lie strictly inside
-    (0, 1).
-    """
-    y = np.asarray(y, dtype=float)
-    w = np.asarray(w, dtype=float)
-    mu1 = np.asarray(mu1, dtype=float)
-    mu0 = np.asarray(mu0, dtype=float)
-    e = np.asarray(e, dtype=float)
-    return mu1 - mu0 + _ipw_correction(y, w, mu1, mu0, e)
-
-
-def _ipw_correction(y, w, mu1, mu0, e):
-    """The inverse-propensity correction in :func:`psi`: the residual
-    from the arm observed times ``w / e - (1 - w) / (1 - e)``."""
-    if np.any(e <= 0.0) or np.any(e >= 1.0):
-        raise InputError("propensities must lie strictly in (0, 1)")
-    mu_w = np.where(w == 1.0, mu1, mu0)
-    return (w / e - (1.0 - w) / (1.0 - e)) * (y - mu_w)
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +418,16 @@ class DrResult:
         }
 
 
+def _ipw_correction(y, w, mu1, mu0, e):
+    """The doubly robust score less ``mu1 - mu0``: the residual from the
+    arm observed times ``w / e - (1 - w) / (1 - e)``, for ``e`` strictly
+    inside (0, 1)."""
+    if np.any(e <= 0.0) or np.any(e >= 1.0):
+        raise InputError("propensities must lie strictly in (0, 1)")
+    mu_w = np.where(w == 1.0, mu1, mu0)
+    return (w / e - (1.0 - w) / (1.0 - e)) * (y - mu_w)
+
+
 def dr_estimate(
     d: Dataset,
     nu: NuisanceEstimates,
@@ -458,10 +437,12 @@ def dr_estimate(
     ``eta`` retains (:func:`~clusterdr.suffstats.overlap_set`: kept when
     ``eta < e < 1 - eta``; ``eta=None`` keeps every unit).
 
-    The point estimate is the retained-unit mean of :func:`psi`. The
-    variance comes from per-cluster means of the inverse-propensity
-    correction term: their spread across clusters, scaled by the
-    squared retained fraction, divided by the number of clusters.
+    The point estimate is the retained-unit mean of the score: ``mu1 -
+    mu0`` plus the inverse-propensity correction ``_ipw_correction``,
+    which every unit gets, so an ``e`` of 0 or 1 raises
+    :class:`~clusterdr.exceptions.InputError`, trimmed or not. The
+    variance is the spread across clusters of the correction's cluster
+    means, over the squared retained fraction and the number of clusters.
     Raises :class:`~clusterdr.exceptions.EmptyOverlapError` when
     trimming removes every unit, and
     :class:`~clusterdr.exceptions.EstimationError` when the estimate,
@@ -472,7 +453,7 @@ def dr_estimate(
     a_bar = float(a.mean())
     if a_bar == 0.0:
         raise EmptyOverlapError("trimming removed every unit")
-    # One correction term serves the score (psi) and the variance. Both
+    # One correction term serves the score and the variance. Both
     # are made a block of rows at a time, so no other n-row temporary is.
     correction, score = np.empty(d.n), np.empty(d.n)
     with np.errstate(over="ignore", invalid="ignore"):

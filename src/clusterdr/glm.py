@@ -98,18 +98,20 @@ def _rank_rule(a: np.ndarray, b=None, labels=None):
     ``[a | b]`` (``a`` alone when ``b`` is None) gets one unpivoted
     Householder QR, taken as the QR of :func:`stacked_block_r` of its
     :func:`row_blocks`; each block is built from the rows of ``a`` and,
-    on the first pass, checked and added to the column norms as it is
-    factored. A block's check raises :class:`InputError` for a
-    non-finite ``b`` ("response contains non-finite values"), then for
-    ``labels`` other than 0 and 1 ("labels must be 0 or 1"), then for a
-    non-finite value of ``a`` ("design contains non-finite values"): the
-    first block holding a bad value names the error, and within a block
-    the response or labels come before the design. So no check makes a
-    temporary longer than a block. The diagonal entry |R_jj| is the norm
-    of column j's residual against the columns before it, so the first
-    column with |R_jj| at or below ``1e-9 * max(largest column norm, 1)``
-    is dropped and the kept columns of the same rows are factored again;
-    with fewer rows than columns, every column past the rank is dropped.
+    on the first pass, checked as it is factored. A block's check raises
+    :class:`InputError` for a non-finite ``b`` ("response contains
+    non-finite values"), then for ``labels`` other than 0 and 1 ("labels
+    must be 0 or 1"), then for a non-finite value of ``a`` ("design
+    contains non-finite values"): the first block holding a bad value
+    names the error, and within a block the response or labels come
+    before the design. So no check makes a temporary longer than a
+    block. |R_jj| is the norm of column j's residual against the columns
+    before it, so the first column with |R_jj| at or below
+    ``1e-9 * max(||a_j||, 1)`` is dropped (a column of norm at most 1e-9
+    always is) and the kept columns are factored again. Each column is
+    judged by its own norm, read from the first R, whose columns keep
+    ``a``'s norms, so scaling one column moves no other's tolerance.
+    With fewer rows than columns, every column past the rank is dropped.
     Returns (kept, dropped, R of the kept columns and ``b``);
     :func:`logistic_fit` runs Newton, and reads its ``tol``, in the
     orthogonal basis that R gives.
@@ -117,7 +119,6 @@ def _rank_rule(a: np.ndarray, b=None, labels=None):
     n, p = a.shape
     kept = list(range(p))
     dropped: list = []
-    sq_norms = np.zeros(p)
 
     def block(rows, cols):
         blk = a[rows, cols]
@@ -131,7 +132,6 @@ def _rank_rule(a: np.ndarray, b=None, labels=None):
                 raise InputError("labels must be 0 or 1")
             if not np.isfinite(blk).all():
                 raise InputError("design contains non-finite values")
-            sq_norms[:] += np.einsum("ij,ij->j", blk[:, :p], blk[:, :p])
         return blk
 
     while True:
@@ -144,9 +144,9 @@ def _rank_rule(a: np.ndarray, b=None, labels=None):
             blocks = row_blocks(*r.shape)
             r = stacked_block_r(r[rows] for rows in blocks)
         if not dropped:
-            tol = 1e-9 * max(math.sqrt(sq_norms.max(initial=0.0)), 1.0)
+            tol = 1e-9 * np.maximum(np.linalg.norm(r[:, :p], axis=0), 1.0)
         diag = np.abs(np.diagonal(r))[:len(kept)]
-        small = np.flatnonzero(diag <= tol)
+        small = np.flatnonzero(diag <= tol[kept][:diag.size])
         if not small.size:
             break
         # Later columns were measured against this one's residual

@@ -210,11 +210,11 @@ def posterior_suffstat(model: MixtureModel, d: Dataset) -> np.ndarray:
     return resp
 
 
-def augment_with_posterior(d: Dataset, posterior: np.ndarray) -> np.ndarray:
+def augment_with_posterior(posterior: np.ndarray) -> np.ndarray:
     """Use mixture posteriors as the cluster summary columns.
 
     ``posterior`` is the (c, p) array of :func:`posterior_suffstat`, one
-    row per cluster of ``d`` in dense-id order, as
+    row per cluster of its dataset in dense-id order, as
     :func:`~clusterdr.suffstats.build_suffstats` gives its summaries.
     Rows sum to one, so the last component's column is redundant given
     an intercept and is omitted: the result is (c, max(p - 1, 1)).

@@ -122,11 +122,7 @@ def _eta_logit_in_xbar(rng, u, xbar1, prm):
     return _sigmoid(prm.get("a0", 0.0) + prm.get("a1", 1.0) * xbar1)
 
 
-def _eta_beta(rng, u, xbar1, prm):
-    return rng.beta(prm.get("alpha", 2.0), prm.get("beta", 2.0), size=u.shape[0])
-
-
-def _eta_beta_scaled(rng, u, xbar1, prm):
+def _eta_scaled_beta(rng, u, xbar1, prm):
     raw = rng.beta(prm.get("alpha", 2.0), prm.get("beta", 5.0), size=u.shape[0])
     return prm.get("lo", 0.1) + prm.get("span", 0.8) * raw
 
@@ -143,8 +139,7 @@ def _eta_type_split(rng, u, xbar1, prm):
 _ETA_MAPS = {
     "logit-in-u": _eta_logit_in_u,
     "logit-in-xbar": _eta_logit_in_xbar,
-    "beta": _eta_beta,
-    "beta-scaled": _eta_beta_scaled,
+    "beta-scaled": _eta_scaled_beta,
     "constant": _eta_constant,
     "type-split": _eta_type_split,
 }

@@ -10,7 +10,7 @@ estimators condition on; a unit's summaries are its cluster's row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -23,7 +23,6 @@ __all__ = [
     "build_suffstats",
     "mundlak_spec",
     "overlap_set",
-    "resolve_transform",
 ]
 
 _KINDS = (
@@ -41,32 +40,15 @@ def _check_index(j: int, k: int) -> None:
         )
 
 
-def _builtin_transform(base: str, j: int) -> Callable:
-    if base == "log":
-        return lambda x, w: np.log(np.clip(x[:, j], 1e-12, None))
-    if base == "square":
-        return lambda x, w: x[:, j] ** 2
-    return lambda x, w: np.clip(x[:, j], -3.0, 3.0)
-
-
-def resolve_transform(tag: str, k: int) -> Callable:
-    """Look up a transform by tag for a dataset with ``k`` covariates.
-
-    Tags have the form ``log:j``, ``square:j`` or ``clip:j``, where
-    ``0 <= j < k`` is a covariate index: the natural log of the
-    covariate floored at 1e-12, its square, and the covariate winsorized
-    to [-3, 3]. The result maps ``(x, w)`` to the length-n vector of
-    per-unit values.
-    """
+def _parse_tag(tag: str) -> tuple:
+    """``(base, j)`` of a transform tag (see :class:`Term`)."""
     base, sep, idx = tag.partition(":")
     if not sep or base not in ("log", "square", "clip"):
         raise InputError(f"unknown transform tag {tag!r}")
     try:
-        j = int(idx)
+        return base, int(idx)
     except ValueError:
         raise InputError(f"bad covariate index in tag {tag!r}") from None
-    _check_index(j, k)
-    return _builtin_transform(base, j)
 
 
 @dataclass(frozen=True)
@@ -74,9 +56,11 @@ class Term:
     """One summary-statistic descriptor.
 
     ``kind`` selects the per-unit value; ``j`` and ``k2`` are zero-based
-    covariate indices where the kind needs them, and ``tag`` names a
-    built-in transform (:func:`resolve_transform`) for
-    ``custom-transform`` terms.
+    covariate indices where the kind needs them. ``tag`` (``log:j``,
+    ``square:j`` or ``clip:j``) makes a ``custom-transform`` term the log
+    of covariate j floored at 1e-12, its square, or the covariate
+    winsorized to [-3, 3]; it is parsed when the term is made, and j is
+    checked against the data when the values are computed.
     """
 
     kind: str
@@ -98,8 +82,10 @@ class Term:
             self.k2 is None or self.k2 < 0
         ):
             raise InputError("covariate-second-moment needs index k2 >= 0")
-        if self.kind == "custom-transform" and not self.tag:
-            raise InputError("custom-transform needs a tag")
+        if self.kind == "custom-transform":
+            if not self.tag:
+                raise InputError("custom-transform needs a tag")
+            _parse_tag(self.tag)
 
     @property
     def name(self) -> str:
@@ -127,7 +113,12 @@ class Term:
         if self.kind == "covariate-treatment-interaction":
             _check_index(self.j, d.k)
             return d.x[:, self.j] * d.w
-        return resolve_transform(self.tag, d.k)(d.x, d.w)
+        base, j = _parse_tag(self.tag)
+        _check_index(j, d.k)
+        x = d.x[:, j]
+        if base == "log":
+            return np.log(np.clip(x, 1e-12, None))
+        return x**2 if base == "square" else np.clip(x, -3.0, 3.0)
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind}

@@ -524,19 +524,19 @@ def chunked_read_units(path, outcome, treatment, labels, covariates=None):
 
 def _unblocked_rank_rule(a, b=None):
     """The QR rank rule on all rows at once: one unpivoted Householder QR
-    of ``[a | b]``, dropping the first column whose |R_jj| is at or below
-    ``1e-9 * max(largest column norm, 1)`` and refactoring, until none
-    is; with fewer rows than columns, the columns past the rank go too.
-    Returns (kept, dropped, R of the kept columns and ``b``)."""
+    of ``[a | b]``, dropping the first column j whose |R_jj| is at or
+    below ``1e-9 * max(||a_j||, 1)``, its own column's norm, and
+    refactoring, until none is; with fewer rows than columns, the columns
+    past the rank go too. Returns (kept, dropped, R of the kept columns
+    and ``b``)."""
     n, p = a.shape
-    tol = 1e-9 * max(math.sqrt(np.einsum("ij,ij->j", a, a).max(initial=0.0)),
-                     1.0)
+    tol = 1e-9 * np.maximum(np.sqrt(np.einsum("ij,ij->j", a, a)), 1.0)
     kept, dropped = list(range(p)), []
     tail = np.empty((n, 0)) if b is None else b[:, None]
     while True:
         r = np.linalg.qr(np.column_stack([a[:, kept], tail]), mode="r")
         diag = np.abs(np.diagonal(r))[:len(kept)]
-        small = np.flatnonzero(diag <= tol)
+        small = np.flatnonzero(diag <= tol[kept][:diag.size])
         if not small.size:
             break
         dropped.append(kept.pop(int(small[0])))

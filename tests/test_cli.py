@@ -458,9 +458,12 @@ def test_non_finite_estimate_exits_two(command, scale, workdir, capsys):
 
 
 @pytest.mark.parametrize("command", ["estimate", "select", "simulate"])
-@pytest.mark.parametrize("tag", ["log:9", "square:-1"])
+@pytest.mark.parametrize("tag", ["log:9", "square:-1", "cube:0"])
 def test_transform_tag_past_covariates_exits_one(command, tag, demo_csv,
                                                  workdir, capsys):
+    # An index past the data's covariates is found in the design stage
+    # (for simulate, in every rep); an unknown tag is refused when the
+    # spec is read, which simulate does before any rep runs.
     spec = {"terms": [{"kind": "custom-transform", "tag": tag}]}
     j = tag.partition(":")[2]
     if command == "simulate":
@@ -471,6 +474,11 @@ def test_transform_tag_past_covariates_exits_one(command, tag, demo_csv,
         inputs, k = ["--data", str(demo_csv)], 3
     (workdir / "cfg.json").write_text(json.dumps(cfg))
     assert main([command, "--config", "cfg.json", *inputs]) == 1
+    if tag == "cube:0":
+        stage = "configure" if command == "simulate" else "design"
+        assert capsys.readouterr().err == (
+            f"error: {stage}: unknown transform tag 'cube:0'\n")
+        return
     message = f"term references covariate {j} but dataset has {k} covariates"
     assert capsys.readouterr().err == (
         f"error: design: {message}\n" if command != "simulate" else

@@ -20,6 +20,7 @@ from clusterdr import (
     EstimationError,
     InputError,
     NuisanceConfig,
+    NuisanceEstimates,
     UnbalancedPanelError,
     build_suffstats,
     cross_fit_folds,
@@ -34,7 +35,6 @@ from clusterdr import (
     mundlak_spec,
     overlap_set,
     predict_proba,
-    psi,
     qte_estimate,
     twoway_mundlak_check,
     weighted_fe,
@@ -79,25 +79,18 @@ def pipeline(d, L=3, eta=0.05, seed=1, cfg=None):
 # --------------------------------------------------------------------------
 
 
-def test_psi_matches_scalar_oracle():
-    rng = np.random.default_rng(0)
-    n = 200
-    y = rng.standard_normal(n)
-    w = rng.integers(0, 2, size=n).astype(float)
-    mu1 = rng.standard_normal(n)
-    mu0 = rng.standard_normal(n)
-    e = rng.uniform(0.05, 0.95, size=n)
-    got = psi(y, w, mu1, mu0, e)
-    want = [oracles.scalar_psi(y[i], int(w[i]), mu1[i], mu0[i], e[i])
-            for i in range(n)]
-    assert np.max(np.abs(got - np.array(want))) < 1e-12
-
-
 def test_psi_rejects_boundary_propensities():
-    with pytest.raises(InputError):
-        psi(1.0, 1.0, 0.0, 0.0, 0.0)
-    with pytest.raises(InputError):
-        psi(1.0, 0.0, 0.0, 0.0, 1.0)
+    # Every unit's score is formed, trimmed or not, so one propensity of
+    # exactly 0 or 1 makes the score undefined and is refused.
+    d = Dataset(np.array([1.0, 2.0, 0.5, 1.5]), np.array([1, 0, 1, 0]),
+                np.zeros((4, 1)), ["a", "a", "b", "b"])
+    for bound in (0.0, 1.0):
+        nu = NuisanceEstimates(mu0=np.zeros(4), mu1=np.ones(4),
+                               e=np.array([0.5, 0.4, bound, 0.6]),
+                               fold_of_cluster=np.array([0, 1]))
+        for eta in (None, 0.05):
+            with pytest.raises(InputError, match="strictly in"):
+                dr_estimate(d, nu, eta=eta)
 
 
 # --------------------------------------------------------------------------

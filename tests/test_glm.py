@@ -118,6 +118,29 @@ def test_near_duplicate_within_tolerance_is_dropped():
     assert wls_fit(np.column_stack([base, far]), b).columns_dropped == ()
 
 
+def test_each_column_is_judged_against_its_own_norm():
+    # A covariate of norm about 1e13 leaves the intercept and a 0/1
+    # column in both fits, and its coefficient is the unscaled one over
+    # 1e12.
+    # A column of norm below 1e-9 is dropped whatever the others' scale.
+    rng = np.random.default_rng(10)
+    n = 40
+    w = (np.arange(n) % 2).astype(float)
+    x = rng.standard_normal(n)
+    b = rng.standard_normal(n)
+    a = np.column_stack([np.ones(n), w, 1e12 * x])
+    fit = wls_fit(a, b)
+    assert fit.columns_dropped == ()
+    assert oracles.unblocked_wls_fit(a, b)[1] == ()
+    plain = wls_fit(np.column_stack([np.ones(n), w, x]), b).coefficients
+    np.testing.assert_allclose(fit.coefficients * [1.0, 1.0, 1e12], plain,
+                               rtol=1e-9)
+    labels = (rng.random(n) < 0.5).astype(float)
+    assert logistic_fit(a, labels).columns_dropped == ()
+    tiny = np.column_stack([np.ones(n), 1e-11 * x, 1e12 * x + 1.0])
+    assert wls_fit(tiny, b).columns_dropped == (1,)
+
+
 def test_duplicate_of_dropped_column_is_dropped():
     rng = np.random.default_rng(8)
     u, v = rng.standard_normal((2, 30))

@@ -8,7 +8,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clusterdr import (
@@ -108,3 +108,58 @@ def test_outcome_shift_leaves_the_estimate(seed, c, n_c, b):
     bound = 1000 * np.finfo(float).eps * (np.abs(d.y).max() + abs(b))
     assert math.isclose(tau_shift, tau, rel_tol=0.0, abs_tol=bound), (
         tau_shift - tau, bound)
+
+
+def command_outputs(workdir, d, name):
+    """What ``estimate --baselines``, ``check-equivalence`` and
+    ``select --stop-after-k 2`` report on ``d``, written as
+    ``name``.csv: the DR estimate and its standard error, the three
+    baselines, the equivalence exit code and verdict, and the selected
+    statistics."""
+    estimate, _ = estimate_report(workdir, d, name, seed=1)
+    data = str(workdir / f"{name}.csv")
+    bodies, codes = {}, {}
+    for command, flags in (("check-equivalence", []),
+                           ("select", ["--stop-after-k", "2"])):
+        out = workdir / f"{name}.{command}.json"
+        codes[command] = main([command, "--data", data, *flags,
+                               "--output", str(out)])
+        with open(out) as fh:
+            bodies[command] = json.load(fh)["body"]
+    assert codes["select"] == 0
+    return {"tau_hat": estimate["result"]["tau_hat"],
+            "se": estimate["result"]["se"], **estimate["baselines"],
+            "equivalence": (codes["check-equivalence"],
+                            bodies["check-equivalence"]["equivalent"]),
+            "selected": bodies["select"]["selected"]}
+
+
+@settings(max_examples=20, deadline=None)
+@given(preset=st.sampled_from(["mundlak-linear", "nonlinear-u"]),
+       seed=st.integers(min_value=0, max_value=10_000),
+       j=st.integers(min_value=0, max_value=2),
+       k=st.integers(min_value=-20, max_value=60))
+@example(preset="nonlinear-u", seed=3, j=0, k=60)
+def test_scaled_covariate_leaves_every_estimate(preset, seed, j, k):
+    # Multiplying a float by 2^k is exact, and so is every step that a
+    # column's scale passes through: Householder QR scales that column
+    # of R by 2^k, its coefficient by 2^-k and the summaries of it by
+    # 2^k, while the propensity fit works in the basis that R makes
+    # orthonormal, and select divides each candidate by a power of two
+    # before standardising. The rank rule judges each column against its
+    # own norm, so no column's fate depends on another's scale. Hence
+    # the DR estimate and its standard error, the three baselines,
+    # check-equivalence's verdict and select's selection are unchanged
+    # to the bit. A rule with one tolerance for every column dropped the
+    # intercept and the treatment once a covariate's norm passed 1e9
+    # times theirs (k of about 30 and more here).
+    d = generate(dgp_preset(preset, c=60), seed).dataset
+    j %= d.k
+    x = d.x.copy()
+    x[:, j] *= 2.0 ** k
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        want = command_outputs(workdir, d, "plain")
+        got = command_outputs(workdir, Dataset(d.y, d.w, x, d.cluster_index),
+                              "scaled")
+    assert got == want

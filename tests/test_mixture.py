@@ -179,7 +179,7 @@ def test_posterior_bridge_into_estimation():
     d = res.dataset
     m = em_fit(d, p=2, seed=2, restarts=3)
     post = posterior_suffstat(m, d)
-    s_bar = augment_with_posterior(d, post)
+    s_bar = augment_with_posterior(post)
     # one row per cluster, p - 1 columns
     assert s_bar.shape == (d.c, 1)
     assert np.array_equal(s_bar[:, 0], post[:, 0])

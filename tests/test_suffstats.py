@@ -21,7 +21,6 @@ from clusterdr import (
     mundlak_spec,
     overlap_set,
     posterior_suffstat,
-    resolve_transform,
 )
 
 import oracles
@@ -86,7 +85,7 @@ def test_cluster_rows_expand_to_unit_oracle():
     m = generate(dgp_preset("separated-mixture", c=40), 2).dataset
     for p in (1, 2, 3):
         post = posterior_suffstat(em_fit(m, p=p, seed=1, restarts=2), m)
-        s_bar = augment_with_posterior(m, post)
+        s_bar = augment_with_posterior(post)
         assert s_bar.shape == (m.c, max(p - 1, 1))
         assert np.array_equal(s_bar[m.cluster_index],
                               oracles.unit_posterior_summaries(m, post))
@@ -171,16 +170,17 @@ def test_out_of_range_covariate_index():
 def test_builtin_transforms():
     d = Dataset(np.zeros(2), np.array([0, 1]),
                 np.array([[4.0, -9.0], [1.0, 2.0]]), ["a", "a"])
-    log_vals = resolve_transform("log:0", d.k)(d.x, d.w)
-    assert log_vals == pytest.approx(np.log([4.0, 1.0]))
-    sq = resolve_transform("square:1", d.k)(d.x, d.w)
-    assert sq.tolist() == [81.0, 4.0]
-    clip = resolve_transform("clip:1", d.k)(d.x, d.w)
-    assert clip.tolist() == [-3.0, 2.0]
-    with pytest.raises(InputError):
-        resolve_transform("no-such-tag", d.k)
-    with pytest.raises(InputError):
-        resolve_transform("log:zz", d.k)
+    def values(tag):
+        return Term("custom-transform", tag=tag).unit_values(d)
+
+    assert values("log:0") == pytest.approx(np.log([4.0, 1.0]))
+    assert values("square:1").tolist() == [81.0, 4.0]
+    assert values("clip:1").tolist() == [-3.0, 2.0]
+    # A bad tag is refused when the term is made, before any data.
+    with pytest.raises(InputError, match="unknown transform tag"):
+        Term("custom-transform", tag="no-such-tag")
+    with pytest.raises(InputError, match="bad covariate index"):
+        Term("custom-transform", tag="log:zz")
 
 
 def test_registered_transform_used_in_spec():
