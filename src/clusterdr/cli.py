@@ -421,11 +421,9 @@ def _merge(args, command: str) -> dict:
     return _resolve(doc["properties"], cfg, vars(args), doc["$defs"])
 
 
-def _spec_from_config(obj, k: int) -> StatSpec:
-    """Build a StatSpec from an inline config object (None = default)."""
-    if obj is None:
-        return mundlak_spec(k)
-    return StatSpec.from_dict(obj)
+def _read_spec(obj):
+    """The StatSpec of an inline config object (None: the default)."""
+    return None if obj is None else StatSpec.from_dict(obj)
 
 
 @contextmanager
@@ -471,6 +469,8 @@ def cmd_estimate(args) -> int:
     if "data" not in cfg:
         raise InputError("estimate: no data file given (--data or config)")
     _validate_config(cfg, "estimate", partial=False)
+    with _stage("configure"):
+        spec = _read_spec(cfg["statspec"])
     with _stage("load"):
         d = load_csv(cfg["data"], CsvSchema(**cfg["schema"]))
     with _stage("validate"):
@@ -478,7 +478,8 @@ def cmd_estimate(args) -> int:
         if not report.ok:
             raise InputError("; ".join(report.errors))
     with _stage("design"):
-        spec = _spec_from_config(cfg["statspec"], d.k)
+        if spec is None:
+            spec = mundlak_spec(d.k)
         s_bar = build_suffstats(d, spec)
     nu, res = _dr_stages(cfg, d, s_bar)
 
@@ -524,12 +525,11 @@ def cmd_simulate(args) -> int:
         if key in cfg:
             overrides[key] = cfg[key]
     est_cfg = cfg["estimator"]
-    spec = est_cfg["statspec"]
     with _stage("configure"):
         dgp = dgp_preset(cfg["preset"], **overrides)
         est = EstimatorConfig(**{
             **est_cfg,
-            "statspec": None if spec is None else StatSpec.from_dict(spec),
+            "statspec": _read_spec(est_cfg["statspec"]),
             "nuisance": NuisanceConfig(**est_cfg["nuisance"]),
         })
     with _stage("simulate"):
@@ -570,12 +570,15 @@ def cmd_select(args) -> int:
     if "data" not in cfg:
         raise InputError("select: no data file given (--data or config)")
     _validate_config(cfg, "select", partial=False)
+    with _stage("configure"):
+        cand = _read_spec(cfg["candidates"])
+        if cand is not None and not cand.terms:
+            raise InputError("candidate statistic list is empty")
     with _stage("load"):
         d = load_csv(cfg["data"], CsvSchema(**cfg["schema"]))
     with _stage("design"):
-        cand = _spec_from_config(cfg["candidates"], d.k)
-        if not cand.terms:
-            raise InputError("candidate statistic list is empty")
+        if cand is None:
+            cand = mundlak_spec(d.k)
         features = np.column_stack([t.unit_values(d) for t in cand.terms])
     with _stage("select"):
         res = multinomial_group_lasso(

@@ -50,46 +50,63 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _check_treatment_variation(sum_sq: float, n: int, what: str) -> None:
-    """Raise unless the ``n`` demeaned treatments, whose squares sum to
-    ``sum_sq``, vary."""
-    if sum_sq <= 1e-12 * max(1, n):
-        raise DegenerateDesignError(
-            f"no residual treatment variation for {what}; "
-            "every cluster is single-arm"
-        )
-
-
-def _within_fit(d: Dataset, omega, what: str) -> float:
+def _within_fit(data, groupings, what: str, omega=None, grand=None) -> float:
     """Treatment coefficient of the least squares of y on (w, x) with one
-    dummy per cluster, weighted by ``omega`` (None: unweighted), solved
-    without the dummies: remove the ``omega``-weighted cluster means of
-    ``[w | x | y]`` and fit the residuals with the same weights.
+    dummy per group of each grouping, weighted by ``omega`` (None:
+    unweighted): each row of ``[w | x | y]`` of ``data`` (a
+    :class:`Dataset` or :class:`PanelData`) loses its group's row of
+    each grouping's table and gains ``grand`` when given, and the
+    residuals are fit with the same weights. ``groupings`` lists
+    ``(index, table)`` pairs: each row's group id, and each group's
+    ``[w | x | y]`` means.
 
-    As in :func:`mundlak_ols`, the residuals are made, weighted by
-    ``sqrt(omega)`` and factored one block of
-    :func:`~clusterdr.glm.row_blocks` at a time, and least squares runs
-    on the stacked triangles. The blocks are those
-    :func:`~clusterdr.glm.wls_fit` would factor from all n scaled
-    residual rows, so unless a column is dropped the coefficient is the
-    same float."""
-    means = np.column_stack([d.cluster_means(col, omega)
-                             for col in (d.w, d.x, d.y)])
+    The residuals are made, weighted by ``sqrt(omega)`` and factored one
+    :func:`~clusterdr.glm.row_blocks` block at a time, the blocks that
+    :func:`~clusterdr.glm.wls_fit` would factor from all n rows, so
+    unless a column is dropped the coefficient is the same float."""
     variation = 0.0
 
     def rows_of(block):
         nonlocal variation
-        rows = np.column_stack([d.w[block], d.x[block], d.y[block]])
-        rows -= means[d.cluster_index[block]]
+        rows = np.column_stack([data.w[block], data.x[block], data.y[block]])
+        for index, table in groupings:
+            rows -= table[index[block]]
+        if grand is not None:
+            rows += grand
         variation += float(rows[:, 0] @ rows[:, 0])
         if omega is not None:
             rows *= np.sqrt(omega[block])[:, None]
         return rows
 
     stack = stacked_block_r(rows_of(block)
-                            for block in row_blocks(d.n, d.k + 2))
-    _check_treatment_variation(variation, d.n, what)
+                            for block in row_blocks(data.n, data.k + 2))
+    if variation <= 1e-12 * max(1, data.n):
+        raise DegenerateDesignError(f"no residual treatment variation for "
+                                    f"{what}; every cluster is single-arm")
     return float(wls_fit(stack[:, :-1], stack[:, -1]).coefficients[0])
+
+
+def _mundlak_fit(data, groupings) -> float:
+    """Treatment coefficient of the pooled least squares of y on
+    ``[1 | w | x | means]``: each column's mean under each grouping of
+    :func:`_within_fit` in turn. Made and factored a block at a time."""
+
+    def rows_of(block):
+        means = np.stack([table[index[block], :-1]
+                          for index, table in groupings], axis=2)
+        return np.column_stack([np.ones(len(means)), data.w[block],
+                                data.x[block], means.reshape(len(means), -1),
+                                data.y[block]])
+
+    stack = stacked_block_r(rows_of(block) for block in row_blocks(
+        data.n, (len(groupings) + 1) * (data.k + 1) + 2))
+    return float(wls_fit(stack[:, :-1], stack[:, -1]).coefficients[1])
+
+
+def _clusters(d: Dataset, omega=None) -> list:
+    """A dataset's one grouping: its clusters, ``omega``-weighted."""
+    return [(d.cluster_index, np.column_stack(
+        [d.cluster_means(col, omega) for col in (d.w, d.x, d.y)]))]
 
 
 def fe_ols(d: Dataset) -> float:
@@ -101,23 +118,13 @@ def fe_ols(d: Dataset) -> float:
     to least squares with one dummy per cluster. Raises when no cluster
     has both treatment arms.
     """
-    return _within_fit(d, None, "fixed-effects regression")
+    return _within_fit(d, _clusters(d), "fixed-effects regression")
 
 
 def mundlak_ols(d: Dataset) -> float:
     """Treatment coefficient of the pooled regression of y on
     (1, w, x, cluster means of w and x)."""
-    means = np.column_stack([d.cluster_means(d.w), d.cluster_means(d.x)])
-
-    def rows_of(block):
-        cluster = d.cluster_index[block]
-        return np.column_stack([np.ones(cluster.size), d.w[block],
-                                d.x[block], means[cluster], d.y[block]])
-
-    # [design | y] is made and factored one block of rows at a time.
-    stack = stacked_block_r(rows_of(block)
-                            for block in row_blocks(d.n, 2 * d.k + 4))
-    return float(wls_fit(stack[:, :-1], stack[:, -1]).coefficients[1])
+    return _mundlak_fit(d, _clusters(d))
 
 
 def weighted_fe(d: Dataset, e_hat: np.ndarray) -> float:
@@ -137,7 +144,8 @@ def weighted_fe(d: Dataset, e_hat: np.ndarray) -> float:
     omega = np.subtract(1.0, e_hat)
     np.divide(1.0, omega, out=omega)
     np.divide(1.0, e_hat, out=omega, where=d.w == 1)
-    return _within_fit(d, omega, "weighted fixed-effects regression")
+    return _within_fit(d, _clusters(d, omega),
+                       "weighted fixed-effects regression", omega)
 
 
 # ---------------------------------------------------------------------------
@@ -439,12 +447,12 @@ def dr_estimate(
 
     The point estimate is the retained-unit mean of the score: ``mu1 -
     mu0`` plus the inverse-propensity correction ``_ipw_correction``,
-    which every unit gets, so an ``e`` of 0 or 1 raises
-    :class:`~clusterdr.exceptions.InputError`, trimmed or not. The
-    variance is the spread across clusters of the correction's cluster
-    means, over the squared retained fraction and the number of clusters.
-    Raises :class:`~clusterdr.exceptions.EmptyOverlapError` when
-    trimming removes every unit, and
+    which only retained units get, so only there does an ``e`` of 0 or 1
+    raise :class:`~clusterdr.exceptions.InputError`. The variance is the
+    spread across clusters of the correction's cluster means, over the
+    squared retained fraction and the number of clusters. Raises
+    :class:`~clusterdr.exceptions.EmptyOverlapError` when trimming
+    removes every unit, and
     :class:`~clusterdr.exceptions.EstimationError` when the estimate,
     its variance or its interval is not finite, as when outcomes near
     1e160 overflow the squares of the variance.
@@ -453,19 +461,19 @@ def dr_estimate(
     a_bar = float(a.mean())
     if a_bar == 0.0:
         raise EmptyOverlapError("trimming removed every unit")
-    # One correction term serves the score and the variance. Both
-    # are made a block of rows at a time, so no other n-row temporary is.
-    correction, score = np.empty(d.n), np.empty(d.n)
+    # One correction term serves the score and the variance. Both are
+    # made for a block's retained units at a time, so no other n-row
+    # temporary is.
+    correction, score = np.zeros(d.n), np.zeros(d.n)
     with np.errstate(over="ignore", invalid="ignore"):
-        for rows in row_blocks(d.n):
+        for block in row_blocks(d.n):
+            rows = np.flatnonzero(a[block]) + block.start
             correction[rows] = _ipw_correction(d.y[rows], d.w[rows],
                                                nu.mu1[rows], nu.mu0[rows],
                                                nu.e[rows])
-            score[rows] = a[rows] * (nu.mu1[rows] - nu.mu0[rows]
-                                     + correction[rows])
+            score[rows] = nu.mu1[rows] - nu.mu0[rows] + correction[rows]
         tau_hat = float(np.sum(score) / (d.n * a_bar))
         del score
-        correction *= a
         xi = d.cluster_means(correction)
         v_hat = float(np.mean((xi - xi.mean()) ** 2) / a_bar**2)
     se = float(np.sqrt(v_hat / d.c))
@@ -603,19 +611,13 @@ def twoway_mundlak_check(p: PanelData) -> tuple:
     first regression demeans by unit and period; the second is a pooled
     regression adding the unit means and the period means of treatment
     and covariates as controls. On a balanced panel the two agree to
-    machine precision.
-    """
-    v = np.column_stack([p.y, p.w, p.x])
-    unit = group_means(p.unit_index, v, p.n_units)[p.unit_index]
-    time = group_means(p.time_index, v, p.n_periods)[p.time_index]
-    v_t = v - unit - time + np.array([col.mean() for col in v.T])
-    _check_treatment_variation(float(v_t[:, 1] @ v_t[:, 1]), p.n,
-                               "two-way fixed-effects regression")
-    fe_fit = wls_fit(v_t[:, 1:], v_t[:, 0])
-    tau_fe = float(fe_fit.coefficients[0])
-
-    # unit mean, then period mean, of w and of each covariate in turn
-    means = np.stack([unit[:, 1:], time[:, 1:]], axis=2).reshape(p.n, -1)
-    design = np.column_stack([np.ones(p.n), v[:, 1:], means])
-    m_fit = wls_fit(design, p.y)
-    return tau_fe, float(m_fit.coefficients[1])
+    machine precision. Both are the fits of :func:`fe_ols` and
+    :func:`mundlak_ols`, grouped by unit and by period."""
+    groupings = [(index, np.column_stack([group_means(index, col, size)
+                                          for col in (p.w, p.x, p.y)]))
+                 for index, size in ((p.unit_index, p.n_units),
+                                     (p.time_index, p.n_periods))]
+    grand = np.array([col.mean() for col in (p.w, *p.x.T, p.y)])
+    return (_within_fit(p, groupings, "two-way fixed-effects regression",
+                        grand=grand),
+            _mundlak_fit(p, groupings))

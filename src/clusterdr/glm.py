@@ -371,28 +371,22 @@ def logistic_fit(
 
 
 def predict_proba(fit: LogisticFit, design) -> np.ndarray:
-    """Predicted probabilities, clamped to [1e-10, 1 - 1e-10].
-
-    Accepts a single row or a matrix. Requires a converged fit or a
-    positive ridge, so downstream inverse weights stay finite and
-    reproducible.
-    """
+    """Predicted probabilities of the rows of ``design`` (a vector is
+    one column, as in :func:`logistic_fit`), clamped to [1e-10, 1 -
+    1e-10]. Requires a converged fit or a positive ridge, so downstream
+    inverse weights stay finite and reproducible."""
     if not fit.converged and fit.ridge == 0.0:
         raise EstimationError(
             "refusing to predict from an unconverged unpenalized fit"
         )
-    a = np.asarray(design, dtype=float)
-    single = a.ndim == 1
-    if single:
-        a = a.reshape(1, -1)
+    a = _as_design(design)
     if a.shape[1] != fit.coefficients.shape[0]:
         raise InputError(
             f"design has {a.shape[1]} columns, fit expects "
             f"{fit.coefficients.shape[0]}"
         )
     prob = _sigmoid(a @ fit.coefficients)
-    prob = np.clip(prob, _PROB_FLOOR, 1.0 - _PROB_FLOOR)
-    return prob[0] if single else prob
+    return np.clip(prob, _PROB_FLOOR, 1.0 - _PROB_FLOOR)
 
 
 def cross_fit_folds(c: int, L: int, seed: int) -> np.ndarray:

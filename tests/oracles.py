@@ -701,3 +701,26 @@ def nrow_within_fit(d, omega=None):
     if omega is not None:
         v *= np.sqrt(omega)[:, None]
     return float(wls_fit(v[:, 1:], v[:, 0]).coefficients[0])
+
+
+def dense_twoway_mundlak_check(p):
+    """The panel check as it was before it shared the cross-section
+    fits: the n-row matrix ``[y | w | x]`` loses its unit and period
+    means and gains its grand means, and ``wls_fit`` takes those rows;
+    the Mundlak design ``[1 | w | x | unit and period means]`` is built
+    with n rows too. Returns ``(tau_fe, tau_mundlak)``."""
+    from clusterdr.dataset import group_means
+    from clusterdr.exceptions import DegenerateDesignError
+    from clusterdr.glm import wls_fit
+
+    v = np.column_stack([p.y, p.w, p.x])
+    unit = group_means(p.unit_index, v, p.n_units)[p.unit_index]
+    time = group_means(p.time_index, v, p.n_periods)[p.time_index]
+    v_t = v - unit - time + np.array([col.mean() for col in v.T])
+    if float(v_t[:, 1] @ v_t[:, 1]) <= 1e-12 * max(1, p.n):
+        raise DegenerateDesignError("no residual treatment variation")
+    tau_fe = float(wls_fit(v_t[:, 1:], v_t[:, 0]).coefficients[0])
+    # unit mean, then period mean, of w and of each covariate in turn
+    means = np.stack([unit[:, 1:], time[:, 1:]], axis=2).reshape(p.n, -1)
+    design = np.column_stack([np.ones(p.n), v[:, 1:], means])
+    return tau_fe, float(wls_fit(design, p.y).coefficients[1])

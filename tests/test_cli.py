@@ -463,7 +463,8 @@ def test_transform_tag_past_covariates_exits_one(command, tag, demo_csv,
                                                  workdir, capsys):
     # An index past the data's covariates is found in the design stage
     # (for simulate, in every rep); an unknown tag is refused when the
-    # spec is read, which simulate does before any rep runs.
+    # spec is read, which every command does before it loads or draws
+    # any data.
     spec = {"terms": [{"kind": "custom-transform", "tag": tag}]}
     j = tag.partition(":")[2]
     if command == "simulate":
@@ -471,13 +472,13 @@ def test_transform_tag_past_covariates_exits_one(command, tag, demo_csv,
         inputs, k = ["--preset", "randomized", "--c", "40", "--reps", "2"], 1
     else:
         cfg = {"statspec" if command == "estimate" else "candidates": spec}
-        inputs, k = ["--data", str(demo_csv)], 3
+        data = "absent.csv" if tag == "cube:0" else str(demo_csv)
+        inputs, k = ["--data", data], 3
     (workdir / "cfg.json").write_text(json.dumps(cfg))
     assert main([command, "--config", "cfg.json", *inputs]) == 1
     if tag == "cube:0":
-        stage = "configure" if command == "simulate" else "design"
         assert capsys.readouterr().err == (
-            f"error: {stage}: unknown transform tag 'cube:0'\n")
+            "error: configure: unknown transform tag 'cube:0'\n")
         return
     message = f"term references covariate {j} but dataset has {k} covariates"
     assert capsys.readouterr().err == (
@@ -619,7 +620,8 @@ def test_select_empty_candidates_exit_one(demo_csv, workdir, capsys):
     cand.write_text(json.dumps({"terms": []}))
     assert main(["select", "--data", str(demo_csv),
                  "--candidates", str(cand)]) == 1
-    assert "empty" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: configure: candidate statistic list is empty\n")
 
 
 # --- mixture ----------------------------------------------------------------
@@ -737,6 +739,24 @@ def test_check_unbalanced_panel_exit_two(workdir, capsys):
     )
     assert main(["check-equivalence", "--panel", str(path)]) == 2
     assert "balanced" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--data", "--panel"])
+def test_check_nan_outcome_exits_one(flag, demo_csv, panel_csv, workdir,
+                                     capsys):
+    # A NaN outcome is read, and the fixed-effects fit refuses it.
+    path = demo_csv if flag == "--data" else panel_csv
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    rows[2]["y"] = "nan"
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    assert main(["check-equivalence", flag, str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: estimate: response contains non-finite values\n")
+    assert not (workdir / "check_equivalence_report.json").exists()
 
 
 _PANEL_OK = "unit,time,y,w,x0\nu0,t0,1.0,1,0.2\nu0,t1,2.0,0,0.1\n"

@@ -79,18 +79,34 @@ def pipeline(d, L=3, eta=0.05, seed=1, cfg=None):
 # --------------------------------------------------------------------------
 
 
-def test_psi_rejects_boundary_propensities():
-    # Every unit's score is formed, trimmed or not, so one propensity of
-    # exactly 0 or 1 makes the score undefined and is refused.
+def boundary_propensities(bound):
+    """Four units in two clusters; unit 2's propensity is ``bound``."""
     d = Dataset(np.array([1.0, 2.0, 0.5, 1.5]), np.array([1, 0, 1, 0]),
                 np.zeros((4, 1)), ["a", "a", "b", "b"])
+    return d, NuisanceEstimates(mu0=np.zeros(4), mu1=np.ones(4),
+                                e=np.array([0.5, 0.4, bound, 0.6]),
+                                fold_of_cluster=np.array([0, 1]))
+
+
+def test_psi_rejects_boundary_propensities():
+    # Without trimming every unit's score is formed, so one propensity
+    # of exactly 0 or 1 makes the score undefined and is refused.
     for bound in (0.0, 1.0):
-        nu = NuisanceEstimates(mu0=np.zeros(4), mu1=np.ones(4),
-                               e=np.array([0.5, 0.4, bound, 0.6]),
-                               fold_of_cluster=np.array([0, 1]))
-        for eta in (None, 0.05):
-            with pytest.raises(InputError, match="strictly in"):
-                dr_estimate(d, nu, eta=eta)
+        with pytest.raises(InputError, match="strictly in"):
+            dr_estimate(*boundary_propensities(bound), eta=None)
+
+
+def test_trimmed_boundary_propensity_is_not_refused():
+    # Trimming at 0.05 drops unit 2, whose score is then never formed:
+    # the estimate is that of the three retained units.
+    for bound in (0.0, 1.0):
+        d, nu = boundary_propensities(bound)
+        res = dr_estimate(d, nu, eta=0.05)
+        assert res.a.tolist() == [1, 1, 0, 1]
+        tau, v = oracles.straight_line_dr(d.y, d.w, nu.mu1, nu.mu0, nu.e,
+                                          res.a, ["a", "a", "b", "b"])
+        assert res.tau_hat == pytest.approx(tau, rel=1e-14)
+        assert res.v_hat == pytest.approx(v, rel=1e-14)
 
 
 # --------------------------------------------------------------------------
@@ -876,6 +892,47 @@ def test_twoway_check_matches_dummy_oracle():
     want = oracles.dummy_ols_twoway(y, w, x, unit.tolist(), time.tolist())
     assert tau_fe == pytest.approx(want, abs=1e-9)
     assert abs(tau_fe - tau_mundlak) <= 1e-8 * (1.0 + abs(tau_fe))
+
+
+@settings(max_examples=20, deadline=None)
+@given(n_periods=st.integers(min_value=2, max_value=8),
+       offset=st.integers(min_value=-2, max_value=2),
+       k=st.integers(min_value=0, max_value=3),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       strings=st.booleans())
+def test_twoway_check_matches_dense_oracle(n_periods, offset, k, seed,
+                                           strings):
+    # About 8,192 rows, so the panel fills one 8,192-row block or spills
+    # into a second, in shuffled row order. Both regressions factor the
+    # blocks wls_fit makes from the oracle's n-row matrices, so unless a
+    # column is dropped the pair is the same floats. With fewer than
+    # k + 2 periods, the k + 1 period-mean columns and the intercept
+    # outnumber the periods, a column is dropped, and the kept columns
+    # are factored again from the triangles rather than from the rows.
+    n_units = 8192 // n_periods + offset
+    y, w, x, unit, time = random_panel(seed, n_units, n_periods, k)
+    order = np.random.default_rng(seed).permutation(y.size)
+    if strings:
+        unit = np.array([f"firm-{u}" for u in unit])
+        time = np.array([f"q{t}" for t in time])
+    p = make_panel(y[order], w[order], x[order], unit[order], time[order])
+    got = twoway_mundlak_check(p)
+    want = oracles.dense_twoway_mundlak_check(p)
+    if n_periods >= k + 2:
+        assert got == want
+    else:
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_twoway_check_working_set_per_row():
+    # 100,000 units x 6 periods, k = 2. The unit and period means are
+    # taken a column at a time, and the residuals and the Mundlak design
+    # are made and factored one block of rows at a time: about 13 bytes
+    # per row. With the n-row residual, mean and design matrices, 264.
+    y, w, x, unit, time = random_panel(0, 100_000, 6, 2)
+    p = make_panel(y, w, x, unit, time)
+    per_row = traced_peak_per_unit(p, twoway_mundlak_check, p)
+    assert per_row <= 40, per_row
 
 
 def test_unbalanced_panel_rejected():
