@@ -88,11 +88,12 @@ def _within_fit(data, groupings, what: str, omega=None, grand=None) -> float:
 
 def _mundlak_fit(data, groupings) -> float:
     """Treatment coefficient of the pooled least squares of y on
-    ``[1 | w | x | means]``: each column's mean under each grouping of
-    :func:`_within_fit` in turn. Made and factored a block at a time."""
+    ``[1 | w | x | means]``: each column's mean under each grouping in
+    turn. ``groupings`` are those of :func:`_within_fit` with tables of
+    ``[w | x]`` means only. Made and factored a block at a time."""
 
     def rows_of(block):
-        means = np.stack([table[index[block], :-1]
+        means = np.stack([table[index[block]]
                           for index, table in groupings], axis=2)
         return np.column_stack([np.ones(len(means)), data.w[block],
                                 data.x[block], means.reshape(len(means), -1),
@@ -103,10 +104,10 @@ def _mundlak_fit(data, groupings) -> float:
     return float(wls_fit(stack[:, :-1], stack[:, -1]).coefficients[1])
 
 
-def _clusters(d: Dataset, omega=None) -> list:
-    """A dataset's one grouping: its clusters, ``omega``-weighted."""
+def _clusters(d: Dataset, columns, omega=None) -> list:
+    """One grouping: the clusters, ``omega``-weighted means of ``columns``."""
     return [(d.cluster_index, np.column_stack(
-        [d.cluster_means(col, omega) for col in (d.w, d.x, d.y)]))]
+        [d.cluster_means(col, omega) for col in columns]))]
 
 
 def fe_ols(d: Dataset) -> float:
@@ -118,13 +119,14 @@ def fe_ols(d: Dataset) -> float:
     to least squares with one dummy per cluster. Raises when no cluster
     has both treatment arms.
     """
-    return _within_fit(d, _clusters(d), "fixed-effects regression")
+    return _within_fit(d, _clusters(d, (d.w, d.x, d.y)),
+                       "fixed-effects regression")
 
 
 def mundlak_ols(d: Dataset) -> float:
     """Treatment coefficient of the pooled regression of y on
     (1, w, x, cluster means of w and x)."""
-    return _mundlak_fit(d, _clusters(d))
+    return _mundlak_fit(d, _clusters(d, (d.w, d.x)))
 
 
 def weighted_fe(d: Dataset, e_hat: np.ndarray) -> float:
@@ -144,7 +146,7 @@ def weighted_fe(d: Dataset, e_hat: np.ndarray) -> float:
     omega = np.subtract(1.0, e_hat)
     np.divide(1.0, omega, out=omega)
     np.divide(1.0, e_hat, out=omega, where=d.w == 1)
-    return _within_fit(d, _clusters(d, omega),
+    return _within_fit(d, _clusters(d, (d.w, d.x, d.y), omega),
                        "weighted fixed-effects regression", omega)
 
 
@@ -573,19 +575,18 @@ def make_panel(y, w, x, unit_labels, time_labels) -> PanelData:
         raise InputError("panel columns have mismatched lengths")
     if not np.all((w == 0.0) | (w == 1.0)):
         raise InputError("panel treatment must be 0 or 1")
+    if not np.isfinite(x).all():
+        raise InputError("panel covariates must be finite")
     unit_index, units = intern_labels(unit_labels)
     time_index, periods = intern_labels(time_labels)
     n_units, n_periods = len(units), len(periods)
     if n != n_units * n_periods:
         raise UnbalancedPanelError(
-            f"{n} rows cannot form a balanced {n_units} x {n_periods} panel"
-        )
+            f"{n} rows cannot form a balanced {n_units} x {n_periods} panel")
     counts = np.bincount(unit_index * n_periods + time_index, minlength=n)
     if not np.all(counts == 1):
-        raise UnbalancedPanelError(
-            "panel is unbalanced: some unit-period cells are missing "
-            "or duplicated"
-        )
+        raise UnbalancedPanelError("panel is unbalanced: some unit-period "
+                                   "cells are missing or duplicated")
     return PanelData(
         y=y, w=w, x=x, unit_index=unit_index, time_index=time_index,
         n_units=n_units, n_periods=n_periods,
@@ -620,4 +621,4 @@ def twoway_mundlak_check(p: PanelData) -> tuple:
     grand = np.array([col.mean() for col in (p.w, *p.x.T, p.y)])
     return (_within_fit(p, groupings, "two-way fixed-effects regression",
                         grand=grand),
-            _mundlak_fit(p, groupings))
+            _mundlak_fit(p, [(i, t[:, :-1]) for i, t in groupings]))

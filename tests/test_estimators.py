@@ -956,6 +956,23 @@ def test_panel_label_lengths_must_match_rows():
         make_panel(y, w, x, unit, list(time) + [0])
 
 
+def test_panel_non_finite_values_are_named():
+    # A non-finite covariate is refused when the panel is built; a
+    # non-finite outcome reaches the fits, which name the response.
+    y, w, x, unit, time = random_panel(seed=11)
+    for bad in (np.nan, np.inf):
+        x_bad = x.copy()
+        x_bad[3, 0] = bad
+        with pytest.raises(InputError,
+                           match="^panel covariates must be finite$"):
+            make_panel(y, w, x_bad, unit, time)
+    y_bad = y.copy()
+    y_bad[3] = np.nan
+    with pytest.raises(InputError,
+                       match="^response contains non-finite values$"):
+        twoway_mundlak_check(make_panel(y_bad, w, x, unit, time))
+
+
 def test_panel_labels_may_be_strings():
     y, w, x, unit, time = random_panel(seed=12)
     p1 = twoway_mundlak_check(make_panel(y, w, x, unit, time))
