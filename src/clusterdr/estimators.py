@@ -50,7 +50,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _within_fit(data, groupings, what: str, omega=None, grand=None) -> float:
+def _within_fit(data, groupings, why: str, omega=None, grand=None) -> float:
     """Treatment coefficient of the least squares of y on (w, x) with one
     dummy per group of each grouping, weighted by ``omega`` (None:
     unweighted): each row of ``[w | x | y]`` of ``data`` (a
@@ -58,7 +58,8 @@ def _within_fit(data, groupings, what: str, omega=None, grand=None) -> float:
     each grouping's table and gains ``grand`` when given, and the
     residuals are fit with the same weights. ``groupings`` lists
     ``(index, table)`` pairs: each row's group id, and each group's
-    ``[w | x | y]`` means.
+    ``[w | x | y]`` means. ``why`` names the fit and the cause when no
+    treatment variation is left.
 
     The residuals are made, weighted by ``sqrt(omega)`` and factored one
     :func:`~clusterdr.glm.row_blocks` block at a time, the blocks that
@@ -81,8 +82,8 @@ def _within_fit(data, groupings, what: str, omega=None, grand=None) -> float:
     stack = stacked_block_r(rows_of(block)
                             for block in row_blocks(data.n, data.k + 2))
     if variation <= 1e-12 * max(1, data.n):
-        raise DegenerateDesignError(f"no residual treatment variation for "
-                                    f"{what}; every cluster is single-arm")
+        raise DegenerateDesignError(
+            f"no residual treatment variation for {why}")
     return float(wls_fit(stack[:, :-1], stack[:, -1]).coefficients[0])
 
 
@@ -120,7 +121,8 @@ def fe_ols(d: Dataset) -> float:
     has both treatment arms.
     """
     return _within_fit(d, _clusters(d, (d.w, d.x, d.y)),
-                       "fixed-effects regression")
+                       "fixed-effects regression; every cluster is "
+                       "single-arm")
 
 
 def mundlak_ols(d: Dataset) -> float:
@@ -147,7 +149,8 @@ def weighted_fe(d: Dataset, e_hat: np.ndarray) -> float:
     np.divide(1.0, omega, out=omega)
     np.divide(1.0, e_hat, out=omega, where=d.w == 1)
     return _within_fit(d, _clusters(d, (d.w, d.x, d.y), omega),
-                       "weighted fixed-effects regression", omega)
+                       "weighted fixed-effects regression; every "
+                       "cluster is single-arm", omega)
 
 
 # ---------------------------------------------------------------------------
@@ -159,11 +162,12 @@ def weighted_fe(d: Dataset, e_hat: np.ndarray) -> float:
 class NuisanceConfig:
     """Model-form switches for the cross-fitted nuisance fits.
 
-    The outcome model is linear in an intercept, treatment, covariates,
-    and (by default) the cluster summaries plus treatment interactions
-    with both. The propensity model is logistic in covariates and (by
-    default) the summaries. When cluster sizes vary, indicator columns
-    for size are appended to both models.
+    The outcome model is linear in an intercept, covariates and (by
+    default) the cluster summaries, and in treatment times the
+    intercept and (by default) times the covariates and summaries; its
+    treatment columns come first. The propensity model is logistic in
+    covariates and (by default) the summaries. When cluster sizes vary,
+    indicator columns for size are appended to both models.
     """
 
     outcome_use_summaries: bool = True
@@ -212,34 +216,13 @@ def _base_rows(d: Dataset, s_bar: np.ndarray, use_summaries: bool,
 
 
 def _outcome_rows(d: Dataset, s_bar: np.ndarray, cfg: NuisanceConfig,
-                  size_cols: np.ndarray, rows) -> np.ndarray:
-    """``[design | y]`` of the outcome model on ``rows`` at the observed
-    treatment: ``[1 | w | x | s_bar | x w | s_bar w | size_cols | y]``,
-    less the summaries or the interactions that ``cfg`` leaves out; the
-    cluster-level columns as in :func:`_base_rows`."""
-    cluster = d.cluster_index[rows]
-    w = d.w[rows]
-    x = d.x[rows]
-    s = s_bar[cluster] if cfg.outcome_use_summaries else x[:, :0]
-    parts = [np.ones(w.size), w, x, s]
-    if cfg.outcome_interactions:
-        parts += [x * w[:, None], s * w[:, None]]
-    return np.column_stack(parts + [size_cols[cluster], d.y[rows]])
-
-
-def _outcome_layout(k: int, t: int, z: int, cfg: NuisanceConfig):
-    """Column indices of the outcome design of :func:`_outcome_rows`,
-    with ``t`` summary and ``z`` size columns: the columns of
-    :func:`_base_rows`, the treatment columns, and for each treatment
-    column the position in the first list of the column it is w times
-    (the intercept for w itself)."""
-    treat, parent = [1], [0]
-    end = 2 + k + t
-    if cfg.outcome_interactions:
-        treat += range(end, end + k + t)
-        parent += range(1, 1 + k + t)
-        end += k + t
-    return [0, *range(2, 2 + k + t), *range(end, end + z)], treat, parent
+                  size_cols: np.ndarray, m: int, rows) -> np.ndarray:
+    """``[w * base[:, :m] | base | y]`` of the outcome model on ``rows``
+    at the observed treatment, ``base`` the rows of :func:`_base_rows`
+    that the model predicts from: the treatment columns come first."""
+    base = _base_rows(d, s_bar, cfg.outcome_use_summaries, size_cols, rows)
+    w = d.w[rows, None]
+    return np.concatenate([base[:, :m] * w, base, d.y[rows, None]], axis=1)
 
 
 def fit_nuisances(
@@ -267,10 +250,15 @@ def fit_nuisances(
     of stacked R factors is the R factor of the stacked rows (TSQR), so
     a fold's training system is the stack of the other folds'
     triangles, which :func:`~clusterdr.glm.wls_fit` solves with the
-    training rows' column norms and rank rule. The held-out means come
-    from the coefficient blocks: those of the columns without w give
-    mu0, and adding each treatment column's coefficient to that of the
-    column it is w times gives mu1. The propensity model is
+    training rows' column norms and rank rule. The outcome design is
+    ``[w * base[:, :m] | base]``: ``base`` holds the rows of
+    :func:`_base_rows`, and its first m columns (1 + k + t, or the
+    intercept alone without interactions) times w come first. So the
+    last coefficients give mu0, and adding the first m to the first m
+    of those gives mu1. The rank rule drops the later of two equal
+    columns, so a summary equal to a treatment column on the training
+    rows (the cluster mean of x w in single-unit clusters) goes and the
+    treatment column stays. The propensity model is
     :func:`~clusterdr.glm.logistic_fit` on the training rows, in unit
     order, which drops columns by the same rule; each fold's fit starts
     from the previous fold's coefficients unless that fit ran into
@@ -307,10 +295,9 @@ def fit_nuisances(
         )
     size_cols = (_size_dummies(d) if cfg.size_indicators
                  else np.empty((d.c, 0)))
-    base, treat, parent = _outcome_layout(
-        d.k, s_bar.shape[1] if cfg.outcome_use_summaries else 0,
-        size_cols.shape[1], cfg)
-    p = len(base) + len(treat)
+    m = (1 + d.k + s_bar.shape[1] * cfg.outcome_use_summaries
+         if cfg.outcome_interactions else 1)
+    p = _outcome_rows(d, s_bar, cfg, size_cols, m, np.arange(0)).shape[1] - 1
 
     def units(block, marked):
         """The units of ``block`` whose cluster ``marked`` flags."""
@@ -328,7 +315,7 @@ def fit_nuisances(
 
     # Each fold's held-out [design | y] is built and factored one block
     # at a time, so only its triangles are kept.
-    tri = [stacked_block_r(_outcome_rows(d, s_bar, cfg, size_cols, rows)
+    tri = [stacked_block_r(_outcome_rows(d, s_bar, cfg, size_cols, m, rows)
                            for rows in held_out(fold))
            for fold in range(L)]
 
@@ -360,10 +347,10 @@ def fit_nuisances(
         stack = np.vstack(tri[:fold] + tri[fold + 1:])
         coef = wls_fit(stack[:, :p], stack[:, p]).coefficients
         # mu(w) = design(w) @ coef: at w = 0 the treatment columns
-        # vanish, at w = 1 each adds its coefficient to its parent's.
-        coef0 = coef[base]
+        # vanish, at w = 1 they are the first m columns of base.
+        coef0 = coef[m:]
         coef1 = coef0.copy()
-        coef1[parent] += coef[treat]
+        coef1[:m] += coef[:m]
         pfit = logistic_fit(design[:n_train], w_train, ridge=cfg.ridge,
                             start=start)
         start = None if pfit.separation_detected else pfit.coefficients
@@ -619,6 +606,7 @@ def twoway_mundlak_check(p: PanelData) -> tuple:
                  for index, size in ((p.unit_index, p.n_units),
                                      (p.time_index, p.n_periods))]
     grand = np.array([col.mean() for col in (p.w, *p.x.T, p.y)])
-    return (_within_fit(p, groupings, "two-way fixed-effects regression",
-                        grand=grand),
+    return (_within_fit(p, groupings, "two-way fixed-effects regression; "
+                        "treatment is additive in unit and period effects "
+                        "(as with a single period)", grand=grand),
             _mundlak_fit(p, [(i, t[:, :-1]) for i, t in groupings]))

@@ -623,9 +623,11 @@ def copying_fit_nuisances(d, s_bar, fold_of_cluster, cfg=None):
     outcome triangles are factored as in the library. ``s_bar`` is the
     (n, t) matrix of :func:`unit_suffstats`, and the size indicators
     are made per unit too. Input checks are left out. Returns (mu0,
-    mu1, e, the LogisticFit of every fold)."""
+    mu1, e, the LogisticFit of every fold). The outcome design is
+    ``[w * base[:, :m] | base | y]``: its m treatment columns, w times
+    the intercept and (with interactions) x and the summaries, then the
+    prediction rows ``base``."""
     from clusterdr import NuisanceConfig
-    from clusterdr.estimators import _outcome_layout
     from clusterdr.glm import (logistic_fit, predict_proba, row_blocks,
                                stacked_block_r, wls_fit)
 
@@ -646,15 +648,15 @@ def copying_fit_nuisances(d, s_bar, fold_of_cluster, cfg=None):
     def _outcome_rows(d, s_bar, cfg, size_cols, rows):
         w, x = d.w[rows], d.x[rows]
         s = s_bar[rows] if cfg.outcome_use_summaries else x[:, :0]
-        parts = [np.ones(w.size), w, x, s]
+        treat = [w]
         if cfg.outcome_interactions:
-            parts += [x * w[:, None], s * w[:, None]]
-        return np.column_stack(parts + [size_cols[rows], d.y[rows]])
+            treat += [x * w[:, None], s * w[:, None]]
+        return np.column_stack(treat + [np.ones(w.size), x, s,
+                                        size_cols[rows], d.y[rows]])
 
-    base, treat, parent = _outcome_layout(
-        d.k, s_bar.shape[1] if cfg.outcome_use_summaries else 0,
-        size_cols.shape[1], cfg)
-    p = len(base) + len(treat)
+    t = s_bar.shape[1] if cfg.outcome_use_summaries else 0
+    m = 1 + d.k + t if cfg.outcome_interactions else 1
+    p = m + 1 + d.k + t + size_cols.shape[1]
     fold_of_unit = fold_of_cluster[d.cluster_index]
     tests = [np.flatnonzero(fold_of_unit == fold) for fold in range(L)]
     tri = [stacked_block_r(_outcome_rows(d, s_bar, cfg, size_cols, test[rows])
@@ -668,9 +670,9 @@ def copying_fit_nuisances(d, s_bar, fold_of_cluster, cfg=None):
         w_train = d.w[train]
         stack = np.vstack(tri[:fold] + tri[fold + 1:])
         coef = wls_fit(stack[:, :p], stack[:, p]).coefficients
-        coef0 = coef[base]
+        coef0 = coef[m:]
         coef1 = coef0.copy()
-        coef1[parent] += coef[treat]
+        coef1[:m] += coef[:m]
         rows = _base_rows(d, s_bar, cfg.outcome_use_summaries, size_cols,
                           test)
         mu0[test] = rows @ coef0

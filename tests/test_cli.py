@@ -741,6 +741,20 @@ def test_check_unbalanced_panel_exit_two(workdir, capsys):
     assert "balanced" in capsys.readouterr().err
 
 
+def test_check_single_period_panel_exit_two(workdir, capsys):
+    path = workdir / "one_period.csv"
+    rng = np.random.default_rng(6)
+    path.write_text("unit,time,y,w,x0\n" + "".join(
+        f"u{u},t0,{rng.normal()!r},{u % 2},{rng.normal()!r}\n"
+        for u in range(50)))
+    assert main(["check-equivalence", "--panel", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: estimate: no residual treatment variation for two-way "
+        "fixed-effects regression; treatment is additive in unit and "
+        "period effects (as with a single period)\n")
+    assert not (workdir / "check_equivalence_report.json").exists()
+
+
 @pytest.mark.parametrize("flag", ["--data", "--panel"])
 def test_check_nan_outcome_exits_one(flag, demo_csv, panel_csv, workdir,
                                      capsys):

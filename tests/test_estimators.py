@@ -21,6 +21,8 @@ from clusterdr import (
     InputError,
     NuisanceConfig,
     NuisanceEstimates,
+    StatSpec,
+    Term,
     UnbalancedPanelError,
     build_suffstats,
     cross_fit_folds,
@@ -286,7 +288,7 @@ def record_calls(monkeypatch, name):
     (None, False, (), 1e-10),
     (1e-4, False, (), 1e-10),
     (1e-8, False, (), 1e-7),
-    (1e-13, False, (5, 9), 1e-10),
+    (1e-13, False, (4, 9), 1e-10),
 ])
 def test_stacked_triangles_and_warm_starts(monkeypatch, scale, cold,
                                            dropped, atol):
@@ -294,8 +296,10 @@ def test_stacked_triangles_and_warm_starts(monkeypatch, scale, cold,
     # cluster-level perturbation of that size. Its pivot in the R factor
     # of the training rows is then about scale / 5 of the largest column
     # norm. The QR rank rule drops the column and its treatment
-    # interaction (columns 5 and 9) from the outcome model, and the
-    # column itself (column 4) from the propensity model, only below its
+    # interaction from the outcome model (columns 9 and 4 of
+    # [w | x w | s_bar w | 1 | x | s_bar]; 5 and 9 of the oracle's
+    # [1 | w | x | s_bar | x w | s_bar w]), and the column itself
+    # (column 4) from the propensity model, only below its
     # 1e-9 threshold; logistic_fit starts from the warm start it is
     # handed whatever the kept columns' pivots, so no fold after the
     # first is the cold fit to the bit. A kept near-duplicate has
@@ -313,8 +317,8 @@ def test_stacked_triangles_and_warm_starts(monkeypatch, scale, cold,
     assert_matches_perfold_oracle(d, s_bar, folds, atol)
     _, _, _, want = oracles.perfold_fit_nuisances(d, s_bar[d.cluster_index],
                                                   folds)
-    assert want == [dropped] * L
-    assert [res.columns_dropped for _, _, res in calls] == want
+    assert want == [(5, 9) if dropped else ()] * L
+    assert [res.columns_dropped for _, _, res in calls] == [dropped] * L
     # one fit per fold, on the other folds' (p + 1)-column triangles
     p = s_bar.shape[1] * 2 + 4
     shapes = [args[0].shape for args, _, _ in calls]
@@ -332,6 +336,25 @@ def test_stacked_triangles_and_warm_starts(monkeypatch, scale, cold,
         for args, _, res in pcalls[1:]
     ]
     assert same_as_cold == [cold] * (L - 1)
+
+
+def test_treatment_columns_outrank_duplicate_summaries(monkeypatch):
+    # In single-unit clusters the cluster mean s of x w is x w itself,
+    # so x w, s w and s are one column on the training rows. The rank
+    # rule drops the later copies, s w and s, and keeps x w, the
+    # treatment column that gives mu1 - mu0 its slope in x.
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal(400)
+    w = (rng.random(400) < 0.5).astype(int)
+    y = 1.0 + x + w * (0.5 + 2.0 * x) + 0.1 * rng.standard_normal(400)
+    d = Dataset(y, w, x, [f"g{j}" for j in range(400)])
+    spec = StatSpec([Term("covariate-treatment-interaction", j=0)])
+    calls = record_calls(monkeypatch, "wls_fit")
+    nu = fit_nuisances(d, build_suffstats(d, spec),
+                       cross_fit_folds(d.c, 2, seed=0))
+    np.testing.assert_allclose(nu.mu1 - nu.mu0, 0.5 + 2.0 * x, atol=0.1)
+    # the columns of [w | x w | s w | 1 | x | s]
+    assert [res.columns_dropped for _, _, res in calls] == [(2, 5)] * 2
 
 
 @settings(max_examples=200, deadline=None)
@@ -933,6 +956,19 @@ def test_twoway_check_working_set_per_row():
     p = make_panel(y, w, x, unit, time)
     per_row = traced_peak_per_unit(p, twoway_mundlak_check, p)
     assert per_row <= 40, per_row
+
+
+def test_single_period_panel_names_its_cause():
+    # With one period, the period means are the rows themselves, so the
+    # two-way residual of w is 0 whatever the units' arms.
+    y, w, x, unit, time = random_panel(seed=13, n_units=50, n_periods=1)
+    assert 0 < w.sum() < w.size
+    with pytest.raises(DegenerateDesignError) as info:
+        twoway_mundlak_check(make_panel(y, w, x, unit, time))
+    assert str(info.value) == (
+        "no residual treatment variation for two-way fixed-effects "
+        "regression; treatment is additive in unit and period effects "
+        "(as with a single period)")
 
 
 def test_unbalanced_panel_rejected():
